@@ -16,7 +16,7 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 
 from .exactla import F32003, FieldSpec, RowSpan, field_from_name
@@ -24,7 +24,7 @@ from .freealg import FreeElement
 from .presentation import (FilteredPresentation, Presentation,
                            PresentationError, builtin, builtin_names,
                            homogenize, opposite, parse)
-from .groebner import RewriteSystem, complete, normal_form, normal_words
+from .groebner import ProductEngine, RewriteSystem, complete, normal_words
 from .hilbert import (ClaimSyntaxError, gk_estimate, hilbert_function,
                       verify_rational)
 from .resolution import betti, gldim_upto, koszul_check, minimal_resolution
@@ -51,7 +51,6 @@ class RunConfig:
     homological_bound: int = 5
     checks: tuple = DEFAULT_CHECKS
     claim: str | None = None
-    output: str = "text"
     json_path: str | None = None
     seed: int = 0
 
@@ -85,6 +84,7 @@ def normal_element_scan(rs: RewriteSystem, dmax: int,
     findings: dict = {"field": f.describe(), "heuristic": True,
                       "degrees": {}, "skipped": []}
     scannable = False
+    engine = ProductEngine(rs)
     for d in range(1, dmax + 1):
         basis = normal_words(rs, d)
         n = len(basis)
@@ -94,7 +94,7 @@ def normal_element_scan(rs: RewriteSystem, dmax: int,
             findings["skipped"].append(d)
             continue
         scannable = True
-        found = _scan_degree(rs, d, basis, p)
+        found = _scan_degree(engine, d, basis, p)
         names = rs.names
         reps = []
         for coords in found:
@@ -111,9 +111,10 @@ def normal_element_scan(rs: RewriteSystem, dmax: int,
     return findings
 
 
-def _scan_degree(rs: RewriteSystem, d: int, basis: list, p: int) -> list:
+def _scan_degree(engine: ProductEngine, d: int, basis: list, p: int) -> list:
     """Normal elements of degree d as coefficient tuples over the given
     normal-word basis, first nonzero coordinate fixed to 1."""
+    rs = engine.rs
     f = rs.field
     n = len(basis)
     gens = list(range(len(rs.degrees)))
@@ -123,22 +124,22 @@ def _scan_degree(rs: RewriteSystem, d: int, basis: list, p: int) -> list:
     tbasis = {e: normal_words(rs, e) for e in targets}
     tindex = {e: {w: i for i, w in enumerate(tbasis[e])} for e in targets}
 
-    def coords(elem: FreeElement, e: int):
+    def coords(terms: dict, e: int):
         idx = tindex[e]
         if p == 2:
             m = 0
-            for w in elem.terms:
+            for w in terms:
                 m |= 1 << idx[w]
             return m
-        return {idx[w]: c for w, c in elem.terms.items()}
+        return {idx[w]: c for w, c in terms.items()}
 
     lcol = {}   # (g, i) -> coords of NF(x_g * basis[i])
     rcol = {}   # (g, i) -> coords of NF(basis[i] * x_g)
     for g in gens:
         e = d + rs.degrees[g]
         for i, w in enumerate(basis):
-            lcol[(g, i)] = coords(normal_form(rs, rs.monomial((g,) + w)), e)
-            rcol[(g, i)] = coords(normal_form(rs, rs.monomial(w + (g,))), e)
+            lcol[(g, i)] = coords(engine.nf((g,) + w), e)
+            rcol[(g, i)] = coords(engine.nf(w + (g,)), e)
 
     found = []
     for v in _projective_points(n, p):
@@ -556,7 +557,6 @@ def main(argv=None) -> int:
             homological_bound=ns.homological_bound,
             checks=tuple(s.strip() for s in ns.check.split(",") if s.strip()),
             claim=ns.claim,
-            output="json" if ns.json else "text",
             json_path=ns.json,
             seed=ns.seed,
         )

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .exactla import SparseMatrix, RowSpan, kernel_basis, rref, solve_columns
 from .freealg import FreeElement
-from .groebner import RewriteSystem, complete, normal_form
+from .groebner import ProductEngine, RewriteSystem, complete, normal_form
 from .hilbert import GradedDims
 from .presentation import Presentation, enveloping
 from .resolution import (Resolution, ResolutionError, betti, BettiTable,
@@ -41,7 +41,11 @@ class ExtTable:
     levels: tuple                # (lowest, highest) cohomological level inspected
     level_shift: dict            # level -> reported j minus raw functional degree
     notes: tuple = ()
-    _ctx: object = dc_field(default=None, repr=False, compare=False)
+    # what the rigidity check needs to build cohomology classes
+    resolution: Resolution | None = dc_field(default=None, repr=False,
+                                             compare=False)
+    products: ProductEngine | None = dc_field(default=None, repr=False,
+                                              compare=False)
 
     def nonzero_levels(self) -> list:
         return sorted({i for (i, _) in self.entries})
@@ -62,41 +66,21 @@ def _functional_basis(res: Resolution, i: int, mu: int) -> list:
     return out
 
 
-def _nf_cat(rs: RewriteSystem, cache: dict, word) -> FreeElement:
-    e = cache.get(word)
-    if e is None:
-        e = normal_form(rs, rs.monomial(word))
-        cache[word] = e
-    return e
-
-
-def _dual_rank_and_nullity(res: Resolution, i: int, mu: int, cache: dict,
-                           store: dict) -> None:
-    """Rank of d*: C^i_mu -> C^(i+1)_mu and dim of its kernel."""
-    rs = res.rs
-    f = rs.field
+def _dual_matrix(res: Resolution, i: int, mu: int,
+                 engine: ProductEngine) -> tuple:
+    """d*: C^i_mu -> C^(i+1)_mu as (columns over _functional_basis(res, i, mu),
+    number of rows).  Column (g, w) is  sum_h a_(h,g) * w  at slot h."""
     dom = _functional_basis(res, i, mu)
-    if not dom:
-        store[(i, mu)] = (0, 0)
-        return
     cod = _functional_basis(res, i + 1, mu)
     if not cod:
-        store[(i, mu)] = (0, len(dom))
-        return
+        return [{} for _ in dom], 0
     cod_idx = {bw: r for r, bw in enumerate(cod)}
-    m = SparseMatrix(len(cod), len(dom), f)
-    for c, (g, w) in enumerate(dom):
-        for h, gen in enumerate(res.stages[i + 1].gens):
-            a = gen.column.get(g)
-            if a is None:
-                continue
-            for t, ct in a.terms.items():
-                for u, cu in _nf_cat(rs, cache, t + w).terms.items():
-                    r = cod_idx[(h, u)]
-                    s = f.add(m.get(r, c), f.mul(ct, cu))
-                    m.set(r, c, s)
-    rk = rref(m).rank
-    store[(i, mu)] = (rk, len(dom) - rk)
+    gens = res.stages[i + 1].gens
+    cols = [engine.combine([(h, t + w, ct)
+                            for h, gen in enumerate(gens) if g in gen.column
+                            for t, ct in gen.column[g].terms.items()], cod_idx)
+            for g, w in dom]
+    return cols, len(cod)
 
 
 def _ext_table(res: Resolution, side: str, window: tuple | None) -> ExtTable:
@@ -113,25 +97,25 @@ def _ext_table(res: Resolution, side: str, window: tuple | None) -> ExtTable:
                 f"{hi_full} (internal degree bound {res.dbound})")
     cert = dict(stage_certificates(res))
     cert[0] = True
-    cache: dict = {}
-    store: dict = {}
+    engine = ProductEngine(res.rs)
     top_level = res.hbound - 1
+    rank: dict = {}       # (i, mu) -> rank of d* out of level i
+    nullity: dict = {}
+    for i in range(0, top_level + 1):
+        for mu in range(lo, hi + 1):
+            cols, height = _dual_matrix(res, i, mu, engine)
+            rk = 0
+            if cols and height:
+                rk = rref(SparseMatrix.from_columns(cols, height,
+                                                    res.rs.field)).rank
+            rank[(i, mu)], nullity[(i, mu)] = rk, len(cols) - rk
     entries: dict = {}
     certified: dict = {}
     zero_cert: dict = {}
     for i in range(0, top_level + 1):
         zero_cert[i] = bool(cert.get(i, False))
         for mu in range(lo, hi + 1):
-            if (i, mu) not in store:
-                _dual_rank_and_nullity(res, i, mu, cache, store)
-            _, nullity = store[(i, mu)]
-            if i == 0:
-                rank_in = 0
-            else:
-                if (i - 1, mu) not in store:
-                    _dual_rank_and_nullity(res, i - 1, mu, cache, store)
-                rank_in = store[(i - 1, mu)][0]
-            h = nullity - rank_in
+            h = nullity[(i, mu)] - rank.get((i - 1, mu), 0)
             if h:
                 entries[(i, mu)] = h
                 certified[(i, mu)] = bool(cert.get(i - 1, False)
@@ -139,7 +123,7 @@ def _ext_table(res: Resolution, side: str, window: tuple | None) -> ExtTable:
                                           and cert.get(i + 1, False))
     return ExtTable(side, entries, certified, zero_cert, (lo, hi),
                     (0, top_level), {i: 0 for i in range(top_level + 1)},
-                    _ctx=(res, store, cache))
+                    resolution=res, products=engine)
 
 
 def ext_k_A(rs: RewriteSystem, stages: Resolution,
@@ -265,7 +249,7 @@ def diagonal_bimodule_resolution(p: Presentation, hbound: int, dbound: int):
                                           (n + i,): f.neg(f.one())})
               for i in range(n)]
     res = resolve_cyclic(rs, deltas, hbound, dbound, module_label="diagonal")
-    res._base = p                      # noqa: SLF001  (rigidity context)
+    res.base = p
     return res, betti(res)
 
 
@@ -300,7 +284,8 @@ def hochschild_ext(env_rs: RewriteSystem, stages: Resolution,
     certified = {(i, j + shifts.get(i, 0)): c
                  for (i, j), c in t.certified.items()}
     return ExtTable(t.side, entries, certified, t.zero_certified, t.window,
-                    t.levels, shifts, tuple(notes), _ctx=t._ctx)
+                    t.levels, shifts, tuple(notes), resolution=t.resolution,
+                    products=t.products)
 
 
 # ---------------------------------------------------------------------------
@@ -316,49 +301,17 @@ class RigidityVerdict:
     notes: tuple = ()
 
 
-def _cohomology_rep(res: Resolution, i: int, mu: int, store: dict,
-                    cache: dict) -> tuple:
+def _cohomology_rep(res: Resolution, i: int, mu: int,
+                    engine: ProductEngine) -> tuple:
     """One representative of H^i_mu plus the data needed to reduce classes:
     (domain basis, image columns, representative vector or None)."""
-    rs = res.rs
-    f = rs.field
+    f = res.rs.field
     dom = _functional_basis(res, i, mu)
-    dom_idx = {bw: c for c, bw in enumerate(dom)}
-    # image of d* from level i-1
-    img_cols = []
-    if i >= 1:
-        prev = _functional_basis(res, i - 1, mu)
-        for (g, w) in prev:
-            col: dict = {}
-            for h, gen in enumerate(res.stages[i].gens):
-                a = gen.column.get(g)
-                if a is None:
-                    continue
-                for tw, ct in a.terms.items():
-                    for u, cu in _nf_cat(rs, cache, tw + w).terms.items():
-                        r = dom_idx[(h, u)]
-                        s = f.add(col.get(r, f.zero()), f.mul(ct, cu))
-                        if f.is_zero(s):
-                            col.pop(r, None)
-                        else:
-                            col[r] = s
-            if col:
-                img_cols.append(col)
-    # kernel of d* into level i+1
-    cod = _functional_basis(res, i + 1, mu)
-    if cod:
-        cod_idx = {bw: r for r, bw in enumerate(cod)}
-        m = SparseMatrix(len(cod), len(dom), f)
-        for c, (g, w) in enumerate(dom):
-            for h, gen in enumerate(res.stages[i + 1].gens):
-                a = gen.column.get(g)
-                if a is None:
-                    continue
-                for tw, ct in a.terms.items():
-                    for u, cu in _nf_cat(rs, cache, tw + w).terms.items():
-                        r = cod_idx[(h, u)]
-                        m.set(r, c, f.add(m.get(r, c), f.mul(ct, cu)))
-        kern = kernel_basis(m)
+    img_cols = ([c for c in _dual_matrix(res, i - 1, mu, engine)[0] if c]
+                if i >= 1 else [])
+    cols, height = _dual_matrix(res, i, mu, engine)
+    if height:
+        kern = kernel_basis(SparseMatrix.from_columns(cols, height, f))
     else:
         kern = [{c: f.one()} for c in range(len(dom))]
     span = RowSpan(f, len(dom))
@@ -406,38 +359,29 @@ def rigidity_check(t: ExtTable, hilbert: GradedDims) -> RigidityVerdict:
                                ("graded dimensions do not match the algebra "
                                 f"shifted by {s}",))
     notes = []
-    res, store, cache = t._ctx
-    base: Presentation | None = getattr(res, "_base", None)
+    res, engine = t.resolution, t.products
+    base: Presentation | None = res.base
     mu0 = -s
     if t.entries.get((i0, mu0 + shift), 0) != 1 or base is None:
         return RigidityVerdict(i0, True, None, bounds,
                                ("lowest class not one-dimensional; "
                                 "twist not extracted",))
-    rs = res.rs
-    f = rs.field
-    dom0, _, rep = _cohomology_rep(res, i0, mu0, store, cache)
+    f = res.rs.field
+    dom0, _, rep = _cohomology_rep(res, i0, mu0, engine)
     if rep is None:
         return RigidityVerdict(i0, True, None, bounds,
                                ("no representative found at the lowest degree",))
     n = len(base.generators)
 
-    def times_letter(vec: dict, letter: int, dom_src, dom_idx_dst) -> dict:
-        out: dict = {}
-        for pos, c in vec.items():
-            g, w = dom_src[pos]
-            for u, cu in _nf_cat(rs, cache, w + (letter,)).terms.items():
-                r = dom_idx_dst[(g, u)]
-                sc = f.add(out.get(r, f.zero()), f.mul(c, cu))
-                if f.is_zero(sc):
-                    out.pop(r, None)
-                else:
-                    out[r] = sc
-        return out
-
-    dom1, img_cols1, _ = _cohomology_rep(res, i0, mu0 + 1, store, cache)
+    dom1, img_cols1, _ = _cohomology_rep(res, i0, mu0 + 1, engine)
     dom1_idx = {bw: c for c, bw in enumerate(dom1)}
-    right_plain = [times_letter(rep, g, dom0, dom1_idx) for g in range(n)]
-    right_op = [times_letter(rep, n + g, dom0, dom1_idx) for g in range(n)]
+
+    def times_letter(letter: int) -> dict:
+        return engine.combine([(dom0[k][0], dom0[k][1] + (letter,), c)
+                               for k, c in rep.items()], dom1_idx)
+
+    right_plain = [times_letter(g) for g in range(n)]
+    right_op = [times_letter(n + g) for g in range(n)]
     rows = []
     for g in range(n):
         sol = solve_columns(right_plain + img_cols1, right_op[g],

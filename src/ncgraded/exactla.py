@@ -8,9 +8,10 @@ there is one incremental row-echelon structure (`RowSpan`) shared by all the
 degreewise algorithms.
 
 Over a prime field the elimination densifies into an int64 numpy array:
-entries stay reduced mod p (p < 2**16 in practice), so every intermediate
-product is bounded by p**2 < 2**31 and the arithmetic is exact.  Over Q the
-elimination is pure Python on Fractions with a minimal-fill pivot choice.
+entries stay reduced mod p, and `FieldSpec` only accepts p < 2**31, so
+every intermediate product is bounded by p**2 < 2**62 and the arithmetic is
+exact.  Over Q the elimination is pure Python on Fractions with a
+minimal-fill pivot choice.
 """
 
 from __future__ import annotations
@@ -41,6 +42,9 @@ class FieldSpec:
         elif self.kind == "Fp":
             if not isinstance(self.p, int) or self.p < 2:
                 raise ValueError(f"invalid prime: {self.p!r}")
+            if self.p >= 2 ** 31:
+                raise ValueError(f"prime {self.p} too large: need p < 2**31 so "
+                                 "that products of residues fit in int64")
             if any(self.p % q == 0 for q in range(2, int(self.p ** 0.5) + 1)):
                 raise ValueError(f"{self.p} is not prime")
         else:
@@ -124,9 +128,6 @@ class SparseMatrix:
 
     def get(self, r: int, c: int) -> Scalar:
         return self.entries.get((r, c), self.field.zero())
-
-    def nnz(self) -> int:
-        return len(self.entries)
 
     @classmethod
     def from_columns(cls, columns: Iterable[Mapping[int, Scalar]], rows: int,
@@ -263,18 +264,6 @@ def kernel_basis(m: SparseMatrix) -> list[dict]:
                 vec[c] = m.field.neg(v)
         basis.append(vec)
     return basis
-
-
-def matvec_columns(columns: list[Mapping[int, Scalar]], x: Mapping[int, Scalar],
-                   fieldspec: FieldSpec) -> dict:
-    """Linear combination sum_c x[c] * columns[c], as a dict."""
-    out: dict = {}
-    for c, coef in x.items():
-        if fieldspec.is_zero(coef):
-            continue
-        for r, v in columns[c].items():
-            out[r] = fieldspec.add(out.get(r, fieldspec.zero()), fieldspec.mul(coef, v))
-    return {r: v for r, v in out.items() if not fieldspec.is_zero(v)}
 
 
 def solve_columns(columns: list[Mapping[int, Scalar]], target: Mapping[int, Scalar],

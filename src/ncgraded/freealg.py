@@ -8,7 +8,7 @@ dicts word -> scalar over a FieldSpec from `exactla`.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .exactla import FieldSpec, Scalar
 
@@ -28,12 +28,6 @@ def word_degree(word: Word, degrees: tuple) -> int:
 def deglex_key(word: Word, degrees: tuple):
     """Sort key realizing deglex: ascending degree, then ascending lex."""
     return (word_degree(word, degrees), word)
-
-
-def compare_words(a: Word, b: Word, degrees: tuple) -> int:
-    """-1, 0, or 1 as a <, =, > b in deglex."""
-    ka, kb = deglex_key(a, degrees), deglex_key(b, degrees)
-    return (ka > kb) - (ka < kb)
 
 
 def enumerate_words(degrees: tuple, degree: int) -> list:

@@ -13,6 +13,12 @@ The final rule set is reduced: no lead contains another lead as a subword and
 every tail is in normal form.  A closing verification pass re-checks all
 ambiguities among the surviving rules, so the certificate does not depend on
 the bookkeeping of the main loop.
+
+Downstream products in the algebra go through one `ProductEngine` per
+completed system: it memoizes the normal form of each word and writes sums
+of normal forms into coordinate vectors over (slot, normal word) bases, which
+is the shape of every differential, dual differential and action map built
+from the system.
 """
 
 from __future__ import annotations
@@ -22,19 +28,7 @@ import itertools
 from dataclasses import dataclass, field as dc_field
 
 from .exactla import FieldSpec
-from .freealg import (EMPTY_WORD, FreeElement, Word, deglex_key, enumerate_words,
-                      word_degree)
-
-
-def contains_subword(word: Word, sub: Word) -> bool:
-    n, m = len(word), len(sub)
-    if m == 0 or m > n:
-        return m == 0
-    first = sub[0]
-    for i in range(n - m + 1):
-        if word[i] == first and word[i:i + m] == sub:
-            return True
-    return False
+from .freealg import EMPTY_WORD, FreeElement, Word, deglex_key, word_degree
 
 
 def find_subword(word: Word, sub: Word) -> int:
@@ -79,12 +73,8 @@ class RewriteSystem:
     def leads(self) -> list:
         return [r.lead for r in self.rules if r.alive]
 
-    def max_lead_degree(self) -> int:
-        degs = [r.degree for r in self.rules if r.alive]
-        return max(degs) if degs else 0
-
     def is_normal_word(self, w: Word) -> bool:
-        return not any(contains_subword(w, r.lead) for r in self.rules if r.alive)
+        return not any(find_subword(w, r.lead) >= 0 for r in self.rules if r.alive)
 
     def zero(self) -> FreeElement:
         return FreeElement.zero(self.field, self.degrees)
@@ -143,8 +133,44 @@ def normal_form(rs: RewriteSystem, elem: FreeElement) -> FreeElement:
     return FreeElement(f, degrees, out)
 
 
-def normal_form_word(rs: RewriteSystem, w: Word) -> FreeElement:
-    return normal_form(rs, rs.monomial(w))
+class ProductEngine:
+    """Memoized products in the algebra of a completed rewrite system.
+
+    `nf(word)` is the normal form of a word as a dict normal word -> scalar,
+    computed once per word.  `combine` writes a sum of such normal forms into
+    a coordinate vector over a basis of (slot, normal word) pairs, one call
+    per output vector.  Callers keep one engine for as long as its words
+    recur: one per resolution, one per Ext table and its rigidity check.
+    """
+
+    def __init__(self, rs: RewriteSystem):
+        self.rs = rs
+        self._p = rs.field.p          # None over Q
+        self._nf: dict = {}
+
+    def nf(self, word: Word) -> dict:
+        terms = self._nf.get(word)
+        if terms is None:
+            rs = self.rs
+            terms = self._nf[word] = normal_form(rs, rs.monomial(word)).terms
+        return terms
+
+    def combine(self, products, index: dict) -> dict:
+        """Coordinates of  sum coef * NF(word)  over (slot, word, coef) in
+        `products`; normal word u of NF(word) sits at index[(slot, u)]."""
+        cache = self._nf
+        acc: dict = {}
+        for slot, word, coef in products:
+            terms = cache.get(word)
+            if terms is None:
+                terms = self.nf(word)
+            for u, cu in terms.items():
+                r = index[(slot, u)]
+                acc[r] = acc.get(r, 0) + coef * cu
+        p = self._p
+        if p is None:
+            return {r: v for r, v in acc.items() if v}
+        return {r: v % p for r, v in acc.items() if v % p}
 
 
 def _overlaps(u: Word, v: Word):
@@ -205,7 +231,7 @@ class _Completion:
         new_idx = len(rs.rules)
         # retire rules whose lead the new lead divides; requeue their content
         for r in rs.rules:
-            if r.alive and contains_subword(r.lead, lead):
+            if r.alive and find_subword(r.lead, lead) >= 0:
                 r.alive = False
                 self.push_poly(r.as_element())
         rs.rules.append(RewriteRule(lead, tail, word_degree(lead, rs.degrees)))

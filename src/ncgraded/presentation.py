@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactla import F32003, FieldSpec, QQ, field_from_name
+from .exactla import F32003, FieldSpec, field_from_name
 from .freealg import EMPTY_WORD, FreeElement, GeneratorInfo, Word, deglex_key, word_degree
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\Z")
@@ -563,6 +563,8 @@ rel y*x - x*y - 1
 
 def builtin(name: str, field: FieldSpec = F32003):
     """Fetch a presentation from the corpus (see builtin_names())."""
+    if name not in builtin_names():
+        raise PresentationError(f"unknown builtin {name!r}; have {builtin_names()}")
     fname = field.describe()
     if name.startswith("free-"):
         n = int(name.split("-")[1])
@@ -586,6 +588,5 @@ def builtin(name: str, field: FieldSpec = F32003):
         return Presentation(field, gens, rels, name)
     if name == "weyl-filtered":
         return parse(_WEYL_TEXT.format(field=fname))
-    if name == "weyl-homogenized":
-        return homogenize(parse(_WEYL_TEXT.format(field=fname)))
-    raise PresentationError(f"unknown builtin {name!r}; have {builtin_names()}")
+    # weyl-homogenized, the last listed name
+    return homogenize(parse(_WEYL_TEXT.format(field=fname)))

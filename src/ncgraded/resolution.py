@@ -3,10 +3,13 @@
 The engine resolves cyclic modules B/J degree by degree: the trivial module
 (J generated by the algebra generators) and diagonal-type bimodules (J
 generated by explicit elements over an enveloping presentation) run through
-the same code path.  Stage i+1 generators at internal degree j are chosen as
-a complement of  sum_g g * K_(j - deg g)  inside the degree-j kernel K_j of
-the previous differential, so the resolution is minimal by construction
-(differentials land in the augmentation ideal, which is asserted).
+the same code path.  One sieve loop serves every stage: stage i generators at
+internal degree j are chosen as a complement of  sum_g g * S_(j - deg g)
+inside S_j, where S is the ideal J for stage 1 (candidates: the module
+relations) and the kernel K of the previous differential after it
+(candidates: a kernel basis).  The resolution is therefore minimal by
+construction (differentials land in the augmentation ideal, which is
+asserted).  Products go through the system's `ProductEngine`.
 
 Certification discipline: every Betti entry inside the searched window
 (homological index <= hbound, internal degree <= dbound) is exact.  Claims
@@ -22,8 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .exactla import RowSpan, SparseMatrix, kernel_basis
-from .freealg import EMPTY_WORD, FreeElement, Word, deglex_key, word_degree
-from .groebner import RewriteSystem, normal_form, normal_words
+from .freealg import EMPTY_WORD, FreeElement, word_degree
+from .groebner import ProductEngine, RewriteSystem, normal_form, normal_words
 
 
 class ResolutionError(RuntimeError):
@@ -54,6 +57,7 @@ class Resolution:
     module_label: str
     module_relations: tuple
     kernel_dims: dict = dc_field(default_factory=dict)
+    base: object = None   # Presentation resolved over its enveloping algebra
     _nw: dict = dc_field(default_factory=dict, repr=False)
 
     def normal_basis(self, j: int) -> list:
@@ -77,57 +81,6 @@ class Resolution:
         return top
 
 
-def _nf_word(rs: RewriteSystem, cache: dict, word: Word) -> FreeElement:
-    e = cache.get(word)
-    if e is None:
-        e = normal_form(rs, rs.monomial(word))
-        cache[word] = e
-    return e
-
-
-def _mul_word_elem(rs: RewriteSystem, cache: dict, word: Word,
-                   elem: FreeElement) -> dict:
-    """Terms of NF(word * elem) as a dict word -> scalar."""
-    f = rs.field
-    out: dict = {}
-    for tw, tc in elem.terms.items():
-        for u, cu in _nf_word(rs, cache, word + tw).terms.items():
-            s = f.add(out.get(u, f.zero()), f.mul(tc, cu))
-            if f.is_zero(s):
-                out.pop(u, None)
-            else:
-                out[u] = s
-    return out
-
-
-def _left_mul_vector(rs: RewriteSystem, cache: dict, g: int, vec: dict,
-                     src_index: dict, dst_index: dict) -> dict:
-    """Multiply a stage vector by generator g on the left.
-
-    `vec` maps source basis positions to scalars; source and destination
-    bases are (gen, word) pairs indexed by dicts.  Slots never mix.
-    """
-    f = rs.field
-    out: dict = {}
-    src_rev = src_index["rev"]
-    dst = dst_index["map"]
-    for pos, c in vec.items():
-        gi, w = src_rev[pos]
-        for u, cu in _nf_word(rs, cache, (g,) + w).terms.items():
-            tgt = dst[(gi, u)]
-            s = f.add(out.get(tgt, f.zero()), f.mul(c, cu))
-            if f.is_zero(s):
-                out.pop(tgt, None)
-            else:
-                out[tgt] = s
-    return out
-
-
-def _index_basis(basis: list) -> dict:
-    return {"map": {bw: i for i, bw in enumerate(basis)},
-            "rev": {i: bw for i, bw in enumerate(basis)}}
-
-
 def resolve_cyclic(rs: RewriteSystem, module_relations, hbound: int, dbound: int,
                    module_label: str = "module") -> Resolution:
     """Minimal free resolution of B/(module_relations) out to stage hbound,
@@ -138,7 +91,7 @@ def resolve_cyclic(rs: RewriteSystem, module_relations, hbound: int, dbound: int
             f"degree bound {dbound} exceeds rewrite certificate "
             f"{rs.complete_below}")
     f = rs.field
-    cache: dict = {}
+    engine = ProductEngine(rs)
     res = Resolution(rs, [ResolutionStage(0, [StageGen(0, {})])], hbound, dbound,
                      module_label, tuple(module_relations))
 
@@ -151,91 +104,60 @@ def resolve_cyclic(rs: RewriteSystem, module_relations, hbound: int, dbound: int
             continue
         if not nf.is_homogeneous():
             raise ResolutionError("inhomogeneous module relation")
+        if nf.degree() == 0:
+            raise ResolutionError("unit module relation: the module is zero")
         rels.append(nf)
 
-    # ---- stage 1: minimal generators among the module relations ----------
-    # J_j is accumulated degreewise: J_j = sum_g g*J_(j-deg g) + <relations
-    # of degree j>; a relation is a stage-1 generator exactly when it falls
-    # outside the first summand.
-    stage1 = ResolutionStage(1, [])
-    ideal_rows: dict[int, list] = {}   # j -> echelon rows of J_j over basis0[j]
-    for j in range(0, dbound + 1):
-        basis0 = res.normal_basis(j)
-        idx0 = {w: i for i, w in enumerate(basis0)}
-        span = RowSpan(f, len(basis0))
-        for g in range(len(rs.degrees)):
-            jj = j - rs.degrees[g]
-            if jj < 0 or jj not in ideal_rows:
-                continue
-            for row in ideal_rows[jj]:
-                prod = _mul_word_elem(rs, cache, (g,),
-                                      _rows_to_elem(rs, row, res.normal_basis(jj)))
-                span.add({idx0[u]: c for u, c in prod.items()})
-        mj_rank = span.rank
-        for r in rels:
-            if r.degree() != j:
-                continue
-            vec = {idx0[w]: c for w, c in r.terms.items()}
-            if span.add(vec):
-                stage1.gens.append(StageGen(j, {0: r}))
-        res.kernel_dims[("ideal", j)] = span.rank
-        res.kernel_dims[("m_ideal", j)] = mj_rank
-        ideal_rows[j] = span.basis()
-    res.stages.append(stage1)
-
-    # ---- stages >= 2 ------------------------------------------------------
-    for i in range(2, hbound + 1):
+    for i in range(1, hbound + 1):
         prev = res.stages[i - 1]
-        if not prev.gens:
-            res.stages.append(ResolutionStage(i, []))
-            continue
         stage = ResolutionStage(i, [])
-        kernels: dict[int, list] = {}
+        res.stages.append(stage)
+        if not prev.gens:
+            continue
+        # S_j is the degree-j image of stage i in stage i-1: the ideal J for
+        # i = 1, the kernel K of the previous differential after it.  A
+        # candidate (a relation, or a kernel basis vector) is a generator
+        # exactly when it falls outside  sum_g g * S_(j - deg g).
+        sub: dict[int, list] = {}      # j -> echelon basis of S_j
         min_deg = min(g.degree for g in prev.gens)
         for j in range(min_deg, dbound + 1):
             dom = res.stage_basis(i - 1, j)
-            if not dom:
-                kernels[j] = []
+            if not dom and i > 1:     # stage 1 records J_j = 0 all the same
                 continue
-            dom_idx = _index_basis(dom)
-            cod = res.stage_basis(i - 2, j)
-            cod_idx = {bw: r for r, bw in enumerate(cod)}
-            cols = []
-            for gi, w in dom:
-                gen = prev.gens[gi]
-                col: dict = {}
-                for tgt, a in gen.column.items():
-                    for u, cu in _mul_word_elem(rs, cache, w, a).items():
-                        r = cod_idx[(tgt, u)]
-                        s = f.add(col.get(r, f.zero()), cu)
-                        if f.is_zero(s):
-                            col.pop(r, None)
-                        else:
-                            col[r] = s
-                cols.append(col)
-            mat = SparseMatrix.from_columns(cols, len(cod), f)
-            kern = kernel_basis(mat)
-            kernels[j] = kern
-            res.kernel_dims[(i, j)] = len(kern)
-            # minimal generators: kernel vectors outside sum_g g*K_(j-dg)
+            dom_idx = {bw: k for k, bw in enumerate(dom)}
+            if i == 1:
+                cands = [{dom_idx[(0, w)]: c for w, c in r.terms.items()}
+                         for r in rels if r.degree() == j]
+            else:
+                cod = res.stage_basis(i - 2, j)
+                cod_idx = {bw: k for k, bw in enumerate(cod)}
+                cols = [engine.combine(
+                    [(tgt, w + tw, tc)
+                     for tgt, a in prev.gens[gi].column.items()
+                     for tw, tc in a.terms.items()], cod_idx)
+                    for gi, w in dom]
+                cands = kernel_basis(SparseMatrix.from_columns(cols, len(cod), f))
+                res.kernel_dims[(i, j)] = len(cands)
+            # the span is built after the kernel, so that the dense
+            # elimination and the dense span rows are not held at once
             span = RowSpan(f, len(dom))
-            for g in range(len(rs.degrees)):
-                jj = j - rs.degrees[g]
-                if jj < min_deg or jj not in kernels:
+            for g, dg in enumerate(rs.degrees):
+                if not sub.get(j - dg):
                     continue
-                src = res.stage_basis(i - 1, jj)
-                src_idx = _index_basis(src)
-                for v in kernels[jj]:
-                    span.add(_left_mul_vector(rs, cache, g, v, src_idx, dom_idx))
-            for v in kern:
+                src = res.stage_basis(i - 1, j - dg)
+                for v in sub[j - dg]:
+                    span.add(engine.combine(
+                        [(src[k][0], (g,) + src[k][1], c) for k, c in v.items()],
+                        dom_idx))
+            below = span.rank
+            for v in cands:
                 if span.add(v):
                     stage.gens.append(StageGen(j, _vector_to_column(rs, v, dom)))
-        res.stages.append(stage)
+            if i == 1:
+                res.kernel_dims[("m_ideal", j)] = below
+                res.kernel_dims[("ideal", j)] = span.rank
+            sub[j] = span.basis()
     return res
-
-
-def _rows_to_elem(rs: RewriteSystem, row: dict, basis: list) -> FreeElement:
-    return FreeElement(rs.field, rs.degrees, {basis[i]: c for i, c in row.items()})
 
 
 def _vector_to_column(rs: RewriteSystem, vec: dict, basis: list) -> dict:

@@ -1,6 +1,7 @@
 """Shared oracles for structural properties of resolutions and series."""
 
 from ncgraded import normal_form
+from ncgraded.duality import _dual_matrix
 
 
 def dd_composites_vanish(res) -> bool:
@@ -15,6 +16,25 @@ def dd_composites_vanish(res) -> bool:
                     acc[f_idx] = acc[f_idx] + prod if f_idx in acc else prod
             for elem in acc.values():
                 if not normal_form(rs, elem).is_zero():
+                    return False
+    return True
+
+
+def dual_composites_vanish(res, engine, window) -> bool:
+    """Every composite of consecutive dual differentials d* o d* is zero, at
+    each functional degree of the window."""
+    f = res.rs.field
+    lo, hi = window
+    for mu in range(lo, hi + 1):
+        for i in range(len(res.stages) - 2):
+            first, _ = _dual_matrix(res, i, mu, engine)
+            second, _ = _dual_matrix(res, i + 1, mu, engine)
+            for col in first:
+                acc: dict = {}
+                for r, c in col.items():
+                    for s, v in second[r].items():
+                        acc[s] = f.add(acc.get(s, f.zero()), f.mul(c, v))
+                if any(not f.is_zero(v) for v in acc.values()):
                     return False
     return True
 

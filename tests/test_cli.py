@@ -92,6 +92,9 @@ def test_claim_mismatch_exits_one(capsys):
     ["--builtin", "polynomial-2", "--check", "hilbert,bogus"],
     ["--builtin", "polynomial-2", "--claim", "1/(1-t"],
     ["--input", "/no/such/file.alg"],
+    ["--builtin", "polynomial-2", "--field", "F4294967311", "-d", "4", "-h", "3"],
+    ["--builtin", "free-9"],
+    ["--builtin", "free-x"],
 ])
 def test_usage_errors_exit_two(argv, capsys):
     assert main(argv) == 2

@@ -4,12 +4,16 @@ bimodule cohomology, and twist extraction."""
 import pytest
 
 from ncgraded.exactla import field_from_name
-from ncgraded.groebner import complete
+from ncgraded.freealg import enumerate_words
+from ncgraded.groebner import complete, normal_form
 from ncgraded.hilbert import hilbert_function
 from ncgraded.presentation import builtin, enveloping, opposite, skew_polynomial
 from ncgraded.resolution import ResolutionError, betti, gldim_upto, minimal_resolution
-from ncgraded.duality import (as_check, diagonal_bimodule_resolution, ext_k_A,
+from ncgraded.duality import (_dual_matrix, as_check,
+                              diagonal_bimodule_resolution, ext_k_A,
                               hochschild_ext, invariant_report, rigidity_check)
+
+from support import dual_composites_vanish
 
 
 def two_sided(p, hbound, dbound):
@@ -147,6 +151,22 @@ def test_reference_bimodule_window_is_honest(sz_res):
     assert dtab.entries == {k: v for k, v in betti(sz_res).entries.items()
                             if k[1] <= 5}
     assert not any(dtab.stage_complete.values())
+
+
+def test_dual_differential_squares_to_zero():
+    rs = complete(builtin("polynomial-3"), 8)
+    res = minimal_resolution(rs, 4, 8)
+    dres, _ = diagonal_bimodule_resolution(builtin("quantum-plane-2"), 4, 6)
+    for t in (ext_k_A(rs, res), hochschild_ext(dres.rs, dres)):
+        r, engine = t.resolution, t.products
+        assert dual_composites_vanish(r, engine, t.window)
+        # the maps are not all zero, so the check above has content
+        assert any(any(_dual_matrix(r, i, mu, engine)[0])
+                   for i in range(len(r.stages) - 1)
+                   for mu in range(t.window[0], t.window[1] + 1))
+        for d in range(5):
+            for w in enumerate_words(r.rs.degrees, d):
+                assert engine.nf(w) == normal_form(r.rs, r.rs.monomial(w)).terms
 
 
 # -- derived invariants -------------------------------------------------------

@@ -52,7 +52,8 @@ def test_field_names():
     assert field_from_name("F2").p == 2
 
 
-@pytest.mark.parametrize("bad", ["F4", "F0", "F1", "G5", ""])
+@pytest.mark.parametrize("bad", ["F4", "F0", "F1", "G5", "", "F4294967311",
+                                 "F1000000000000000000000000000057"])
 def test_field_name_rejects(bad):
     with pytest.raises(ValueError):
         field_from_name(bad)

@@ -81,6 +81,11 @@ def test_cyclic_module_resolution(poly2_rs):
     assert res.top_nonzero_stage() == 1
 
 
+def test_unit_module_relation_is_refused(poly2_rs):
+    with pytest.raises(ResolutionError, match="unit module relation"):
+        resolve_cyclic(poly2_rs, [poly2_rs.monomial(())], 3, 4)
+
+
 def test_minimal_resolution_is_resolve_cyclic_of_augmentation(poly2_rs):
     res = minimal_resolution(poly2_rs, 4, 8)
     gens = [poly2_rs.monomial((0,)), poly2_rs.monomial((1,))]
