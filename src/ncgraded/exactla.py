@@ -8,10 +8,13 @@ there is one incremental row-echelon structure (`RowSpan`) shared by all the
 degreewise algorithms.
 
 Over a prime field the elimination densifies into an int64 numpy array:
-entries stay reduced mod p, and `FieldSpec` only accepts p < 2**31, so
-every intermediate product is bounded by p**2 < 2**62 and the arithmetic is
-exact.  Over Q the elimination is pure Python on Fractions with a
-minimal-fill pivot choice.
+entries stay reduced mod p, and `FieldSpec` only accepts p < 2**31, so a
+single product of residues is at most (p-1)**2 < 2**62.  `RowSpan` keeps its
+pivot rows in one 2-D int64 block and reduces a vector with one matrix
+product against the rows it touches; that product sums up to
+`_exact_rows(p)` = (2**63-1) // (p-1)**2 products per entry at a time, so
+every sum stays exact in int64.  Over Q the elimination is pure Python on
+Fractions with a minimal-fill pivot choice.
 """
 
 from __future__ import annotations
@@ -154,7 +157,22 @@ class SparseMatrix:
 class RrefResult:
     pivots: list  # list of (row, col) in row order
     rank: int
-    rows: list    # echelon rows as dicts col -> scalar
+    # F_p: the reduced matrix, whose first `rank` rows are the echelon rows
+    dense: np.ndarray | None = None
+    _rows: list | None = None
+
+    @property
+    def rows(self) -> list:
+        """Echelon rows as dicts col -> scalar (over F_p read off `dense` on
+        first use)."""
+        if self._rows is None:
+            self._rows = [_row_dict(self.dense[i]) for i in range(self.rank)]
+        return self._rows
+
+
+def _row_dict(row: np.ndarray) -> dict:
+    nz = np.flatnonzero(row)
+    return dict(zip(nz.tolist(), row[nz].tolist()))
 
 
 def _rref_fp_dense(a: np.ndarray, p: int) -> list[int]:
@@ -165,19 +183,20 @@ def _rref_fp_dense(a: np.ndarray, p: int) -> list[int]:
     for c in range(n):
         if r == m:
             break
-        sub = a[r:, c]
-        nz = np.nonzero(sub)[0]
-        if nz.size == 0:
+        col = a[:, c]
+        nz = np.flatnonzero(col)
+        k = int(np.searchsorted(nz, r))
+        if k == nz.size:
             continue
-        i = r + int(nz[0])
+        i = int(nz[k])
         if i != r:
+            # row r is zero in column c (nz[k] is the first nonzero at or
+            # below r), so after the swap the other rows of nz stay in place
             a[[r, i]] = a[[i, r]]
         inv = pow(int(a[r, c]), p - 2, p)
         if inv != 1:
             a[r] = (a[r] * inv) % p
-        col = a[:, c]
-        touched = np.nonzero(col)[0]
-        touched = touched[touched != r]
+        touched = np.delete(nz, k)
         if touched.size:
             a[touched] = (a[touched] - np.outer(col[touched], a[r])) % p
         piv_cols.append(c)
@@ -230,16 +249,13 @@ def rref(m: SparseMatrix) -> RrefResult:
     if m.field.kind == "Fp":
         a = m.to_dense_fp()
         piv_cols = _rref_fp_dense(a, m.field.p)
-        rows = []
-        for i, c in enumerate(piv_cols):
-            nz = np.nonzero(a[i])[0]
-            rows.append({int(j): int(a[i, j]) for j in nz})
-        return RrefResult([(i, c) for i, c in enumerate(piv_cols)], len(piv_cols), rows)
+        return RrefResult([(i, c) for i, c in enumerate(piv_cols)], len(piv_cols), a)
     rowdicts: dict[int, dict] = {}
     for (r, c), v in m.entries.items():
         rowdicts.setdefault(r, {})[c] = v
     rows, piv_cols = _rref_q_rows(list(rowdicts.values()))
-    return RrefResult([(i, c) for i, c in enumerate(piv_cols)], len(piv_cols), rows)
+    return RrefResult([(i, c) for i, c in enumerate(piv_cols)], len(piv_cols),
+                      _rows=rows)
 
 
 def rank(m: SparseMatrix) -> int:
@@ -251,15 +267,44 @@ def kernel_basis(m: SparseMatrix) -> list[dict]:
     vector, echelonized over the free columns in ascending order (the free
     column carries coefficient 1).  Deterministic."""
     res = rref(m)
+    if m.field.kind == "Fp":
+        # vector f is e_f - sum_i R[i, f] e_(piv i): column f of the reduced
+        # rows R, negated, with the free column itself set to 1
+        piv = np.array([c for _, c in res.pivots], dtype=np.int64)
+        free = np.ones(m.cols, dtype=bool)
+        free[piv] = False
+        if not free.any():
+            return []
+        # one pass over R in memory order; copying the free columns out
+        # instead would hold a second dense block next to R
+        reduced = res.dense[:res.rank]
+        pi, fi = np.nonzero(reduced)
+        keep = free[fi]
+        pi, fi = pi[keep], fi[keep]
+        by_col = np.argsort(fi, kind="stable")  # by column, then pivot row
+        pi, fi = pi[by_col], fi[by_col]
+        vals = (-reduced[pi, fi]) % m.field.p
+        del res, reduced        # free the dense matrix before the dicts
+        cols = piv[pi]
+        ends = np.cumsum(np.bincount(fi, minlength=m.cols)[free]).tolist()
+        fp_basis = []
+        lo = 0
+        for f, hi in zip(np.flatnonzero(free).tolist(), ends):
+            vec = {f: 1}
+            vec.update(zip(cols[lo:hi].tolist(), vals[lo:hi].tolist()))
+            fp_basis.append(vec)
+            lo = hi
+        return fp_basis
     pivot_of_col = {c: i for i, (_, c) in enumerate(res.pivots)}
     one = m.field.one()
+    rows = res.rows
     basis: list[dict] = []
     for f in range(m.cols):
         if f in pivot_of_col:
             continue
         vec = {f: one}
         for i, (_, c) in enumerate(res.pivots):
-            v = res.rows[i].get(f)
+            v = rows[i].get(f)
             if v is not None and not m.field.is_zero(v):
                 vec[c] = m.field.neg(v)
         basis.append(vec)
@@ -293,23 +338,48 @@ def solve_columns(columns: list[Mapping[int, Scalar]], target: Mapping[int, Scal
 # incremental spans
 
 
+def _exact_rows(p: int) -> int:
+    """How many products of residues mod p an int64 sum can hold exactly."""
+    return (2 ** 63 - 1) // (p - 1) ** 2
+
+
+# Rows gathered per matrix product in `RowSpan`, as cells: the gathered copy
+# stays at 32 MB however many pivot rows a vector touches.
+_GATHER_CELLS = 1 << 22
+
+
 class RowSpan:
-    """Growing subspace of k^width kept in reduced row echelon form.
+    """Growing subspace of k^width.
 
     `add` returns True when the vector enlarged the span; `reduce` returns the
     residue of a vector modulo the current span.  Vectors are dicts
-    coordinate -> scalar.  Over a prime field rows are dense numpy int64
-    arrays, which is what makes the degreewise resolution kernels affordable.
+    coordinate -> scalar.
+
+    Over a prime field the span is kept in reduced row echelon form: the
+    pivot rows are the first `rank` rows of one int64 block, in the order
+    they were added, and `_cols` holds their pivot columns.  Each row is zero
+    at every other pivot column, so a vector reduces in one pass: subtract
+    its coefficients at the pivot columns times the rows they select.  The
+    block has room for `width` rows, the most a span can hold, and is left
+    uninitialised, so the pages of rows never written are never touched.
+    Over Q the rows are dicts keyed by pivot column.
     """
 
     def __init__(self, fieldspec: FieldSpec, width: int):
         self.field = fieldspec
         self.width = width
-        self._piv: dict[int, object] = {}  # pivot col -> row (ndarray or dict)
+        if fieldspec.kind == "Fp":
+            self._rows: np.ndarray | None = None  # allocated by the first add
+            self._cols = np.empty(width, dtype=np.int64)
+            self._rank = 0
+            self._step = min(_exact_rows(fieldspec.p),
+                             max(1, _GATHER_CELLS // max(width, 1)))
+        else:
+            self._piv: dict[int, dict] = {}  # pivot col -> row
 
     @property
     def rank(self) -> int:
-        return len(self._piv)
+        return self._rank if self.field.kind == "Fp" else len(self._piv)
 
     def _to_row(self, vec: Mapping[int, Scalar]):
         if self.field.kind == "Fp":
@@ -322,48 +392,51 @@ class RowSpan:
     def _reduce_row(self, row):
         if self.field.kind == "Fp":
             p = self.field.p
-            while True:
-                nz = np.nonzero(row)[0]
-                if nz.size == 0:
-                    return row
-                c = int(nz[0])
-                piv = self._piv.get(c)
-                if piv is None:
-                    return row
-                row = (row - row[c] * piv) % p
-        else:
-            while True:
-                row = {k: v for k, v in row.items() if v != 0}
-                if not row:
-                    return row
-                c = min(row)
-                piv = self._piv.get(c)
-                if piv is None:
-                    return row
-                coef = row[c]
-                row = {k: row.get(k, Fraction(0)) - coef * piv.get(k, Fraction(0))
-                       for k in set(row) | set(piv)}
+            coefs = row[self._cols[:self._rank]]
+            nz = np.flatnonzero(coefs)
+            for s in range(0, nz.size, self._step):
+                sel = nz[s:s + self._step]
+                row = (row - coefs[sel] @ self._rows[sel]) % p
+            return row
+        while True:
+            row = {k: v for k, v in row.items() if v != 0}
+            if not row:
+                return row
+            c = min(row)
+            piv = self._piv.get(c)
+            if piv is None:
+                return row
+            coef = row[c]
+            row = {k: row.get(k, Fraction(0)) - coef * piv.get(k, Fraction(0))
+                   for k in set(row) | set(piv)}
 
     def reduce(self, vec: Mapping[int, Scalar]) -> dict:
         row = self._reduce_row(self._to_row(vec))
         if self.field.kind == "Fp":
-            nz = np.nonzero(row)[0]
-            return {int(c): int(row[c]) for c in nz}
+            return _row_dict(row)
         return dict(row)
 
     def add(self, vec: Mapping[int, Scalar]) -> bool:
         row = self._reduce_row(self._to_row(vec))
         if self.field.kind == "Fp":
             p = self.field.p
-            nz = np.nonzero(row)[0]
+            nz = np.flatnonzero(row)
             if nz.size == 0:
                 return False
             c = int(nz[0])
-            row = (row * pow(int(row[c]), p - 2, p)) % p
-            for c2, piv in self._piv.items():
-                if piv[c]:
-                    self._piv[c2] = (piv - piv[c] * row) % p
-            self._piv[c] = row
+            if row[c] != 1:
+                row[nz] = (row[nz] * pow(int(row[c]), p - 2, p)) % p
+            if self._rows is None:
+                self._rows = np.empty((self.width, self.width), dtype=np.int64)
+            r = self._rank
+            block = self._rows[:r]
+            hit = np.flatnonzero(block[:, c])
+            if hit.size:
+                cells = np.ix_(hit, nz)
+                block[cells] = (block[cells] - np.outer(block[hit, c], row[nz])) % p
+            self._rows[r] = row
+            self._cols[r] = c
+            self._rank = r + 1
             return True
         row = {k: v for k, v in row.items() if v != 0}
         if not row:
@@ -385,15 +458,12 @@ class RowSpan:
 
     def basis(self) -> list[dict]:
         """Echelon basis rows, ordered by pivot column."""
-        out = []
-        for c in sorted(self._piv):
-            row = self._piv[c]
-            if self.field.kind == "Fp":
-                nz = np.nonzero(row)[0]
-                out.append({int(j): int(row[j]) for j in nz})
-            else:
-                out.append(dict(row))
-        return out
+        if self.field.kind == "Fp":
+            order = np.argsort(self._cols[:self._rank])
+            return [_row_dict(self._rows[i]) for i in order]
+        return [dict(self._piv[c]) for c in sorted(self._piv)]
 
     def pivot_columns(self) -> list[int]:
+        if self.field.kind == "Fp":
+            return sorted(self._cols[:self._rank].tolist())
         return sorted(self._piv)

@@ -88,6 +88,32 @@ def test_rref_full_rank_fp():
                           field_from_name("F2"))) == 2
 
 
+def _kernel_by_loop(m):
+    """The kernel read off the dict echelon rows, one free column at a time."""
+    res = rref(m)
+    pivot_of_col = {c: i for i, (_, c) in enumerate(res.pivots)}
+    basis = []
+    for f in range(m.cols):
+        if f in pivot_of_col:
+            continue
+        vec = {f: m.field.one()}
+        for i, (_, c) in enumerate(res.pivots):
+            v = res.rows[i].get(f)
+            if v is not None and not m.field.is_zero(v):
+                vec[c] = m.field.neg(v)
+        basis.append(vec)
+    return basis
+
+
+@pytest.mark.parametrize("f", [FieldSpec("Fp", 2), F32003])
+@given(rows=int_matrices(maxd=7))
+def test_kernel_basis_matches_dict_loop(f, rows):
+    m = from_rows(rows, f)
+    # same vectors in the same order, each with the same key order
+    assert ([list(v.items()) for v in kernel_basis(m)]
+            == [list(v.items()) for v in _kernel_by_loop(m)])
+
+
 def test_kernel_known():
     m = from_rows([[1, 2], [2, 4]], QQ)
     (k,) = kernel_basis(m)
@@ -142,20 +168,63 @@ def test_solve_columns_empty_target():
 
 # -- incremental spans --------------------------------------------------------
 
-@given(rows=int_matrices())
-def test_rowspan_matches_rref(rows):
-    f = F32003
-    span = RowSpan(f, len(rows[0]))
-    vecs = []
-    for row in rows:
-        v = {j: f.from_int(c) for j, c in enumerate(row)
-             if not f.is_zero(f.from_int(c))}
-        vecs.append(v)
-        span.add(v)
-    assert span.rank == rank(from_rows(rows, f))
+# F_(2^31-1) is the largest field FieldSpec takes: there `RowSpan` reduces
+# by 2 pivot rows at a time
+SPAN_FIELDS = (FieldSpec("Fp", 2), F32003, FieldSpec("Fp", 2 ** 31 - 1))
+
+
+@given(data=st.data())
+def test_rowspan_matches_rref(data):
+    for f in SPAN_FIELDS:
+        _check_rowspan_against_rref(f, data)
+
+
+def _check_rowspan_against_rref(f, data):
+    width = data.draw(st.integers(1, 7))
+    # residues near p as well, so that over F_(2^31-1) the summed products
+    # pass 2^63 unless the reduction runs in chunks
+    residues = st.one_of(st.integers(0, f.p - 1),
+                         st.integers(max(f.p - 3, 0), f.p - 1))
+    # zeros often, so that ranks and pivots vary
+    entry = st.one_of(st.just(0), residues)
+    rows = data.draw(st.lists(st.lists(entry, min_size=width, max_size=width),
+                              min_size=1, max_size=8))
+    vecs = [{j: c for j, c in enumerate(row) if c} for row in rows]
+    span = RowSpan(f, width)
+    for k, v in enumerate(vecs):
+        before = span.rank
+        grew = span.add(v)
+        assert span.rank == rank(from_rows(rows[:k + 1], f))
+        assert grew == (span.rank == before + 1)
+    ref = rref(from_rows(rows, f))
+    assert span.basis() == ref.rows
+    assert span.pivot_columns() == [c for _, c in ref.pivots]
     for v in vecs:
         assert span.contains(v)
         assert span.reduce(v) == {}
+    # the residue of any vector: v minus its pivot-column coefficients
+    # times the echelon rows, which is zero at every pivot column
+    probe = data.draw(st.lists(residues, min_size=width, max_size=width))
+    want = dict(enumerate(probe))
+    for (_, c), row in zip(ref.pivots, ref.rows):
+        coef = probe[c]
+        for j, x in row.items():
+            want[j] = f.sub(want[j], f.mul(coef, x))
+    want = {j: x for j, x in want.items() if x}
+    assert span.reduce({j: c for j, c in enumerate(probe) if c}) == want
+    assert span.contains(want) == (not want)
+
+
+def test_rowspan_reduction_stays_exact_at_largest_prime():
+    # 8 rows e_i - e_8 and the vector -(e_0 + ... + e_7): its residue at
+    # column 8 sums eight products (p-1)**2, about 2^65 in all, which int64
+    # holds only two at a time
+    f = SPAN_FIELDS[-1]
+    p = f.p
+    span = RowSpan(f, 9)
+    for i in range(8):
+        assert span.add({i: 1, 8: p - 1})
+    assert span.reduce({i: p - 1 for i in range(8)}) == {8: p - 8}
 
 
 def test_rowspan_growth_flag():
