@@ -27,7 +27,8 @@ from .presentation import (FilteredPresentation, Presentation,
 from .groebner import ProductEngine, RewriteSystem, complete, normal_words
 from .hilbert import (ClaimSyntaxError, gk_estimate, hilbert_function,
                       verify_rational)
-from .resolution import betti, gldim_upto, koszul_check, minimal_resolution
+from .resolution import (ResolutionError, betti, gldim_upto, koszul_check,
+                         minimal_resolution)
 from .duality import (ASVerdict, as_check, diagonal_bimodule_resolution,
                       ext_k_A, hochschild_ext, invariant_report,
                       rigidity_check)
@@ -564,6 +565,9 @@ def main(argv=None) -> int:
     except (UsageError, PresentationError, ClaimSyntaxError, ValueError) as e:
         print(f"ncgraded: error: {e}", file=sys.stderr)
         return 2
+    except ResolutionError as e:
+        print(f"ncgraded: error: resolution failed: {e}", file=sys.stderr)
+        return 3
     text = render_text(report)
     payload = json.dumps(report, sort_keys=True, indent=2)
     if cfg.json_path == "-":

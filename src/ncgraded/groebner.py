@@ -19,6 +19,15 @@ completed system: it memoizes the normal form of each word and writes sums
 of normal forms into coordinate vectors over (slot, normal word) bases, which
 is the shape of every differential, dual differential and action map built
 from the system.
+
+Because the alive leads are an antichain under the subword relation (a new
+lead is reduced against the alive leads, and inserting it retires every
+lead that contains it), at most one lead starts at any position of a word.
+The engine exploits this: it indexes the alive rules once by lead word and
+finds the rewrite site by hash lookups of the subwords at each start
+position, shortest lead length first, instead of scanning every rule per
+rewrite step.  Completion keeps the rule scan, since its rule set changes
+while it runs.
 """
 
 from __future__ import annotations
@@ -84,8 +93,11 @@ class RewriteSystem:
 
 
 def _leftmost_occurrence(rs: RewriteSystem, w: Word):
-    """(position, rule) of the leftmost reducible spot; ties broken by
-    deglex-smaller lead.  None when w is normal."""
+    """(position, rule) of the leftmost reducible spot, found by scanning
+    every alive rule; None when w is normal.  The deglex tie-break between
+    leads starting at the same position never fires: completion keeps the
+    alive leads an antichain under the subword relation, so no two of them
+    start at one position."""
     best = None
     for r in rs.rules:
         if not r.alive:
@@ -101,9 +113,11 @@ def _leftmost_occurrence(rs: RewriteSystem, w: Word):
     return best[1], best[2]
 
 
-def normal_form(rs: RewriteSystem, elem: FreeElement) -> FreeElement:
+def normal_form(rs: RewriteSystem, elem: FreeElement,
+                find=_leftmost_occurrence) -> FreeElement:
     """Fully reduce an element.  Terminates because every rewrite replaces a
-    word with deglex-strictly-smaller words."""
+    word with deglex-strictly-smaller words.  `find(rs, w)` picks the rewrite
+    site of a word as (position, rule), or None when the word is normal."""
     f = rs.field
     degrees = rs.degrees
     out: dict = {}
@@ -113,7 +127,7 @@ def normal_form(rs: RewriteSystem, elem: FreeElement) -> FreeElement:
         c = work.pop(w)
         if f.is_zero(c):
             continue
-        occ = _leftmost_occurrence(rs, w)
+        occ = find(rs, w)
         if occ is None:
             s = f.add(out.get(w, f.zero()), c)
             if f.is_zero(s):
@@ -141,18 +155,46 @@ class ProductEngine:
     a coordinate vector over a basis of (slot, normal word) pairs, one call
     per output vector.  Callers keep one engine for as long as its words
     recur: one per resolution, one per Ext table and its rigidity check.
+
+    The engine reduces with a lead index built once: a dict from lead word
+    to alive rule and the sorted lead lengths.  The rewrite site is the first
+    start position, then the first length, whose subword is a lead.  On an
+    antichain of leads this is the site and rule `_leftmost_occurrence`
+    picks, so every normal form is computed by the same rewrites; the
+    constructor raises ValueError when the alive leads are not an antichain.
     """
 
     def __init__(self, rs: RewriteSystem):
         self.rs = rs
         self._p = rs.field.p          # None over Q
         self._nf: dict = {}
+        alive = rs.alive_rules()
+        for a in alive:           # also catches two rules with one lead
+            for b in alive:
+                if a is not b and find_subword(b.lead, a.lead) >= 0:
+                    raise ValueError(f"alive lead {a.lead} is a subword of "
+                                     f"alive lead {b.lead}")
+        self._leads = {r.lead: r for r in alive}
+        self._lengths = sorted({len(L) for L in self._leads})
+
+    def _site(self, rs: RewriteSystem, w: Word):
+        """`normal_form`'s occurrence finder over the lead index."""
+        leads, n = self._leads, len(w)
+        for i in range(n):
+            for m in self._lengths:
+                if i + m > n:
+                    break
+                rule = leads.get(w[i:i + m])
+                if rule is not None:
+                    return i, rule
+        return None
 
     def nf(self, word: Word) -> dict:
         terms = self._nf.get(word)
         if terms is None:
             rs = self.rs
-            terms = self._nf[word] = normal_form(rs, rs.monomial(word)).terms
+            terms = self._nf[word] = normal_form(
+                rs, rs.monomial(word), self._site).terms
         return terms
 
     def combine(self, products, index: dict) -> dict:

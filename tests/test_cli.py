@@ -6,9 +6,11 @@ import pathlib
 import pytest
 
 import ncgraded
+from ncgraded import cli
 from ncgraded.exactla import F32003, field_from_name
 from ncgraded.groebner import complete
 from ncgraded.presentation import builtin
+from ncgraded.resolution import ResolutionError
 from ncgraded.cli import (RunConfig, UsageError, main, normal_element_scan,
                           render_text, run)
 
@@ -99,6 +101,17 @@ def test_claim_mismatch_exits_one(capsys):
 def test_usage_errors_exit_two(argv, capsys):
     assert main(argv) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_resolution_error_exits_three(monkeypatch, capsys):
+    def fail(cfg):
+        raise ResolutionError("unit coefficient in a syzygy")
+    monkeypatch.setattr(cli, "run", fail)
+    assert main(["--builtin", "polynomial-2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("ncgraded: error: resolution failed: "
+                            "unit coefficient in a syzygy\n")
 
 
 def test_degree_bound_below_relations_exits_two(tmp_path, capsys):

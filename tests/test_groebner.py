@@ -1,13 +1,18 @@
 """Overlap completion, normal forms, and normal-word counting."""
 
-import pytest
-from hypothesis import given, strategies as st
+import functools
+import itertools
 
-from ncgraded.exactla import field_from_name
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ncgraded.exactla import F32003, QQ, field_from_name
 from ncgraded.freealg import FreeElement, deglex_key
-from ncgraded.groebner import (complete, count_avoiding_words, normal_form,
+from ncgraded.groebner import (ProductEngine, RewriteRule, RewriteSystem,
+                               complete, count_avoiding_words, normal_form,
                                normal_word_counts, normal_words)
-from ncgraded.presentation import builtin, enveloping
+from ncgraded.presentation import (FilteredPresentation, builtin,
+                                   builtin_names, enveloping, homogenize)
 from ncgraded.cli import confluence_probe
 
 
@@ -105,3 +110,85 @@ def test_counting_matches_enumeration(name):
 def test_confluence_under_randomized_input(name, seed):
     probe = confluence_probe(builtin(name), 5, seed)
     assert probe["agrees"]
+
+
+# ---------------------------------------------------------------------------
+# the product engine's lead index against the rule scan of `normal_form`
+
+# (name, field, degree bound).  weyl-homogenized completed at degree 2 stops
+# below its overlaps, so there the normal forms of longer words depend on
+# which rewrite is applied first, and the engine must apply the same one.
+ENGINE_SYSTEMS = ([(name, fname, 6) for name in builtin_names()
+                   for fname in ("F32003", "Q")]
+                  + [("smith-zhang-enveloping", "F32003", 6),
+                     ("weyl-homogenized", "F32003", 2),
+                     ("weyl-homogenized", "Q", 2)])
+ENGINE_IDS = [f"{name}-{fname}-d{dbound}" for name, fname, dbound in ENGINE_SYSTEMS]
+
+
+@functools.lru_cache(maxsize=None)
+def engine_system(name, fname, dbound):
+    """Completed system and its engine.  The enveloping system is completed
+    at the bimodule workload's degree bound, where it is still truncated."""
+    field = {"F32003": F32003, "Q": QQ}[fname]
+    if name == "smith-zhang-enveloping":
+        p = enveloping(builtin("smith-zhang", field))
+    else:
+        p = builtin(name, field)
+        if isinstance(p, FilteredPresentation):
+            p = homogenize(p)
+    rs = complete(p, dbound)
+    return rs, ProductEngine(rs)
+
+
+def assert_engine_matches_scan(rs, engine, w):
+    got = engine.nf(w)
+    want = normal_form(rs, rs.monomial(w)).terms
+    assert list(got.items()) == list(want.items()), w
+
+
+@pytest.mark.parametrize("system", ENGINE_SYSTEMS, ids=ENGINE_IDS)
+def test_engine_leads_are_an_antichain(system):
+    rs, engine = engine_system(*system)       # the constructor checks
+    leads = rs.leads()
+    assert len(set(leads)) == len(leads)
+    for a in leads:
+        for b in leads:
+            assert a == b or not any(b[i:i + len(a)] == a
+                                     for i in range(len(b)))
+
+
+def _system_with_leads(leads):
+    f = F32003
+    rs = RewriteSystem(f, (1, 1), ("x", "y"), 4)
+    rs.rules = [RewriteRule(L, FreeElement.zero(f, (1, 1)), len(L))
+                for L in leads]
+    return rs
+
+
+@pytest.mark.parametrize("leads", [[(1, 0), (1, 0)], [(1, 0), (0, 1, 0)],
+                                   [(1, 1, 0), (1, 1)]])
+def test_engine_refuses_leads_that_are_not_an_antichain(leads):
+    with pytest.raises(ValueError):
+        ProductEngine(_system_with_leads(leads))
+    rs = _system_with_leads(leads)
+    rs.rules[0].alive = False     # retired rules are not indexed
+    ProductEngine(rs)
+
+
+@pytest.mark.parametrize("system", ENGINE_SYSTEMS, ids=ENGINE_IDS)
+def test_engine_nf_matches_rule_scan_to_degree_5(system):
+    rs, engine = engine_system(*system)
+    assert all(d == 1 for d in rs.degrees)
+    for n in range(6):
+        for w in itertools.product(range(len(rs.degrees)), repeat=n):
+            assert_engine_matches_scan(rs, engine, w)
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_engine_nf_matches_rule_scan_on_random_words(data):
+    rs, engine = engine_system(*data.draw(st.sampled_from(ENGINE_SYSTEMS)))
+    gens = st.integers(0, len(rs.degrees) - 1)
+    w = tuple(data.draw(st.lists(gens, max_size=8)))
+    assert_engine_matches_scan(rs, engine, w)
