@@ -8,6 +8,12 @@ add_help=False and help lives on --help.
 The normal-element scan lives here rather than next to the certified
 invariants: its answer depends on the chosen finite field and on an
 enumeration cutoff, so it is evidence, not a theorem, and the report says so.
+It runs over any prime field, one block of candidates per numpy operation
+(`exactla.same_row_spans`); a degree whose p**dim candidates exceed
+SCAN_GUARD = 2**22 is listed under `skipped` instead.
+
+Exit codes of `main`: 0 success, 1 a `--claim` mismatch, 2 a usage error,
+3 a failed resolution, 4 any other internal error, reported on one line.
 """
 
 from __future__ import annotations
@@ -19,7 +25,10 @@ import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
-from .exactla import F32003, FieldSpec, RowSpan, field_from_name
+import numpy as np
+
+from .exactla import (F32003, FieldSpec, field_from_name, mod_p,
+                      same_row_spans)
 from .freealg import FreeElement
 from .presentation import (FilteredPresentation, Presentation,
                            PresentationError, builtin, builtin_names,
@@ -37,6 +46,9 @@ CHECK_NAMES = ("hilbert", "betti", "koszul", "asregular", "hochschild",
                "rigidity", "normal-elements")
 DEFAULT_CHECKS = ("hilbert", "betti", "koszul", "asregular")
 SCAN_GUARD = 1 << 22
+# Candidates per block of the normal-element scan, bounded by the cells of
+# their products per target degree: 2**16 cells are 512 KB per side
+_SCAN_CELLS = 1 << 16
 
 
 class UsageError(ValueError):
@@ -70,18 +82,16 @@ class RunConfig:
 # heuristic scans
 
 
-def normal_element_scan(rs: RewriteSystem, dmax: int,
-                        guard: int = SCAN_GUARD) -> dict:
+def normal_element_scan(rs: RewriteSystem, dmax: int) -> dict:
     """Enumerate nonzero degree-d elements up to scalar for d <= dmax and
     test two-sided normality (g*v in v*A and v*g in A*v for every generator).
-    Prime fields only; degrees whose point count p**dim exceeds the guard are
-    skipped and listed."""
+    Prime fields only; degrees whose point count p**dim exceeds SCAN_GUARD
+    are skipped and listed."""
     f = rs.field
     if f.kind != "Fp":
         raise UsageError("normal-element scan needs a finite prime field")
     p = f.p
     gdegs = rs.degrees
-    maxg = max(gdegs)
     findings: dict = {"field": f.describe(), "heuristic": True,
                       "degrees": {}, "skipped": []}
     scannable = False
@@ -91,7 +101,7 @@ def normal_element_scan(rs: RewriteSystem, dmax: int,
         n = len(basis)
         if n == 0:
             continue
-        if p ** n > guard:
+        if p ** n > SCAN_GUARD:
             findings["skipped"].append(d)
             continue
         scannable = True
@@ -114,132 +124,47 @@ def normal_element_scan(rs: RewriteSystem, dmax: int,
 
 def _scan_degree(engine: ProductEngine, d: int, basis: list, p: int) -> list:
     """Normal elements of degree d as coefficient tuples over the given
-    normal-word basis, first nonzero coordinate fixed to 1."""
+    normal-word basis, first nonzero coordinate fixed to 1, in the order of
+    the pivot position and then the remaining digits, last digit fastest.
+
+    v is normal when span{x_g*v} = span{v*x_g} over the generators g of each
+    degree.  For each target degree e, `left` and `right` (n x generators x
+    dim A_e) hold NF(x_g*basis[i]) and NF(basis[i]*x_g), so one product mod
+    p gives every x_g*v and v*x_g of a block of candidates.  The product runs
+    in float64: p**n <= SCAN_GUARD = 2**22 keeps its sums of n products of
+    residues below 2**53, so it is exact."""
     rs = engine.rs
-    f = rs.field
     n = len(basis)
-    gens = list(range(len(rs.degrees)))
-    # product coordinates per target degree, packed as bit masks over F_2
-    # and as coordinate dicts otherwise
-    targets = sorted({d + rs.degrees[g] for g in gens})
-    tbasis = {e: normal_words(rs, e) for e in targets}
-    tindex = {e: {w: i for i, w in enumerate(tbasis[e])} for e in targets}
-
-    def coords(terms: dict, e: int):
-        idx = tindex[e]
-        if p == 2:
-            m = 0
-            for w in terms:
-                m |= 1 << idx[w]
-            return m
-        return {idx[w]: c for w, c in terms.items()}
-
-    lcol = {}   # (g, i) -> coords of NF(x_g * basis[i])
-    rcol = {}   # (g, i) -> coords of NF(basis[i] * x_g)
-    for g in gens:
-        e = d + rs.degrees[g]
+    parts = []
+    for e in sorted({d + k for k in rs.degrees}):
+        gens = [g for g, k in enumerate(rs.degrees) if d + k == e]
+        index = {w: j for j, w in enumerate(normal_words(rs, e))}
+        left = np.zeros((n, len(gens), len(index)))
+        right = np.zeros_like(left)
         for i, w in enumerate(basis):
-            lcol[(g, i)] = coords(engine.nf((g,) + w), e)
-            rcol[(g, i)] = coords(engine.nf(w + (g,)), e)
+            for j, g in enumerate(gens):
+                for u, c in engine.nf((g,) + w).items():
+                    left[i, j, index[u]] = c
+                for u, c in engine.nf(w + (g,)).items():
+                    right[i, j, index[u]] = c
+        parts.append((left, right))
 
     found = []
-    for v in _projective_points(n, p):
-        support = [i for i, c in enumerate(v) if c]
-        if p == 2:
-            lv = {g: 0 for g in gens}
-            rv = {g: 0 for g in gens}
-            for i in support:
-                for g in gens:
-                    lv[g] ^= lcol[(g, i)]
-                    rv[g] ^= rcol[(g, i)]
-            # spans v*A_e and A_e*v per generator degree
-            ok = True
-            for e in targets:
-                degset = [g for g in gens if d + rs.degrees[g] == e]
-                right_rows = _f2_echelon([rv[g] for g in degset])
-                left_rows = _f2_echelon([lv[g] for g in degset])
-                for g in degset:
-                    if _f2_reduce(lv[g], right_rows) or _f2_reduce(rv[g], left_rows):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                found.append(tuple(f.from_int(c) for c in v))
-            continue
-        lv = {}
-        rv = {}
-        for g in gens:
-            accL: dict = {}
-            accR: dict = {}
-            for i in support:
-                ci = f.from_int(v[i])
-                for r, c in lcol[(g, i)].items():
-                    s = f.add(accL.get(r, f.zero()), f.mul(ci, c))
-                    if f.is_zero(s):
-                        accL.pop(r, None)
-                    else:
-                        accL[r] = s
-                for r, c in rcol[(g, i)].items():
-                    s = f.add(accR.get(r, f.zero()), f.mul(ci, c))
-                    if f.is_zero(s):
-                        accR.pop(r, None)
-                    else:
-                        accR[r] = s
-            lv[g], rv[g] = accL, accR
-        ok = True
-        for e in targets:
-            degset = [g for g in gens if d + rs.degrees[g] == e]
-            width = len(tbasis[e])
-            right = RowSpan(f, width)
-            left = RowSpan(f, width)
-            for g in degset:
-                right.add(rv[g])
-                left.add(lv[g])
-            for g in degset:
-                if lv[g] and not right.contains(lv[g]):
-                    ok = False
-                    break
-                if rv[g] and not left.contains(rv[g]):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            found.append(tuple(f.from_int(c) for c in v))
+    step = max(1, _SCAN_CELLS // max(max(a[0].size for a, _ in parts), 1))
+    for piv in range(n):
+        tail = n - piv - 1
+        place = p ** np.arange(tail - 1, -1, -1, dtype=np.int64)
+        for lo in range(0, p ** tail, step):
+            counter = np.arange(lo, min(lo + step, p ** tail), dtype=np.int64)
+            v = np.zeros((counter.size, n), dtype=np.int64)
+            v[:, piv] = 1
+            v[:, piv + 1:] = mod_p(counter[:, None] // place, p)
+            for left, right in parts:
+                lv, rv = (mod_p(np.tensordot(v, side, 1).astype(np.int64), p)
+                          for side in (left, right))
+                v = v[same_row_spans(lv, rv, p)]
+            found.extend(map(tuple, v.tolist()))
     return found
-
-
-def _projective_points(n: int, p: int):
-    """Coefficient tuples with first nonzero coordinate 1, in lexicographic
-    order of the pivot position then the remaining digits."""
-    for k in range(n):
-        tail = n - k - 1
-        for counter in range(p ** tail):
-            coords = [0] * n
-            coords[k] = 1
-            c = counter
-            for pos in range(n - 1, k, -1):
-                coords[pos] = c % p
-                c //= p
-            yield tuple(coords)
-
-
-def _f2_echelon(rows: list) -> list:
-    out: list = []
-    for r in rows:
-        for b in out:
-            r = min(r, r ^ b)
-        if r:
-            out.append(r)
-            out.sort(reverse=True)
-    return out
-
-
-def _f2_reduce(r: int, rows: list) -> int:
-    for b in rows:
-        r = min(r, r ^ b)
-    return r
 
 
 def confluence_probe(p: Presentation, degree_bound: int, seed: int) -> dict:
@@ -549,7 +474,10 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        field = field_from_name(ns.field)
+        try:
+            field = field_from_name(ns.field)
+        except ValueError as e:
+            raise UsageError(str(e)) from e
         cfg = RunConfig(
             input=ns.builtin or ns.input,
             is_path=ns.input is not None,
@@ -562,12 +490,17 @@ def main(argv=None) -> int:
             seed=ns.seed,
         )
         report, code = run(cfg)
-    except (UsageError, PresentationError, ClaimSyntaxError, ValueError) as e:
+    except (UsageError, PresentationError, ClaimSyntaxError) as e:
         print(f"ncgraded: error: {e}", file=sys.stderr)
         return 2
     except ResolutionError as e:
         print(f"ncgraded: error: resolution failed: {e}", file=sys.stderr)
         return 3
+    except Exception as e:
+        msg = " ".join(str(e).split())
+        print(f"ncgraded: internal error: {type(e).__name__}: {msg}",
+              file=sys.stderr)
+        return 4
     text = render_text(report)
     payload = json.dumps(report, sort_keys=True, indent=2)
     if cfg.json_path == "-":

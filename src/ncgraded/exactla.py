@@ -15,6 +15,14 @@ product against the rows it touches; that product sums up to
 `_exact_rows(p)` = (2**63-1) // (p-1)**2 products per entry at a time, so
 every sum stays exact in int64.  Over Q the elimination is pure Python on
 Fractions with a minimal-fill pivot choice.
+
+`same_row_spans` compares the row spans of a batch of small matrix pairs
+over F_p at once, for the normal-element scan: one numpy operation acts on
+every pair of the batch.  Its elimination is fraction free: a row r is
+cleared at the pivot column c of a pivot row with value pv there, as
+r*pv - row*r[c], with no inverse.  Every residue is below p < 2**31, so
+both products stay below 2**62 and their difference within +-2**62; the
+result is reduced mod p before the next step.
 """
 
 from __future__ import annotations
@@ -105,9 +113,10 @@ def field_from_name(name: str) -> FieldSpec:
         return QQ
     if name in ("Fp", "F_p"):
         return F32003
-    if name.startswith("F"):
-        return FieldSpec("Fp", int(name[1:].lstrip("_")))
-    raise ValueError(f"unknown field name: {name!r}")
+    digits = name[1:].lstrip("_")
+    if name.startswith("F") and digits.isdecimal():
+        return FieldSpec("Fp", int(digits))
+    raise ValueError(f"unknown field name {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -467,3 +476,54 @@ class RowSpan:
         if self.field.kind == "Fp":
             return sorted(self._cols[:self._rank].tolist())
         return sorted(self._piv)
+
+
+def same_row_spans(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """Mask over a batch of matrix pairs: True where the rows of a[j] and of
+    b[j] span the same subspace of F_p^m.  a and b are int64 arrays of shape
+    (batch, k, m) with entries in [0, p).
+
+    The spans are equal when each contains the rows of the other.  For one
+    containment, y[j] is echelonized row by row: row r gets the pivot column
+    cols[:, r] and the pivot value vals[:, r], and the later rows are cleared
+    there.  A row of x lies in the span of y exactly when clearing it at
+    those pivots in order leaves zero; a pair drops out at the first row
+    that does not."""
+    if a.shape[2] == 0:                 # both spans are zero
+        return np.ones(a.shape[0], dtype=bool)
+    keep = np.arange(a.shape[0])
+    for x, y in ((a, b), (b, a)):
+        y = y[keep]
+        batch, k = y.shape[:2]
+        at = np.arange(batch)
+        cols = np.empty((batch, k), dtype=np.int64)
+        vals = np.empty((batch, k), dtype=np.int64)
+        for r in range(k):
+            piv = y[:, r]
+            c = (piv != 0).argmax(axis=1)       # 0 for a zero row
+            pv = piv[at, c]
+            pv[pv == 0] = 1                     # a zero row clears nothing
+            coef = y[at, r + 1:, c]
+            y[:, r + 1:] = mod_p(y[:, r + 1:] * pv[:, None, None]
+                                 - coef[:, :, None] * piv[:, None, :], p)
+            cols[:, r], vals[:, r] = c, pv
+        alive = at
+        for i in range(x.shape[1]):
+            row = x[keep[alive], i]
+            on = np.arange(alive.size)
+            for r in range(k):
+                c, pv = cols[alive, r], vals[alive, r]
+                row = mod_p(row * pv[:, None]
+                            - row[on, c][:, None] * y[alive, r], p)
+            alive = alive[~row.any(axis=1)]
+        keep = keep[alive]
+    mask = np.zeros(a.shape[0], dtype=bool)
+    mask[keep] = True
+    return mask
+
+
+def mod_p(x: np.ndarray, p: int) -> np.ndarray:
+    """x % p for an int64 array.  numpy divides an int64 array by a scalar
+    through libdivide but has no such path for the remainder, so this is
+    several times faster than `x % p`."""
+    return x - x // p * p

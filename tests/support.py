@@ -1,7 +1,13 @@
 """Shared oracles for structural properties of resolutions and series."""
 
+import functools
+import itertools
+
 from ncgraded import normal_form
 from ncgraded.duality import _dual_matrix
+from ncgraded.exactla import RowSpan
+from ncgraded.freealg import FreeElement
+from ncgraded.groebner import normal_words
 
 
 def dd_composites_vanish(res) -> bool:
@@ -58,3 +64,43 @@ def convolution(a, b, n: int) -> list:
     return [sum(a[k] * b[d - k] for k in range(d + 1)
                 if k < len(a) and d - k < len(b))
             for d in range(n + 1)]
+
+
+def normal_elements_one_by_one(rs, d) -> list:
+    """The normal-element scan of degree d, one candidate at a time: each
+    v = (0, .., 0, 1, *) over the degree-d normal words, in order, is kept
+    when, over the generators g of each degree, every x_g*v lies in the span
+    of the v*x_g and every v*x_g in the span of the x_g*v.  Formatted as the
+    scan reports them."""
+    f, degs = rs.field, rs.degrees
+    basis = normal_words(rs, d)
+    gens_of: dict = {}          # target degree -> generators
+    for g, dg in enumerate(degs):
+        gens_of.setdefault(d + dg, []).append(g)
+    index = {u: i for e in gens_of for i, u in enumerate(normal_words(rs, e))}
+    nf = functools.lru_cache(None)(
+        lambda w: normal_form(rs, rs.monomial(w)).terms)
+
+    def product(v, word) -> dict:
+        acc: dict = {}
+        for w, c in v.items():
+            for u, x in nf(word(w)).items():
+                acc[index[u]] = f.add(acc.get(index[u], 0), f.mul(c, x))
+        return acc
+
+    found = []
+    for k in range(len(basis)):
+        for tail in itertools.product(range(f.p), repeat=len(basis) - k - 1):
+            v = {w: c for w, c in zip(basis[k:], (1,) + tail) if c}
+            normal = True
+            for e, gens in gens_of.items():
+                lv = [product(v, lambda w: (g,) + w) for g in gens]
+                rv = [product(v, lambda w: w + (g,)) for g in gens]
+                for rows, other in ((lv, rv), (rv, lv)):
+                    span = RowSpan(f, len(normal_words(rs, e)))
+                    for r in other:
+                        span.add(r)
+                    normal = normal and all(span.contains(r) for r in rows)
+            if normal:
+                found.append(FreeElement(f, degs, v).format(rs.names))
+    return found

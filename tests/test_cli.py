@@ -9,10 +9,12 @@ import ncgraded
 from ncgraded import cli
 from ncgraded.exactla import F32003, field_from_name
 from ncgraded.groebner import complete
-from ncgraded.presentation import builtin
+from ncgraded.presentation import builtin, parse
 from ncgraded.resolution import ResolutionError
 from ncgraded.cli import (RunConfig, UsageError, main, normal_element_scan,
                           render_text, run)
+
+from support import normal_elements_one_by_one
 
 GOLDEN = pathlib.Path(ncgraded.__file__).parent / "golden"
 
@@ -114,6 +116,21 @@ def test_resolution_error_exits_three(monkeypatch, capsys):
                             "unit coefficient in a syzygy\n")
 
 
+@pytest.mark.parametrize("exc", [ValueError("attempt to get argmax of an\n"
+                                            "empty sequence"),
+                                 AssertionError("pivot row is zero")])
+def test_internal_errors_exit_four(exc, monkeypatch, capsys):
+    def fail(cfg):
+        raise exc
+    monkeypatch.setattr(cli, "run", fail)
+    assert main(["--builtin", "polynomial-2"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    msg = " ".join(str(exc).split())
+    assert captured.err == ("ncgraded: internal error: "
+                            f"{type(exc).__name__}: {msg}\n")
+
+
 def test_degree_bound_below_relations_exits_two(tmp_path, capsys):
     src = tmp_path / "cubic.alg"
     src.write_text("""
@@ -197,6 +214,45 @@ def test_scan_through_cli_small_field(capsys):
     report = json.loads(capsys.readouterr().out)
     degrees = report["normal_elements"]["degrees"]
     assert degrees["1"]["normal"] == ["(1)*x", "(1)*y"]
+
+
+SCAN_INPUTS = {
+    # every quadratic word is a relation: the degree-2 basis is empty
+    "nil": "deg x = 1, y = 1\nrel x*x\nrel x*y\nrel y*x\nrel y*y\n",
+    "weighted": "deg x = 2, y = 1\nrel x*y - y*x\n",
+    # x*y = 0 makes the spans unequal in both directions: x*(x, y) has
+    # y*x outside (x, y)*x, and (y, x)*y has y*x outside y*(y, x)
+    "one_sided": "deg x = 1, y = 1\nrel x*y\n",
+}
+
+
+def _scan_system(name, field):
+    if name in SCAN_INPUTS:
+        text = f"algebra {name} over {field}\n" + SCAN_INPUTS[name]
+        return complete(parse(text), 6)
+    return complete(builtin(name, field=field_from_name(field)), 6)
+
+
+# (system, field, top scan degree, cells per block or None for the default);
+# polynomial-3 at 1000 cells runs its 1023 degree-3 candidates in 52 blocks
+# of at most 22
+@pytest.mark.parametrize("name,field,dmax,cells", [
+    ("nil", "F3", 3, None),
+    ("weighted", "F3", 4, None),
+    ("one_sided", "F3", 2, None),
+    ("quantum-plane-2", "F5", 3, None),
+    ("weyl-homogenized", "F3", 2, None),
+    ("polynomial-3", "F2", 3, 1000),
+])
+def test_scan_matches_one_by_one_reference(name, field, dmax, cells,
+                                           monkeypatch):
+    if cells is not None:
+        monkeypatch.setattr(cli, "_SCAN_CELLS", cells)
+    rs = _scan_system(name, field)
+    findings = normal_element_scan(rs, dmax)
+    assert findings["degrees"]
+    for d, data in findings["degrees"].items():
+        assert data["normal"] == normal_elements_one_by_one(rs, d)
 
 
 def test_runconfig_validation():

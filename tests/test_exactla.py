@@ -2,12 +2,13 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from ncgraded.exactla import (F32003, F46337, QQ, FieldSpec, RowSpan,
                               SparseMatrix, field_from_name, kernel_basis,
-                              rank, rref, solve_columns)
+                              rank, rref, same_row_spans, solve_columns)
 
 
 def from_rows(rows, f):
@@ -53,10 +54,15 @@ def test_field_names():
 
 
 @pytest.mark.parametrize("bad", ["F4", "F0", "F1", "G5", "", "F4294967311",
-                                 "F1000000000000000000000000000057"])
+                                 "F1000000000000000000000000000057", "Fx"])
 def test_field_name_rejects(bad):
     with pytest.raises(ValueError):
         field_from_name(bad)
+
+
+def test_malformed_field_name_is_named():
+    with pytest.raises(ValueError, match="^unknown field name 'Fx'$"):
+        field_from_name("Fx")
 
 
 def test_prime_field_arithmetic():
@@ -225,6 +231,51 @@ def test_rowspan_reduction_stays_exact_at_largest_prime():
     for i in range(8):
         assert span.add({i: 1, 8: p - 1})
     assert span.reduce({i: p - 1 for i in range(8)}) == {8: p - 8}
+
+
+@given(data=st.data())
+def test_same_row_spans_matches_rowspan(data):
+    for p in (2, 3, 2 ** 31 - 1):
+        _check_same_row_spans(FieldSpec("Fp", p), data)
+
+
+def _check_same_row_spans(f, data):
+    p = f.p
+    batch = data.draw(st.integers(1, 6))
+    k = data.draw(st.integers(1, 4))
+    m = data.draw(st.integers(0, 6))
+    entry = st.one_of(st.just(0), st.integers(0, p - 1),
+                      st.integers(max(p - 3, 0), p - 1))
+
+    def matrix(rows, cols):
+        return [data.draw(st.lists(entry, min_size=cols, max_size=cols))
+                for _ in range(rows)]
+
+    def mix(coefs, rows):       # combinations of the rows, exact mod p
+        return [[sum(c * r[j] for c, r in zip(row, rows)) % p
+                 for j in range(m)] for row in coefs]
+
+    a, b = [], []
+    for _ in range(batch):
+        x, y = matrix(k, m), matrix(k, m)
+        # one side often spans a subspace of the other, or the same space
+        how = data.draw(st.sampled_from(("free", "b_in_a", "a_in_b")))
+        if how == "b_in_a":
+            y = mix(matrix(k, k), x)
+        elif how == "a_in_b":
+            x = mix(matrix(k, k), y)
+        a.append(x)
+        b.append(y)
+
+    def basis(rows):
+        span = RowSpan(f, m)
+        for r in rows:
+            span.add({j: c for j, c in enumerate(r) if c})
+        return span.basis()
+
+    got = same_row_spans(np.array(a, dtype=np.int64).reshape(batch, k, m),
+                         np.array(b, dtype=np.int64).reshape(batch, k, m), p)
+    assert got.tolist() == [basis(x) == basis(y) for x, y in zip(a, b)]
 
 
 def test_rowspan_growth_flag():
