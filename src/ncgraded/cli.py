@@ -490,6 +490,14 @@ def main(argv=None) -> int:
             seed=ns.seed,
         )
         report, code = run(cfg)
+        payload = json.dumps(report, sort_keys=True, indent=2)
+        if cfg.json_path and cfg.json_path != "-":
+            try:
+                with open(cfg.json_path, "w", encoding="utf-8") as fh:
+                    fh.write(payload + "\n")
+            except OSError as e:
+                raise UsageError(f"cannot write {cfg.json_path}: "
+                                 f"{e.strerror or e}") from e
     except (UsageError, PresentationError, ClaimSyntaxError) as e:
         print(f"ncgraded: error: {e}", file=sys.stderr)
         return 2
@@ -501,15 +509,7 @@ def main(argv=None) -> int:
         print(f"ncgraded: internal error: {type(e).__name__}: {msg}",
               file=sys.stderr)
         return 4
-    text = render_text(report)
-    payload = json.dumps(report, sort_keys=True, indent=2)
-    if cfg.json_path == "-":
-        print(payload)
-    else:
-        print(text)
-        if cfg.json_path:
-            with open(cfg.json_path, "w", encoding="utf-8") as fh:
-                fh.write(payload + "\n")
+    print(payload if cfg.json_path == "-" else render_text(report))
     return code
 
 

@@ -314,7 +314,7 @@ def _cohomology_rep(res: Resolution, i: int, mu: int,
         kern = kernel_basis(SparseMatrix.from_columns(cols, height, f))
     else:
         kern = [{c: f.one()} for c in range(len(dom))]
-    span = RowSpan(f, len(dom))
+    span = RowSpan(f)
     for col in img_cols:
         span.add(col)
     rep = None

@@ -3,26 +3,26 @@
 Everything downstream (rewriting, graded dimension counts, resolutions,
 cohomology tables) reduces to exact rank / kernel / span computations, so
 this module is deliberately small and boring: scalars are `fractions.Fraction`
-over Q and plain ints in ``[0, p)`` over F_p, matrices are sparse dicts, and
-there is one incremental row-echelon structure (`RowSpan`) shared by all the
-degreewise algorithms.
+over Q and plain ints in ``[0, p)`` over F_p, and matrices are sparse dicts.
 
-Over a prime field the elimination densifies into an int64 numpy array:
-entries stay reduced mod p, and `FieldSpec` only accepts p < 2**31, so a
-single product of residues is at most (p-1)**2 < 2**62.  `RowSpan` keeps its
-pivot rows in one 2-D int64 block and reduces a vector with one matrix
-product against the rows it touches; that product sums up to
-`_exact_rows(p)` = (2**63-1) // (p-1)**2 products per entry at a time, so
-every sum stays exact in int64.  Over Q the elimination is pure Python on
-Fractions with a minimal-fill pivot choice.
+One sparse elimination serves both fields.  A row is a dict column ->
+nonzero scalar, and `_Rows` keeps beside the rows a map from each column to
+the rows that are nonzero there, so clearing a column touches only those
+rows.  The arithmetic is the same code for both fields, with a ``% p`` after
+each step over F_p.  `rref` takes the columns left to right and pivots on
+the shortest candidate row; `RowSpan` keeps a growing subspace in reduced
+row echelon form on the same structure.  The reduced row echelon form of a
+matrix or of a subspace is unique, so the pivot choice changes the work and
+the fill, never the result, and kernels are read off it.
 
 `same_row_spans` compares the row spans of a batch of small matrix pairs
 over F_p at once, for the normal-element scan: one numpy operation acts on
 every pair of the batch.  Its elimination is fraction free: a row r is
 cleared at the pivot column c of a pivot row with value pv there, as
-r*pv - row*r[c], with no inverse.  Every residue is below p < 2**31, so
-both products stay below 2**62 and their difference within +-2**62; the
-result is reduced mod p before the next step.
+r*pv - row*r[c], with no inverse.  `FieldSpec` only accepts p < 2**31, so
+every residue is below 2**31, both products stay below 2**62 and their
+difference within +-2**62 in int64; the result is reduced mod p before the
+next step.
 """
 
 from __future__ import annotations
@@ -138,9 +138,6 @@ class SparseMatrix:
         else:
             self.entries[(r, c)] = v
 
-    def get(self, r: int, c: int) -> Scalar:
-        return self.entries.get((r, c), self.field.zero())
-
     @classmethod
     def from_columns(cls, columns: Iterable[Mapping[int, Scalar]], rows: int,
                      field: FieldSpec) -> "SparseMatrix":
@@ -154,117 +151,95 @@ class SparseMatrix:
     def column(self, c: int) -> dict:
         return {r: v for (r, cc), v in self.entries.items() if cc == c}
 
-    def to_dense_fp(self) -> np.ndarray:
-        assert self.field.kind == "Fp"
-        a = np.zeros((self.rows, self.cols), dtype=np.int64)
-        for (r, c), v in self.entries.items():
-            a[r, c] = v % self.field.p
-        return a
+
+# ---------------------------------------------------------------------------
+# the elimination
+
+
+def _sub(row: dict, coef: Scalar, piv: Mapping[int, Scalar], p: int | None,
+         at: dict | None = None, i: int | None = None) -> None:
+    """row -= coef * piv in place, dropping the zeros.  With `at`, keep the
+    column index of row i up to date."""
+    for k, v in piv.items():
+        x = row.get(k)
+        if x is None:
+            x = -coef * v
+            row[k] = x % p if p else x
+            if at is not None:
+                at.setdefault(k, set()).add(i)
+            continue
+        x -= coef * v
+        if p:
+            x %= p
+        if x:
+            row[k] = x
+        else:
+            del row[k]
+            if at is not None:
+                at[k].discard(i)
+
+
+class _Rows:
+    """Dict rows under integer ids, with a map from each column to the ids
+    of the rows that are nonzero there."""
+
+    def __init__(self, fieldspec: FieldSpec):
+        self.field = fieldspec
+        self.rows: dict[int, dict] = {}
+        self.at: dict[int, set] = {}
+
+    def put(self, i: int, row: dict) -> None:
+        self.rows[i] = row
+        for c in row:
+            self.at.setdefault(c, set()).add(i)
+
+    def pivot(self, i: int, c: int) -> None:
+        """Scale row i to 1 at column c, then clear column c from every other
+        row."""
+        row, p = self.rows[i], self.field.p
+        inv = self.field.inv(row[c])
+        if inv != 1:
+            for k, v in row.items():
+                row[k] = v * inv % p if p else v * inv
+        for j in list(self.at[c]):
+            if j != i:
+                other = self.rows[j]
+                _sub(other, other[c], row, p, self.at, j)
 
 
 @dataclass
 class RrefResult:
     pivots: list  # list of (row, col) in row order
     rank: int
-    # F_p: the reduced matrix, whose first `rank` rows are the echelon rows
-    dense: np.ndarray | None = None
-    _rows: list | None = None
-
-    @property
-    def rows(self) -> list:
-        """Echelon rows as dicts col -> scalar (over F_p read off `dense` on
-        first use)."""
-        if self._rows is None:
-            self._rows = [_row_dict(self.dense[i]) for i in range(self.rank)]
-        return self._rows
-
-
-def _row_dict(row: np.ndarray) -> dict:
-    nz = np.flatnonzero(row)
-    return dict(zip(nz.tolist(), row[nz].tolist()))
-
-
-def _rref_fp_dense(a: np.ndarray, p: int) -> list[int]:
-    """In-place reduced row echelon form mod p; returns pivot columns."""
-    m, n = a.shape
-    piv_cols: list[int] = []
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        col = a[:, c]
-        nz = np.flatnonzero(col)
-        k = int(np.searchsorted(nz, r))
-        if k == nz.size:
-            continue
-        i = int(nz[k])
-        if i != r:
-            # row r is zero in column c (nz[k] is the first nonzero at or
-            # below r), so after the swap the other rows of nz stay in place
-            a[[r, i]] = a[[i, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        if inv != 1:
-            a[r] = (a[r] * inv) % p
-        touched = np.delete(nz, k)
-        if touched.size:
-            a[touched] = (a[touched] - np.outer(col[touched], a[r])) % p
-        piv_cols.append(c)
-        r += 1
-    return piv_cols
-
-
-def _rref_q_rows(rows: list[dict]) -> tuple[list[dict], list[int]]:
-    """Reduced echelon form of dict rows over Q.  Minimal-fill pivot choice:
-    among candidate rows for the current column, take one with fewest
-    nonzeros.  Returns (echelon rows, pivot columns)."""
-    work = [{k: v for k, v in r.items() if v != 0} for r in rows]
-    work = [r for r in work if r]
-    done: list[dict] = []
-    piv_cols: list[int] = []
-    while work:
-        # invariant: every work row is nonempty with nonzero values only,
-        # and its minimum key exceeds every pivot column chosen so far
-        c = min(min(r) for r in work)
-        cand = [r for r in work if c in r]
-        pivot = min(cand, key=len)
-        work.remove(pivot)
-        inv = Fraction(1) / pivot[c]
-        pivot = {k: v * inv for k, v in pivot.items() if v != 0}
-        nxt = []
-        for r in work:
-            v = r.get(c)
-            if v:
-                r = {k: r.get(k, Fraction(0)) - v * pivot.get(k, Fraction(0))
-                     for k in set(r) | set(pivot)}
-                r = {k: x for k, x in r.items() if x != 0}
-            if r:
-                nxt.append(r)
-        work = nxt
-        for r in done:
-            v = r.get(c)
-            if v:
-                upd = {k: r.get(k, Fraction(0)) - v * pivot.get(k, Fraction(0))
-                       for k in set(r) | set(pivot)}
-                r.clear()
-                r.update({k: x for k, x in upd.items() if x != 0})
-        done.append(pivot)
-        piv_cols.append(c)
-    # pivot columns come out strictly increasing, so no reorder is needed
-    return done, piv_cols
+    rows: list    # the echelon rows, dicts col -> scalar, in row order
 
 
 def rref(m: SparseMatrix) -> RrefResult:
-    """Reduced row echelon form.  Exact over both field kinds."""
-    if m.field.kind == "Fp":
-        a = m.to_dense_fp()
-        piv_cols = _rref_fp_dense(a, m.field.p)
-        return RrefResult([(i, c) for i, c in enumerate(piv_cols)], len(piv_cols), a)
+    """Reduced row echelon form.  Exact over both field kinds.
+
+    Columns are taken left to right.  A column's pivot is the shortest row
+    that is nonzero there and not yet a pivot, the lowest row on a tie."""
+    p = m.field.p
+    work = _Rows(m.field)
     rowdicts: dict[int, dict] = {}
     for (r, c), v in m.entries.items():
-        rowdicts.setdefault(r, {})[c] = v
-    rows, piv_cols = _rref_q_rows(list(rowdicts.values()))
-    return RrefResult([(i, c) for i, c in enumerate(piv_cols)], len(piv_cols),
-                      _rows=rows)
+        rowdicts.setdefault(r, {})[c] = v % p if p else v
+    for r, row in rowdicts.items():
+        work.put(r, row)
+    done: list[int] = []        # pivot rows, in order
+    taken: set[int] = set()
+    piv_cols: list[int] = []
+    for c in range(m.cols):
+        cand = [i for i in work.at.get(c, ()) if i not in taken]
+        if not cand:
+            continue
+        i = min(cand, key=lambda i: (len(work.rows[i]), i))
+        work.pivot(i, c)
+        done.append(i)
+        taken.add(i)
+        piv_cols.append(c)
+    return RrefResult(list(enumerate(piv_cols)), len(piv_cols),
+                      [work.rows[i] for i in done])
 
 
 def rank(m: SparseMatrix) -> int:
@@ -274,50 +249,19 @@ def rank(m: SparseMatrix) -> int:
 def kernel_basis(m: SparseMatrix) -> list[dict]:
     """Basis of the right kernel {x : Mx = 0}, one dict col->scalar per basis
     vector, echelonized over the free columns in ascending order (the free
-    column carries coefficient 1).  Deterministic."""
+    column carries coefficient 1, then the pivot columns follow in ascending
+    order).  Deterministic."""
     res = rref(m)
-    if m.field.kind == "Fp":
-        # vector f is e_f - sum_i R[i, f] e_(piv i): column f of the reduced
-        # rows R, negated, with the free column itself set to 1
-        piv = np.array([c for _, c in res.pivots], dtype=np.int64)
-        free = np.ones(m.cols, dtype=bool)
-        free[piv] = False
-        if not free.any():
-            return []
-        # one pass over R in memory order; copying the free columns out
-        # instead would hold a second dense block next to R
-        reduced = res.dense[:res.rank]
-        pi, fi = np.nonzero(reduced)
-        keep = free[fi]
-        pi, fi = pi[keep], fi[keep]
-        by_col = np.argsort(fi, kind="stable")  # by column, then pivot row
-        pi, fi = pi[by_col], fi[by_col]
-        vals = (-reduced[pi, fi]) % m.field.p
-        del res, reduced        # free the dense matrix before the dicts
-        cols = piv[pi]
-        ends = np.cumsum(np.bincount(fi, minlength=m.cols)[free]).tolist()
-        fp_basis = []
-        lo = 0
-        for f, hi in zip(np.flatnonzero(free).tolist(), ends):
-            vec = {f: 1}
-            vec.update(zip(cols[lo:hi].tolist(), vals[lo:hi].tolist()))
-            fp_basis.append(vec)
-            lo = hi
-        return fp_basis
-    pivot_of_col = {c: i for i, (_, c) in enumerate(res.pivots)}
     one = m.field.one()
-    rows = res.rows
-    basis: list[dict] = []
-    for f in range(m.cols):
-        if f in pivot_of_col:
-            continue
-        vec = {f: one}
-        for i, (_, c) in enumerate(res.pivots):
-            v = rows[i].get(f)
-            if v is not None and not m.field.is_zero(v):
-                vec[c] = m.field.neg(v)
-        basis.append(vec)
-    return basis
+    pivot_cols = {c for _, c in res.pivots}
+    basis = {f: {f: one} for f in range(m.cols) if f not in pivot_cols}
+    # vector f is e_f - sum_i R[i, f] e_(pivot i); a reduced row is zero at
+    # every other pivot column, so each of its other entries is free
+    for (_, c), row in zip(res.pivots, res.rows):
+        for f, v in row.items():
+            if f != c:
+                basis[f][c] = m.field.neg(v)
+    return list(basis.values())
 
 
 def solve_columns(columns: list[Mapping[int, Scalar]], target: Mapping[int, Scalar],
@@ -347,119 +291,45 @@ def solve_columns(columns: list[Mapping[int, Scalar]], target: Mapping[int, Scal
 # incremental spans
 
 
-def _exact_rows(p: int) -> int:
-    """How many products of residues mod p an int64 sum can hold exactly."""
-    return (2 ** 63 - 1) // (p - 1) ** 2
-
-
-# Rows gathered per matrix product in `RowSpan`, as cells: the gathered copy
-# stays at 32 MB however many pivot rows a vector touches.
-_GATHER_CELLS = 1 << 22
-
-
 class RowSpan:
-    """Growing subspace of k^width.
+    """Growing subspace of k^n, kept in reduced row echelon form.
 
     `add` returns True when the vector enlarged the span; `reduce` returns the
     residue of a vector modulo the current span.  Vectors are dicts
     coordinate -> scalar.
 
-    Over a prime field the span is kept in reduced row echelon form: the
-    pivot rows are the first `rank` rows of one int64 block, in the order
-    they were added, and `_cols` holds their pivot columns.  Each row is zero
-    at every other pivot column, so a vector reduces in one pass: subtract
-    its coefficients at the pivot columns times the rows they select.  The
-    block has room for `width` rows, the most a span can hold, and is left
-    uninitialised, so the pages of rows never written are never touched.
-    Over Q the rows are dicts keyed by pivot column.
+    The pivot rows are kept under their pivot columns.  Each is zero at every
+    other pivot column, so a vector reduces in one pass: subtract its
+    coefficients at the pivot columns times the rows they select.  `add`
+    clears the new pivot column only from the rows the column index lists.
     """
 
-    def __init__(self, fieldspec: FieldSpec, width: int):
+    def __init__(self, fieldspec: FieldSpec):
         self.field = fieldspec
-        self.width = width
-        if fieldspec.kind == "Fp":
-            self._rows: np.ndarray | None = None  # allocated by the first add
-            self._cols = np.empty(width, dtype=np.int64)
-            self._rank = 0
-            self._step = min(_exact_rows(fieldspec.p),
-                             max(1, _GATHER_CELLS // max(width, 1)))
-        else:
-            self._piv: dict[int, dict] = {}  # pivot col -> row
+        self._rows = _Rows(fieldspec)
 
     @property
     def rank(self) -> int:
-        return self._rank if self.field.kind == "Fp" else len(self._piv)
-
-    def _to_row(self, vec: Mapping[int, Scalar]):
-        if self.field.kind == "Fp":
-            row = np.zeros(self.width, dtype=np.int64)
-            for c, v in vec.items():
-                row[c] = v % self.field.p
-            return row
-        return {c: v for c, v in vec.items() if v != 0}
-
-    def _reduce_row(self, row):
-        if self.field.kind == "Fp":
-            p = self.field.p
-            coefs = row[self._cols[:self._rank]]
-            nz = np.flatnonzero(coefs)
-            for s in range(0, nz.size, self._step):
-                sel = nz[s:s + self._step]
-                row = (row - coefs[sel] @ self._rows[sel]) % p
-            return row
-        while True:
-            row = {k: v for k, v in row.items() if v != 0}
-            if not row:
-                return row
-            c = min(row)
-            piv = self._piv.get(c)
-            if piv is None:
-                return row
-            coef = row[c]
-            row = {k: row.get(k, Fraction(0)) - coef * piv.get(k, Fraction(0))
-                   for k in set(row) | set(piv)}
+        return len(self._rows.rows)
 
     def reduce(self, vec: Mapping[int, Scalar]) -> dict:
-        row = self._reduce_row(self._to_row(vec))
-        if self.field.kind == "Fp":
-            return _row_dict(row)
-        return dict(row)
+        p = self.field.p
+        if p:
+            row = {c: v % p for c, v in vec.items() if v % p}
+        else:
+            row = {c: v for c, v in vec.items() if v}
+        pivots = self._rows.rows
+        for c, coef in [(c, v) for c, v in row.items() if c in pivots]:
+            _sub(row, coef, pivots[c], p)
+        return row
 
     def add(self, vec: Mapping[int, Scalar]) -> bool:
-        row = self._reduce_row(self._to_row(vec))
-        if self.field.kind == "Fp":
-            p = self.field.p
-            nz = np.flatnonzero(row)
-            if nz.size == 0:
-                return False
-            c = int(nz[0])
-            if row[c] != 1:
-                row[nz] = (row[nz] * pow(int(row[c]), p - 2, p)) % p
-            if self._rows is None:
-                self._rows = np.empty((self.width, self.width), dtype=np.int64)
-            r = self._rank
-            block = self._rows[:r]
-            hit = np.flatnonzero(block[:, c])
-            if hit.size:
-                cells = np.ix_(hit, nz)
-                block[cells] = (block[cells] - np.outer(block[hit, c], row[nz])) % p
-            self._rows[r] = row
-            self._cols[r] = c
-            self._rank = r + 1
-            return True
-        row = {k: v for k, v in row.items() if v != 0}
+        row = self.reduce(vec)
         if not row:
             return False
         c = min(row)
-        inv = Fraction(1) / row[c]
-        row = {k: v * inv for k, v in row.items()}
-        for c2, piv in list(self._piv.items()):
-            coef = piv.get(c)
-            if coef:
-                upd = {k: piv.get(k, Fraction(0)) - coef * row.get(k, Fraction(0))
-                       for k in set(piv) | set(row)}
-                self._piv[c2] = {k: v for k, v in upd.items() if v != 0}
-        self._piv[c] = row
+        self._rows.put(c, row)
+        self._rows.pivot(c, c)
         return True
 
     def contains(self, vec: Mapping[int, Scalar]) -> bool:
@@ -467,15 +337,10 @@ class RowSpan:
 
     def basis(self) -> list[dict]:
         """Echelon basis rows, ordered by pivot column."""
-        if self.field.kind == "Fp":
-            order = np.argsort(self._cols[:self._rank])
-            return [_row_dict(self._rows[i]) for i in order]
-        return [dict(self._piv[c]) for c in sorted(self._piv)]
+        return [dict(self._rows.rows[c]) for c in self.pivot_columns()]
 
     def pivot_columns(self) -> list[int]:
-        if self.field.kind == "Fp":
-            return sorted(self._cols[:self._rank].tolist())
-        return sorted(self._piv)
+        return sorted(self._rows.rows)
 
 
 def same_row_spans(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:

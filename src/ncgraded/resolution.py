@@ -138,9 +138,7 @@ def resolve_cyclic(rs: RewriteSystem, module_relations, hbound: int, dbound: int
                     for gi, w in dom]
                 cands = kernel_basis(SparseMatrix.from_columns(cols, len(cod), f))
                 res.kernel_dims[(i, j)] = len(cands)
-            # the span is built after the kernel, so that the dense
-            # elimination and the dense span rows are not held at once
-            span = RowSpan(f, len(dom))
+            span = RowSpan(f)
             for g, dg in enumerate(rs.degrees):
                 if not sub.get(j - dg):
                     continue

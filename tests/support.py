@@ -2,6 +2,9 @@
 
 import functools
 import itertools
+from fractions import Fraction
+
+import numpy as np
 
 from ncgraded import normal_form
 from ncgraded.duality import _dual_matrix
@@ -97,10 +100,109 @@ def normal_elements_one_by_one(rs, d) -> list:
                 lv = [product(v, lambda w: (g,) + w) for g in gens]
                 rv = [product(v, lambda w: w + (g,)) for g in gens]
                 for rows, other in ((lv, rv), (rv, lv)):
-                    span = RowSpan(f, len(normal_words(rs, e)))
+                    span = RowSpan(f)
                     for r in other:
                         span.add(r)
                     normal = normal and all(span.contains(r) for r in rows)
             if normal:
                 found.append(FreeElement(f, degs, v).format(rs.names))
     return found
+
+
+# -- reference eliminations ---------------------------------------------------
+# The dense int64 F_p elimination and the dict Q elimination that the sparse
+# `exactla.rref` replaced, kept verbatim for the differential test.
+
+def to_dense_fp(m) -> np.ndarray:
+    assert m.field.kind == "Fp"
+    a = np.zeros((m.rows, m.cols), dtype=np.int64)
+    for (r, c), v in m.entries.items():
+        a[r, c] = v % m.field.p
+    return a
+
+
+def _rref_fp_dense(a: np.ndarray, p: int) -> list[int]:
+    """In-place reduced row echelon form mod p; returns pivot columns."""
+    m, n = a.shape
+    piv_cols: list[int] = []
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        col = a[:, c]
+        nz = np.flatnonzero(col)
+        k = int(np.searchsorted(nz, r))
+        if k == nz.size:
+            continue
+        i = int(nz[k])
+        if i != r:
+            # row r is zero in column c (nz[k] is the first nonzero at or
+            # below r), so after the swap the other rows of nz stay in place
+            a[[r, i]] = a[[i, r]]
+        inv = pow(int(a[r, c]), p - 2, p)
+        if inv != 1:
+            a[r] = (a[r] * inv) % p
+        touched = np.delete(nz, k)
+        if touched.size:
+            a[touched] = (a[touched] - np.outer(col[touched], a[r])) % p
+        piv_cols.append(c)
+        r += 1
+    return piv_cols
+
+
+def _rref_q_rows(rows: list[dict]) -> tuple[list[dict], list[int]]:
+    """Reduced echelon form of dict rows over Q.  Minimal-fill pivot choice:
+    among candidate rows for the current column, take one with fewest
+    nonzeros.  Returns (echelon rows, pivot columns)."""
+    work = [{k: v for k, v in r.items() if v != 0} for r in rows]
+    work = [r for r in work if r]
+    done: list[dict] = []
+    piv_cols: list[int] = []
+    while work:
+        # invariant: every work row is nonempty with nonzero values only,
+        # and its minimum key exceeds every pivot column chosen so far
+        c = min(min(r) for r in work)
+        cand = [r for r in work if c in r]
+        pivot = min(cand, key=len)
+        work.remove(pivot)
+        inv = Fraction(1) / pivot[c]
+        pivot = {k: v * inv for k, v in pivot.items() if v != 0}
+        nxt = []
+        for r in work:
+            v = r.get(c)
+            if v:
+                r = {k: r.get(k, Fraction(0)) - v * pivot.get(k, Fraction(0))
+                     for k in set(r) | set(pivot)}
+                r = {k: x for k, x in r.items() if x != 0}
+            if r:
+                nxt.append(r)
+        work = nxt
+        for r in done:
+            v = r.get(c)
+            if v:
+                upd = {k: r.get(k, Fraction(0)) - v * pivot.get(k, Fraction(0))
+                       for k in set(r) | set(pivot)}
+                r.clear()
+                r.update({k: x for k, x in upd.items() if x != 0})
+        done.append(pivot)
+        piv_cols.append(c)
+    # pivot columns come out strictly increasing, so no reorder is needed
+    return done, piv_cols
+
+
+def reference_rref(m) -> tuple:
+    """(pivot columns, echelon rows as dicts col -> scalar) of a
+    `SparseMatrix`, by the reference elimination of its field."""
+    if m.field.kind == "Fp":
+        a = to_dense_fp(m)
+        piv_cols = _rref_fp_dense(a, m.field.p)
+        rows = []
+        for row in a[:len(piv_cols)]:
+            nz = np.flatnonzero(row)
+            rows.append(dict(zip(nz.tolist(), row[nz].tolist())))
+        return piv_cols, rows
+    rowdicts: dict = {}
+    for (r, c), v in m.entries.items():
+        rowdicts.setdefault(r, {})[c] = v
+    rows, piv_cols = _rref_q_rows(list(rowdicts.values()))
+    return piv_cols, rows

@@ -99,6 +99,8 @@ def test_claim_mismatch_exits_one(capsys):
     ["--builtin", "polynomial-2", "--field", "F4294967311", "-d", "4", "-h", "3"],
     ["--builtin", "free-9"],
     ["--builtin", "free-x"],
+    ["--builtin", "polynomial-2", "-d", "4", "-h", "2", "--check", "hilbert",
+     "--json", "/no/such/dir/r.json"],
 ])
 def test_usage_errors_exit_two(argv, capsys):
     assert main(argv) == 2

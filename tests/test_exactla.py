@@ -10,6 +10,8 @@ from ncgraded.exactla import (F32003, F46337, QQ, FieldSpec, RowSpan,
                               SparseMatrix, field_from_name, kernel_basis,
                               rank, rref, same_row_spans, solve_columns)
 
+from support import reference_rref
+
 
 def from_rows(rows, f):
     m = SparseMatrix(len(rows), len(rows[0]) if rows else 0, f)
@@ -94,6 +96,36 @@ def test_rref_full_rank_fp():
                           field_from_name("F2"))) == 2
 
 
+@pytest.mark.parametrize("f", [FieldSpec("Fp", 2), F32003,
+                               FieldSpec("Fp", 2 ** 31 - 1), QQ])
+@given(data=st.data())
+def test_rref_matches_deleted_eliminations(f, data):
+    # the dense F_p and the dict Q elimination that the sparse one replaced
+    # (tests/support.py) give the same pivots and the same echelon rows
+    r, c = data.draw(st.integers(1, 10)), data.draw(st.integers(1, 10))
+    # mostly nonzero entries, and residues near p, so that rows fill in and
+    # earlier pivot rows must be cleared at later pivot columns
+    if f.kind == "Fp":
+        entry = st.one_of(st.integers(1, f.p - 1),
+                          st.integers(max(f.p - 3, 1), f.p - 1), st.just(0))
+    else:
+        entry = st.one_of(st.integers(-9, 9), st.just(0))
+    rows = [data.draw(st.lists(entry, min_size=c, max_size=c))
+            for _ in range(r)]
+    # some rows are combinations of earlier ones, so that ranks vary
+    for i in range(1, r):
+        if data.draw(st.booleans()):
+            coefs = [data.draw(entry) for _ in range(i)]
+            rows[i] = [sum(a * row[j] for a, row in zip(coefs, rows))
+                       for j in range(c)]
+    m = from_rows(rows, f)
+    res = rref(m)
+    piv_cols, ref_rows = reference_rref(m)
+    assert [col for _, col in res.pivots] == piv_cols
+    assert res.rank == len(piv_cols)
+    assert res.rows == ref_rows
+
+
 def _kernel_by_loop(m):
     """The kernel read off the dict echelon rows, one free column at a time."""
     res = rref(m)
@@ -111,7 +143,8 @@ def _kernel_by_loop(m):
     return basis
 
 
-@pytest.mark.parametrize("f", [FieldSpec("Fp", 2), F32003])
+@pytest.mark.parametrize("f", [FieldSpec("Fp", 2), F32003,
+                               FieldSpec("Fp", 2 ** 31 - 1), QQ])
 @given(rows=int_matrices(maxd=7))
 def test_kernel_basis_matches_dict_loop(f, rows):
     m = from_rows(rows, f)
@@ -174,8 +207,8 @@ def test_solve_columns_empty_target():
 
 # -- incremental spans --------------------------------------------------------
 
-# F_(2^31-1) is the largest field FieldSpec takes: there `RowSpan` reduces
-# by 2 pivot rows at a time
+# F_(2^31-1) is the largest field FieldSpec takes: there a product of two
+# residues passes 2^61, so a reduction must stay exact beyond 64 bits
 SPAN_FIELDS = (FieldSpec("Fp", 2), F32003, FieldSpec("Fp", 2 ** 31 - 1))
 
 
@@ -188,7 +221,7 @@ def test_rowspan_matches_rref(data):
 def _check_rowspan_against_rref(f, data):
     width = data.draw(st.integers(1, 7))
     # residues near p as well, so that over F_(2^31-1) the summed products
-    # pass 2^63 unless the reduction runs in chunks
+    # pass 2^63
     residues = st.one_of(st.integers(0, f.p - 1),
                          st.integers(max(f.p - 3, 0), f.p - 1))
     # zeros often, so that ranks and pivots vary
@@ -196,7 +229,7 @@ def _check_rowspan_against_rref(f, data):
     rows = data.draw(st.lists(st.lists(entry, min_size=width, max_size=width),
                               min_size=1, max_size=8))
     vecs = [{j: c for j, c in enumerate(row) if c} for row in rows]
-    span = RowSpan(f, width)
+    span = RowSpan(f)
     for k, v in enumerate(vecs):
         before = span.rank
         grew = span.add(v)
@@ -227,7 +260,7 @@ def test_rowspan_reduction_stays_exact_at_largest_prime():
     # holds only two at a time
     f = SPAN_FIELDS[-1]
     p = f.p
-    span = RowSpan(f, 9)
+    span = RowSpan(f)
     for i in range(8):
         assert span.add({i: 1, 8: p - 1})
     assert span.reduce({i: p - 1 for i in range(8)}) == {8: p - 8}
@@ -268,7 +301,7 @@ def _check_same_row_spans(f, data):
         b.append(y)
 
     def basis(rows):
-        span = RowSpan(f, m)
+        span = RowSpan(f)
         for r in rows:
             span.add({j: c for j, c in enumerate(r) if c})
         return span.basis()
@@ -279,7 +312,7 @@ def _check_same_row_spans(f, data):
 
 
 def test_rowspan_growth_flag():
-    span = RowSpan(QQ, 3)
+    span = RowSpan(QQ)
     assert span.add({0: QQ.one()}) is True
     assert span.add({0: QQ.from_int(2)}) is False
     assert span.add({1: QQ.one(), 2: QQ.one()}) is True

@@ -7,8 +7,7 @@ Two kinds of golden data:
     all +-1, so one file covers every ground field).
   * report_<builtin>.json: full CLI reports for the corpus at the pinned
     bounds, with the timestamp stripped.  Exponential-growth three-generator
-    free algebra runs at a lower degree bound; dense kernels at 3^8 are not
-    desk-scale.
+    free algebra runs at a lower degree bound.
 """
 
 import json
