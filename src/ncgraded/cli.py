@@ -29,11 +29,10 @@ import numpy as np
 
 from .exactla import (F32003, FieldSpec, field_from_name, mod_p,
                       same_row_spans)
-from .freealg import FreeElement
 from .presentation import (FilteredPresentation, Presentation,
                            PresentationError, builtin, builtin_names,
                            homogenize, opposite, parse)
-from .groebner import ProductEngine, RewriteSystem, complete, normal_words
+from .groebner import RewriteSystem, complete, normal_words
 from .hilbert import (ClaimSyntaxError, gk_estimate, hilbert_function,
                       verify_rational)
 from .resolution import (ResolutionError, betti, gldim_upto, koszul_check,
@@ -91,11 +90,9 @@ def normal_element_scan(rs: RewriteSystem, dmax: int) -> dict:
     if f.kind != "Fp":
         raise UsageError("normal-element scan needs a finite prime field")
     p = f.p
-    gdegs = rs.degrees
     findings: dict = {"field": f.describe(), "heuristic": True,
                       "degrees": {}, "skipped": []}
     scannable = False
-    engine = ProductEngine(rs)
     for d in range(1, dmax + 1):
         basis = normal_words(rs, d)
         n = len(basis)
@@ -105,12 +102,12 @@ def normal_element_scan(rs: RewriteSystem, dmax: int) -> dict:
             findings["skipped"].append(d)
             continue
         scannable = True
-        found = _scan_degree(engine, d, basis, p)
-        names = rs.names
-        reps = []
-        for coords in found:
-            terms = {w: c for w, c in zip(basis, coords) if not f.is_zero(c)}
-            reps.append(FreeElement(f, gdegs, terms).format(names))
+        found = _scan_degree(rs, d, basis, p)
+        # as FreeElement.format writes them: terms in descending deglex order
+        labels = ["*".join(rs.names[g] for g in w) for w in reversed(basis)]
+        reps = [" + ".join(f"({c})*{label}"
+                           for c, label in zip(reversed(coords), labels) if c)
+                for coords in found]
         findings["degrees"][d] = {
             "tested": (p ** n - 1) // (p - 1),
             "normal": reps,
@@ -122,7 +119,7 @@ def normal_element_scan(rs: RewriteSystem, dmax: int) -> dict:
     return findings
 
 
-def _scan_degree(engine: ProductEngine, d: int, basis: list, p: int) -> list:
+def _scan_degree(rs: RewriteSystem, d: int, basis: list, p: int) -> list:
     """Normal elements of degree d as coefficient tuples over the given
     normal-word basis, first nonzero coordinate fixed to 1, in the order of
     the pivot position and then the remaining digits, last digit fastest.
@@ -133,7 +130,6 @@ def _scan_degree(engine: ProductEngine, d: int, basis: list, p: int) -> list:
     p gives every x_g*v and v*x_g of a block of candidates.  The product runs
     in float64: p**n <= SCAN_GUARD = 2**22 keeps its sums of n products of
     residues below 2**53, so it is exact."""
-    rs = engine.rs
     n = len(basis)
     parts = []
     for e in sorted({d + k for k in rs.degrees}):
@@ -143,9 +139,9 @@ def _scan_degree(engine: ProductEngine, d: int, basis: list, p: int) -> list:
         right = np.zeros_like(left)
         for i, w in enumerate(basis):
             for j, g in enumerate(gens):
-                for u, c in engine.nf((g,) + w).items():
+                for u, c in rs.nf((g,) + w).items():
                     left[i, j, index[u]] = c
-                for u, c in engine.nf(w + (g,)).items():
+                for u, c in rs.nf(w + (g,)).items():
                     right[i, j, index[u]] = c
         parts.append((left, right))
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .exactla import SparseMatrix, RowSpan, kernel_basis, rref, solve_columns
 from .freealg import FreeElement
-from .groebner import ProductEngine, RewriteSystem, complete, normal_form
+from .groebner import RewriteSystem, complete, normal_form
 from .hilbert import GradedDims
 from .presentation import Presentation, enveloping
 from .resolution import (Resolution, ResolutionError, betti, BettiTable,
@@ -44,8 +44,6 @@ class ExtTable:
     # what the rigidity check needs to build cohomology classes
     resolution: Resolution | None = dc_field(default=None, repr=False,
                                              compare=False)
-    products: ProductEngine | None = dc_field(default=None, repr=False,
-                                              compare=False)
 
     def nonzero_levels(self) -> list:
         return sorted({i for (i, _) in self.entries})
@@ -66,8 +64,7 @@ def _functional_basis(res: Resolution, i: int, mu: int) -> list:
     return out
 
 
-def _dual_matrix(res: Resolution, i: int, mu: int,
-                 engine: ProductEngine) -> tuple:
+def _dual_matrix(res: Resolution, i: int, mu: int) -> tuple:
     """d*: C^i_mu -> C^(i+1)_mu as (columns over _functional_basis(res, i, mu),
     number of rows).  Column (g, w) is  sum_h a_(h,g) * w  at slot h."""
     dom = _functional_basis(res, i, mu)
@@ -76,7 +73,7 @@ def _dual_matrix(res: Resolution, i: int, mu: int,
         return [{} for _ in dom], 0
     cod_idx = {bw: r for r, bw in enumerate(cod)}
     gens = res.stages[i + 1].gens
-    cols = [engine.combine([(h, t + w, ct)
+    cols = [res.rs.combine([(h, t + w, ct)
                             for h, gen in enumerate(gens) if g in gen.column
                             for t, ct in gen.column[g].terms.items()], cod_idx)
             for g, w in dom]
@@ -97,13 +94,12 @@ def _ext_table(res: Resolution, side: str, window: tuple | None) -> ExtTable:
                 f"{hi_full} (internal degree bound {res.dbound})")
     cert = dict(stage_certificates(res))
     cert[0] = True
-    engine = ProductEngine(res.rs)
     top_level = res.hbound - 1
     rank: dict = {}       # (i, mu) -> rank of d* out of level i
     nullity: dict = {}
     for i in range(0, top_level + 1):
         for mu in range(lo, hi + 1):
-            cols, height = _dual_matrix(res, i, mu, engine)
+            cols, height = _dual_matrix(res, i, mu)
             rk = 0
             if cols and height:
                 rk = rref(SparseMatrix.from_columns(cols, height,
@@ -123,7 +119,7 @@ def _ext_table(res: Resolution, side: str, window: tuple | None) -> ExtTable:
                                           and cert.get(i + 1, False))
     return ExtTable(side, entries, certified, zero_cert, (lo, hi),
                     (0, top_level), {i: 0 for i in range(top_level + 1)},
-                    resolution=res, products=engine)
+                    resolution=res)
 
 
 def ext_k_A(rs: RewriteSystem, stages: Resolution,
@@ -284,8 +280,7 @@ def hochschild_ext(env_rs: RewriteSystem, stages: Resolution,
     certified = {(i, j + shifts.get(i, 0)): c
                  for (i, j), c in t.certified.items()}
     return ExtTable(t.side, entries, certified, t.zero_certified, t.window,
-                    t.levels, shifts, tuple(notes), resolution=t.resolution,
-                    products=t.products)
+                    t.levels, shifts, tuple(notes), resolution=t.resolution)
 
 
 # ---------------------------------------------------------------------------
@@ -301,15 +296,14 @@ class RigidityVerdict:
     notes: tuple = ()
 
 
-def _cohomology_rep(res: Resolution, i: int, mu: int,
-                    engine: ProductEngine) -> tuple:
+def _cohomology_rep(res: Resolution, i: int, mu: int) -> tuple:
     """One representative of H^i_mu plus the data needed to reduce classes:
     (domain basis, image columns, representative vector or None)."""
     f = res.rs.field
     dom = _functional_basis(res, i, mu)
-    img_cols = ([c for c in _dual_matrix(res, i - 1, mu, engine)[0] if c]
+    img_cols = ([c for c in _dual_matrix(res, i - 1, mu)[0] if c]
                 if i >= 1 else [])
-    cols, height = _dual_matrix(res, i, mu, engine)
+    cols, height = _dual_matrix(res, i, mu)
     if height:
         kern = kernel_basis(SparseMatrix.from_columns(cols, height, f))
     else:
@@ -359,7 +353,7 @@ def rigidity_check(t: ExtTable, hilbert: GradedDims) -> RigidityVerdict:
                                ("graded dimensions do not match the algebra "
                                 f"shifted by {s}",))
     notes = []
-    res, engine = t.resolution, t.products
+    res = t.resolution
     base: Presentation | None = res.base
     mu0 = -s
     if t.entries.get((i0, mu0 + shift), 0) != 1 or base is None:
@@ -367,17 +361,17 @@ def rigidity_check(t: ExtTable, hilbert: GradedDims) -> RigidityVerdict:
                                ("lowest class not one-dimensional; "
                                 "twist not extracted",))
     f = res.rs.field
-    dom0, _, rep = _cohomology_rep(res, i0, mu0, engine)
+    dom0, _, rep = _cohomology_rep(res, i0, mu0)
     if rep is None:
         return RigidityVerdict(i0, True, None, bounds,
                                ("no representative found at the lowest degree",))
     n = len(base.generators)
 
-    dom1, img_cols1, _ = _cohomology_rep(res, i0, mu0 + 1, engine)
+    dom1, img_cols1, _ = _cohomology_rep(res, i0, mu0 + 1)
     dom1_idx = {bw: c for c, bw in enumerate(dom1)}
 
     def times_letter(letter: int) -> dict:
-        return engine.combine([(dom0[k][0], dom0[k][1] + (letter,), c)
+        return res.rs.combine([(dom0[k][0], dom0[k][1] + (letter,), c)
                                for k, c in rep.items()], dom1_idx)
 
     right_plain = [times_letter(g) for g in range(n)]

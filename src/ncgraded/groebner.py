@@ -14,20 +14,19 @@ every tail is in normal form.  A closing verification pass re-checks all
 ambiguities among the surviving rules, so the certificate does not depend on
 the bookkeeping of the main loop.
 
-Downstream products in the algebra go through one `ProductEngine` per
-completed system: it memoizes the normal form of each word and writes sums
-of normal forms into coordinate vectors over (slot, normal word) bases, which
-is the shape of every differential, dual differential and action map built
-from the system.
+Every rewrite, during completion and after it, goes through the system's
+own lead index.  Because the alive leads are an antichain under the subword
+relation (a new lead is reduced against the alive leads, and inserting it
+retires every lead that contains it), at most one lead starts at any
+position of a word, so the rewrite site is found by hash lookups of the
+subwords at each start position, shortest lead length first.  Completion
+updates the index through `add_rule` and `retire`.
 
-Because the alive leads are an antichain under the subword relation (a new
-lead is reduced against the alive leads, and inserting it retires every
-lead that contains it), at most one lead starts at any position of a word.
-The engine exploits this: it indexes the alive rules once by lead word and
-finds the rewrite site by hash lookups of the subwords at each start
-position, shortest lead length first, instead of scanning every rule per
-rewrite step.  Completion keeps the rule scan, since its rule set changes
-while it runs.
+Downstream products in the algebra go through `nf` and `combine`: the
+system memoizes the normal form of each word for as long as its rule set
+stands, and writes sums of normal forms into coordinate vectors over
+(slot, normal word) bases, which is the shape of every differential, dual
+differential and action map built from the system.
 """
 
 from __future__ import annotations
@@ -67,6 +66,15 @@ class RewriteRule:
 
 @dataclass
 class RewriteSystem:
+    """A rule set and the one path that rewrites with it.
+
+    The alive rules are indexed by lead word, together with the sorted lead
+    lengths; `site` finds a rewrite with one hash lookup per start position
+    and lead length.  The index is built from `rules` (ValueError when the
+    alive leads are not an antichain) and afterwards changes only through
+    `add_rule` and `retire`, which also clear the memo of normal forms that
+    `nf` and `combine` read."""
+
     field: FieldSpec
     degrees: tuple
     names: tuple
@@ -75,6 +83,35 @@ class RewriteSystem:
     complete_below: int = 0
     globally_complete: bool = False
     stats: dict = dc_field(default_factory=dict)
+    _leads: dict = dc_field(init=False, repr=False, compare=False)
+    _lengths: list = dc_field(init=False, repr=False, compare=False)
+    _nf: dict = dc_field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        alive = self.alive_rules()
+        for a in alive:           # also catches two rules with one lead
+            for b in alive:
+                if a is not b and find_subword(b.lead, a.lead) >= 0:
+                    raise ValueError(f"alive lead {a.lead} is a subword of "
+                                     f"alive lead {b.lead}")
+        self._leads = {r.lead: r for r in alive}
+        self._reindexed()
+
+    def _reindexed(self) -> None:
+        self._lengths = sorted({len(L) for L in self._leads})
+        self._nf = {}
+
+    def add_rule(self, rule: RewriteRule) -> None:
+        """Append and index a rule whose lead no alive lead divides or is
+        divided by (completion retires those first)."""
+        self.rules.append(rule)
+        self._leads[rule.lead] = rule
+        self._reindexed()
+
+    def retire(self, rule: RewriteRule) -> None:
+        rule.alive = False
+        del self._leads[rule.lead]
+        self._reindexed()
 
     def alive_rules(self) -> list:
         return [r for r in self.rules if r.alive]
@@ -82,42 +119,56 @@ class RewriteSystem:
     def leads(self) -> list:
         return [r.lead for r in self.rules if r.alive]
 
-    def is_normal_word(self, w: Word) -> bool:
-        return not any(find_subword(w, r.lead) >= 0 for r in self.rules if r.alive)
+    def site(self, w: Word):
+        """(position, rule) of the leftmost reducible spot of w, or None
+        when w is normal.  On an antichain of leads at most one lead starts
+        at any position, so the first hit is the only candidate there."""
+        leads, n = self._leads, len(w)
+        for i in range(n):
+            for m in self._lengths:
+                if i + m > n:
+                    break
+                rule = leads.get(w[i:i + m])
+                if rule is not None:
+                    return i, rule
+        return None
 
-    def zero(self) -> FreeElement:
-        return FreeElement.zero(self.field, self.degrees)
+    def is_normal_word(self, w: Word) -> bool:
+        return self.site(w) is None
 
     def monomial(self, w: Word, coeff=None) -> FreeElement:
         return FreeElement.monomial(self.field, self.degrees, w, coeff)
 
+    def nf(self, word: Word) -> dict:
+        """Normal form of a word as a dict normal word -> scalar, computed
+        once per word for the rule set as it stands."""
+        terms = self._nf.get(word)
+        if terms is None:
+            terms = self._nf[word] = normal_form(
+                self, self.monomial(word)).terms
+        return terms
 
-def _leftmost_occurrence(rs: RewriteSystem, w: Word):
-    """(position, rule) of the leftmost reducible spot, found by scanning
-    every alive rule; None when w is normal.  The deglex tie-break between
-    leads starting at the same position never fires: completion keeps the
-    alive leads an antichain under the subword relation, so no two of them
-    start at one position."""
-    best = None
-    for r in rs.rules:
-        if not r.alive:
-            continue
-        pos = find_subword(w, r.lead)
-        if pos < 0:
-            continue
-        key = (pos, deglex_key(r.lead, rs.degrees))
-        if best is None or key < best[0]:
-            best = (key, pos, r)
-    if best is None:
-        return None
-    return best[1], best[2]
+    def combine(self, products, index: dict) -> dict:
+        """Coordinates of  sum coef * NF(word)  over (slot, word, coef) in
+        `products`; normal word u of NF(word) sits at index[(slot, u)]."""
+        cache = self._nf
+        acc: dict = {}
+        for slot, word, coef in products:
+            terms = cache.get(word)
+            if terms is None:
+                terms = self.nf(word)
+            for u, cu in terms.items():
+                r = index[(slot, u)]
+                acc[r] = acc.get(r, 0) + coef * cu
+        p = self.field.p          # None over Q
+        if p is None:
+            return {r: v for r, v in acc.items() if v}
+        return {r: v % p for r, v in acc.items() if v % p}
 
 
-def normal_form(rs: RewriteSystem, elem: FreeElement,
-                find=_leftmost_occurrence) -> FreeElement:
+def normal_form(rs: RewriteSystem, elem: FreeElement) -> FreeElement:
     """Fully reduce an element.  Terminates because every rewrite replaces a
-    word with deglex-strictly-smaller words.  `find(rs, w)` picks the rewrite
-    site of a word as (position, rule), or None when the word is normal."""
+    word with deglex-strictly-smaller words."""
     f = rs.field
     degrees = rs.degrees
     out: dict = {}
@@ -127,7 +178,7 @@ def normal_form(rs: RewriteSystem, elem: FreeElement,
         c = work.pop(w)
         if f.is_zero(c):
             continue
-        occ = find(rs, w)
+        occ = rs.site(w)
         if occ is None:
             s = f.add(out.get(w, f.zero()), c)
             if f.is_zero(s):
@@ -145,74 +196,6 @@ def normal_form(rs: RewriteSystem, elem: FreeElement,
             else:
                 work[w2] = s
     return FreeElement(f, degrees, out)
-
-
-class ProductEngine:
-    """Memoized products in the algebra of a completed rewrite system.
-
-    `nf(word)` is the normal form of a word as a dict normal word -> scalar,
-    computed once per word.  `combine` writes a sum of such normal forms into
-    a coordinate vector over a basis of (slot, normal word) pairs, one call
-    per output vector.  Callers keep one engine for as long as its words
-    recur: one per resolution, one per Ext table and its rigidity check.
-
-    The engine reduces with a lead index built once: a dict from lead word
-    to alive rule and the sorted lead lengths.  The rewrite site is the first
-    start position, then the first length, whose subword is a lead.  On an
-    antichain of leads this is the site and rule `_leftmost_occurrence`
-    picks, so every normal form is computed by the same rewrites; the
-    constructor raises ValueError when the alive leads are not an antichain.
-    """
-
-    def __init__(self, rs: RewriteSystem):
-        self.rs = rs
-        self._p = rs.field.p          # None over Q
-        self._nf: dict = {}
-        alive = rs.alive_rules()
-        for a in alive:           # also catches two rules with one lead
-            for b in alive:
-                if a is not b and find_subword(b.lead, a.lead) >= 0:
-                    raise ValueError(f"alive lead {a.lead} is a subword of "
-                                     f"alive lead {b.lead}")
-        self._leads = {r.lead: r for r in alive}
-        self._lengths = sorted({len(L) for L in self._leads})
-
-    def _site(self, rs: RewriteSystem, w: Word):
-        """`normal_form`'s occurrence finder over the lead index."""
-        leads, n = self._leads, len(w)
-        for i in range(n):
-            for m in self._lengths:
-                if i + m > n:
-                    break
-                rule = leads.get(w[i:i + m])
-                if rule is not None:
-                    return i, rule
-        return None
-
-    def nf(self, word: Word) -> dict:
-        terms = self._nf.get(word)
-        if terms is None:
-            rs = self.rs
-            terms = self._nf[word] = normal_form(
-                rs, rs.monomial(word), self._site).terms
-        return terms
-
-    def combine(self, products, index: dict) -> dict:
-        """Coordinates of  sum coef * NF(word)  over (slot, word, coef) in
-        `products`; normal word u of NF(word) sits at index[(slot, u)]."""
-        cache = self._nf
-        acc: dict = {}
-        for slot, word, coef in products:
-            terms = cache.get(word)
-            if terms is None:
-                terms = self.nf(word)
-            for u, cu in terms.items():
-                r = index[(slot, u)]
-                acc[r] = acc.get(r, 0) + coef * cu
-        p = self._p
-        if p is None:
-            return {r: v for r, v in acc.items() if v}
-        return {r: v % p for r, v in acc.items() if v % p}
 
 
 def _overlaps(u: Word, v: Word):
@@ -274,10 +257,11 @@ class _Completion:
         # retire rules whose lead the new lead divides; requeue their content
         for r in rs.rules:
             if r.alive and find_subword(r.lead, lead) >= 0:
-                r.alive = False
+                rs.retire(r)
                 self.push_poly(r.as_element())
-        rs.rules.append(RewriteRule(lead, tail, word_degree(lead, rs.degrees)))
-        # keep tails reduced
+        rs.add_rule(RewriteRule(lead, tail, word_degree(lead, rs.degrees)))
+        # keep tails reduced; nothing has read the memo since add_rule
+        # cleared it, so rewriting tails in place leaves it valid
         for r in rs.rules[:new_idx]:
             if r.alive and _tail_reducible(rs, r):
                 r.tail = normal_form(rs, r.tail)
@@ -362,15 +346,15 @@ def normal_words(rs: RewriteSystem, degree: int) -> list:
     """Irreducible words of the given total degree, in deglex order.
     Valid in every degree when globally_complete, else for
     degree <= complete_below."""
-    leads = rs.leads()
-    max_len = max((len(L) for L in leads), default=0)
+    leads, lengths = rs._leads, rs._lengths
     out: list = []
 
     def ok(word: Word) -> bool:
         # only a lead ending at the last letter can be new
-        for L in leads:
-            m = len(L)
-            if m <= len(word) and word[-m:] == L:
+        for m in lengths:
+            if m > len(word):
+                return True
+            if word[-m:] in leads:
                 return False
         return True
 

@@ -3,7 +3,8 @@
 Dimensions come from the lead-avoidance automaton of a completed rewrite
 system, so they are certified exactly as far as the completion certificate
 reaches.  Rational-series claims p(t)/q(t) are parsed by a tiny recursive
-descent parser and checked by exact power series division; the growth
+descent parser, which refuses any exponent, numerator or denominator of
+degree above 256, and checked by exact power series division; the growth
 estimator works on the partial-sum sequence with a discrete log derivative,
 which is exact on polynomial growth.
 """
@@ -48,6 +49,11 @@ class ClaimSyntaxError(ValueError):
     pass
 
 
+# Highest degree of an exponent, and of any numerator or denominator along
+# the way, that a claim may use; keeps the parser's work bounded
+_CLAIM_MAX_DEGREE = 256
+
+
 _CLAIM_TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<t>t)|(?P<sym>[-+*/^()]))")
 
 
@@ -83,6 +89,11 @@ class _Rat:
     def __init__(self, num, den=None):
         self.num = num
         self.den = den if den is not None else [Fraction(1)]
+        for poly in (self.num, self.den):
+            deg = max((i for i, c in enumerate(poly) if c), default=0)
+            if deg > _CLAIM_MAX_DEGREE:
+                raise ClaimSyntaxError(f"series claim reaches degree {deg}, "
+                                       f"above {_CLAIM_MAX_DEGREE}")
 
     def __add__(self, o):
         return _Rat(_poly_add(_poly_mul(self.num, o.den), _poly_mul(o.num, self.den)),
@@ -183,7 +194,11 @@ class _ClaimParser:
             e = self._take()
             if e[0] != "int":
                 raise ClaimSyntaxError("exponent must be an integer")
-            r = r.power(int(e[1]))
+            digits = e[1].lstrip("0") or "0"
+            if len(digits) > 3 or int(digits) > _CLAIM_MAX_DEGREE:
+                raise ClaimSyntaxError(f"exponent above {_CLAIM_MAX_DEGREE} "
+                                       "in series claim")
+            r = r.power(int(digits))
         return r
 
 

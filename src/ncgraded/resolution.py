@@ -9,7 +9,7 @@ inside S_j, where S is the ideal J for stage 1 (candidates: the module
 relations) and the kernel K of the previous differential after it
 (candidates: a kernel basis).  The resolution is therefore minimal by
 construction (differentials land in the augmentation ideal, which is
-asserted).  Products go through the system's `ProductEngine`.
+asserted).  Products go through the system's memoized `combine`.
 
 Certification discipline: every Betti entry inside the searched window
 (homological index <= hbound, internal degree <= dbound) is exact.  Claims
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .exactla import RowSpan, SparseMatrix, kernel_basis
 from .freealg import EMPTY_WORD, FreeElement, word_degree
-from .groebner import ProductEngine, RewriteSystem, normal_form, normal_words
+from .groebner import RewriteSystem, normal_form, normal_words
 
 
 class ResolutionError(RuntimeError):
@@ -91,7 +91,6 @@ def resolve_cyclic(rs: RewriteSystem, module_relations, hbound: int, dbound: int
             f"degree bound {dbound} exceeds rewrite certificate "
             f"{rs.complete_below}")
     f = rs.field
-    engine = ProductEngine(rs)
     res = Resolution(rs, [ResolutionStage(0, [StageGen(0, {})])], hbound, dbound,
                      module_label, tuple(module_relations))
 
@@ -131,7 +130,7 @@ def resolve_cyclic(rs: RewriteSystem, module_relations, hbound: int, dbound: int
             else:
                 cod = res.stage_basis(i - 2, j)
                 cod_idx = {bw: k for k, bw in enumerate(cod)}
-                cols = [engine.combine(
+                cols = [rs.combine(
                     [(tgt, w + tw, tc)
                      for tgt, a in prev.gens[gi].column.items()
                      for tw, tc in a.terms.items()], cod_idx)
@@ -144,7 +143,7 @@ def resolve_cyclic(rs: RewriteSystem, module_relations, hbound: int, dbound: int
                     continue
                 src = res.stage_basis(i - 1, j - dg)
                 for v in sub[j - dg]:
-                    span.add(engine.combine(
+                    span.add(rs.combine(
                         [(src[k][0], (g,) + src[k][1], c) for k, c in v.items()],
                         dom_idx))
             below = span.rank

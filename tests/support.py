@@ -5,12 +5,14 @@ import itertools
 from fractions import Fraction
 
 import numpy as np
+from hypothesis import strategies as st
 
 from ncgraded import normal_form
 from ncgraded.duality import _dual_matrix
-from ncgraded.exactla import RowSpan
-from ncgraded.freealg import FreeElement
-from ncgraded.groebner import normal_words
+from ncgraded.exactla import F32003, QQ, RowSpan
+from ncgraded.freealg import FreeElement, deglex_key, enumerate_words
+from ncgraded.groebner import find_subword, normal_words
+from ncgraded.presentation import Presentation
 
 
 def dd_composites_vanish(res) -> bool:
@@ -29,15 +31,15 @@ def dd_composites_vanish(res) -> bool:
     return True
 
 
-def dual_composites_vanish(res, engine, window) -> bool:
+def dual_composites_vanish(res, window) -> bool:
     """Every composite of consecutive dual differentials d* o d* is zero, at
     each functional degree of the window."""
     f = res.rs.field
     lo, hi = window
     for mu in range(lo, hi + 1):
         for i in range(len(res.stages) - 2):
-            first, _ = _dual_matrix(res, i, mu, engine)
-            second, _ = _dual_matrix(res, i + 1, mu, engine)
+            first, _ = _dual_matrix(res, i, mu)
+            second, _ = _dual_matrix(res, i + 1, mu)
             for col in first:
                 acc: dict = {}
                 for r, c in col.items():
@@ -107,6 +109,83 @@ def normal_elements_one_by_one(rs, d) -> list:
             if normal:
                 found.append(FreeElement(f, degs, v).format(rs.names))
     return found
+
+
+@st.composite
+def random_presentations(draw):
+    """(presentation, completion bound): 2-3 generators of degree 1 and 1-3
+    quadratic or cubic relations of 1-4 terms with coefficients in -3..3,
+    over F32003 or Q, completed at bound 4 or 5."""
+    field = draw(st.sampled_from((F32003, QQ)))
+    names = ("x", "y", "z")[:draw(st.integers(2, 3))]
+    degrees = (1,) * len(names)
+    rels = []
+    for _ in range(draw(st.integers(1, 3))):
+        words = enumerate_words(degrees, draw(st.sampled_from((2, 3))))
+        terms = draw(st.dictionaries(st.sampled_from(words),
+                                     st.sampled_from((-3, -2, -1, 1, 2, 3)),
+                                     min_size=1, max_size=4))
+        rels.append(FreeElement(field, degrees, {w: field.from_int(c)
+                                                 for w, c in terms.items()}))
+    p = Presentation(field, tuple((n, 1) for n in names), rels)
+    return p, draw(st.sampled_from((4, 5)))
+
+
+# -- reference normal form ---------------------------------------------------
+# The rule scan that `RewriteSystem.site` replaced, kept verbatim for the
+# differential tests of the lead index.
+
+def _leftmost_occurrence(rs, w):
+    """(position, rule) of the leftmost reducible spot, found by scanning
+    every alive rule; None when w is normal.  The deglex tie-break between
+    leads starting at the same position never fires: completion keeps the
+    alive leads an antichain under the subword relation, so no two of them
+    start at one position."""
+    best = None
+    for r in rs.rules:
+        if not r.alive:
+            continue
+        pos = find_subword(w, r.lead)
+        if pos < 0:
+            continue
+        key = (pos, deglex_key(r.lead, rs.degrees))
+        if best is None or key < best[0]:
+            best = (key, pos, r)
+    if best is None:
+        return None
+    return best[1], best[2]
+
+
+def rule_scan_normal_form(rs, elem):
+    """Fully reduce an element, finding each rewrite site by scanning the
+    rules rather than through the system's lead index."""
+    f = rs.field
+    degrees = rs.degrees
+    out: dict = {}
+    work = dict(elem.terms)
+    while work:
+        w = max(work, key=lambda t: deglex_key(t, degrees))
+        c = work.pop(w)
+        if f.is_zero(c):
+            continue
+        occ = _leftmost_occurrence(rs, w)
+        if occ is None:
+            s = f.add(out.get(w, f.zero()), c)
+            if f.is_zero(s):
+                out.pop(w, None)
+            else:
+                out[w] = s
+            continue
+        pos, rule = occ
+        pre, post = w[:pos], w[pos + len(rule.lead):]
+        for tw, tc in rule.tail.terms.items():
+            w2 = pre + tw + post
+            s = f.add(work.get(w2, f.zero()), f.mul(c, tc))
+            if f.is_zero(s):
+                work.pop(w2, None)
+            else:
+                work[w2] = s
+    return FreeElement(f, degrees, out)
 
 
 # -- reference eliminations ---------------------------------------------------

@@ -95,6 +95,7 @@ def test_claim_mismatch_exits_one(capsys):
     ["--builtin", "polynomial-2", "-d", "1"],
     ["--builtin", "polynomial-2", "--check", "hilbert,bogus"],
     ["--builtin", "polynomial-2", "--claim", "1/(1-t"],
+    ["--builtin", "polynomial-2", "--claim", "t^1000000"],
     ["--input", "/no/such/file.alg"],
     ["--builtin", "polynomial-2", "--field", "F4294967311", "-d", "4", "-h", "3"],
     ["--builtin", "free-9"],

@@ -2,18 +2,22 @@
 
 import functools
 import itertools
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ncgraded import groebner
 from ncgraded.exactla import F32003, QQ, field_from_name
 from ncgraded.freealg import FreeElement, deglex_key
-from ncgraded.groebner import (ProductEngine, RewriteRule, RewriteSystem,
-                               complete, count_avoiding_words, normal_form,
+from ncgraded.groebner import (RewriteRule, RewriteSystem, complete,
+                               count_avoiding_words, normal_form,
                                normal_word_counts, normal_words)
 from ncgraded.presentation import (FilteredPresentation, builtin,
                                    builtin_names, enveloping, homogenize)
 from ncgraded.cli import confluence_probe
+
+from support import random_presentations, rule_scan_normal_form
 
 
 def test_polynomial_2_single_rule(poly2_rs):
@@ -113,23 +117,23 @@ def test_confluence_under_randomized_input(name, seed):
 
 
 # ---------------------------------------------------------------------------
-# the product engine's lead index against the rule scan of `normal_form`
+# the system's lead index against the rule scan it replaced
 
 # (name, field, degree bound).  weyl-homogenized completed at degree 2 stops
 # below its overlaps, so there the normal forms of longer words depend on
-# which rewrite is applied first, and the engine must apply the same one.
-ENGINE_SYSTEMS = ([(name, fname, 6) for name in builtin_names()
-                   for fname in ("F32003", "Q")]
-                  + [("smith-zhang-enveloping", "F32003", 6),
-                     ("weyl-homogenized", "F32003", 2),
-                     ("weyl-homogenized", "Q", 2)])
-ENGINE_IDS = [f"{name}-{fname}-d{dbound}" for name, fname, dbound in ENGINE_SYSTEMS]
+# which rewrite is applied first, and the index must pick the same one.
+SYSTEMS = ([(name, fname, 6) for name in builtin_names()
+            for fname in ("F32003", "Q")]
+           + [("smith-zhang-enveloping", "F32003", 6),
+              ("weyl-homogenized", "F32003", 2),
+              ("weyl-homogenized", "Q", 2)])
+SYSTEM_IDS = [f"{name}-{fname}-d{dbound}" for name, fname, dbound in SYSTEMS]
 
 
 @functools.lru_cache(maxsize=None)
-def engine_system(name, fname, dbound):
-    """Completed system and its engine.  The enveloping system is completed
-    at the bimodule workload's degree bound, where it is still truncated."""
+def completed_system(name, fname, dbound):
+    """The enveloping system is completed at the bimodule workload's degree
+    bound, where it is still truncated."""
     field = {"F32003": F32003, "Q": QQ}[fname]
     if name == "smith-zhang-enveloping":
         p = enveloping(builtin("smith-zhang", field))
@@ -137,19 +141,20 @@ def engine_system(name, fname, dbound):
         p = builtin(name, field)
         if isinstance(p, FilteredPresentation):
             p = homogenize(p)
-    rs = complete(p, dbound)
-    return rs, ProductEngine(rs)
+    return complete(p, dbound)
 
 
-def assert_engine_matches_scan(rs, engine, w):
-    got = engine.nf(w)
-    want = normal_form(rs, rs.monomial(w)).terms
+def assert_nf_matches_scan(rs, w):
+    got = rs.nf(w)
+    want = rule_scan_normal_form(rs, rs.monomial(w)).terms
     assert list(got.items()) == list(want.items()), w
 
 
-@pytest.mark.parametrize("system", ENGINE_SYSTEMS, ids=ENGINE_IDS)
+@pytest.mark.parametrize("system", SYSTEMS, ids=SYSTEM_IDS)
 def test_engine_leads_are_an_antichain(system):
-    rs, engine = engine_system(*system)       # the constructor checks
+    rs = completed_system(*system)
+    RewriteSystem(rs.field, rs.degrees, rs.names, rs.degree_bound,
+                  rules=rs.rules)                 # the constructor checks
     leads = rs.leads()
     assert len(set(leads)) == len(leads)
     for a in leads:
@@ -158,37 +163,83 @@ def test_engine_leads_are_an_antichain(system):
                                      for i in range(len(b)))
 
 
-def _system_with_leads(leads):
+def _system_with_leads(leads, retired=()):
     f = F32003
-    rs = RewriteSystem(f, (1, 1), ("x", "y"), 4)
-    rs.rules = [RewriteRule(L, FreeElement.zero(f, (1, 1)), len(L))
-                for L in leads]
-    return rs
+    rules = [RewriteRule(L, FreeElement.zero(f, (1, 1)), len(L),
+                         alive=k not in retired)
+             for k, L in enumerate(leads)]
+    return RewriteSystem(f, (1, 1), ("x", "y"), 4, rules=rules)
 
 
 @pytest.mark.parametrize("leads", [[(1, 0), (1, 0)], [(1, 0), (0, 1, 0)],
                                    [(1, 1, 0), (1, 1)]])
 def test_engine_refuses_leads_that_are_not_an_antichain(leads):
     with pytest.raises(ValueError):
-        ProductEngine(_system_with_leads(leads))
-    rs = _system_with_leads(leads)
-    rs.rules[0].alive = False     # retired rules are not indexed
-    ProductEngine(rs)
+        _system_with_leads(leads)
+    _system_with_leads(leads, retired=(0,))   # retired rules are not indexed
 
 
-@pytest.mark.parametrize("system", ENGINE_SYSTEMS, ids=ENGINE_IDS)
+def test_add_rule_and_retire_update_the_index():
+    f = F32003
+    rs = _system_with_leads([(1, 0)])
+    assert rs.nf((1, 1, 0)) == {}
+    assert rs.nf((1, 1, 1)) == {(1, 1, 1): f.one()}
+    rule = RewriteRule((1, 1, 1), rs.monomial((0, 0, 0)), 3)
+    rs.add_rule(rule)
+    assert rs.nf((1, 1, 1)) == {(0, 0, 0): f.one()}
+    assert rs.site((0, 1, 1, 1)) == (1, rule)
+    rs.retire(rs.rules[0])
+    assert not rs.rules[0].alive
+    assert rs.nf((1, 1, 0)) == {(1, 1, 0): f.one()}
+    assert rs.leads() == [(1, 1, 1)]
+
+
+@pytest.mark.parametrize("system", SYSTEMS, ids=SYSTEM_IDS)
 def test_engine_nf_matches_rule_scan_to_degree_5(system):
-    rs, engine = engine_system(*system)
+    rs = completed_system(*system)
     assert all(d == 1 for d in rs.degrees)
     for n in range(6):
         for w in itertools.product(range(len(rs.degrees)), repeat=n):
-            assert_engine_matches_scan(rs, engine, w)
+            assert_nf_matches_scan(rs, w)
 
 
 @settings(max_examples=200)
 @given(data=st.data())
 def test_engine_nf_matches_rule_scan_on_random_words(data):
-    rs, engine = engine_system(*data.draw(st.sampled_from(ENGINE_SYSTEMS)))
+    rs = completed_system(*data.draw(st.sampled_from(SYSTEMS)))
     gens = st.integers(0, len(rs.degrees) - 1)
     w = tuple(data.draw(st.lists(gens, max_size=8)))
-    assert_engine_matches_scan(rs, engine, w)
+    assert_nf_matches_scan(rs, w)
+
+
+def _rule_data(rs):
+    return [(r.lead, r.tail.terms, r.alive, r.degree) for r in rs.rules]
+
+
+@settings(max_examples=100)
+@given(case=random_presentations(), data=st.data())
+def test_random_presentations_rewrite_as_the_rule_scan(case, data):
+    """Completion through the lead index writes the same rules, in the same
+    order and with the same statistics, as completion whose normal forms
+    scan the rules, and the index then rewrites words as the scan does.
+    About half of these systems are truncated at their bound, where the
+    order of the rewrites shows in the result.
+
+    The scan's completion and its words are checked first: a fault in the
+    index can keep its own completion from terminating."""
+    p, bound = case
+    with mock.patch.object(groebner, "normal_form", rule_scan_normal_form):
+        ref = complete(p, bound)
+    gens = range(len(ref.degrees))
+    words = [w for n in range(4) for w in itertools.product(gens, repeat=n)]
+    words += data.draw(st.lists(st.lists(st.sampled_from(gens), min_size=4,
+                                         max_size=7).map(tuple), max_size=8))
+    for w in words:
+        assert_nf_matches_scan(ref, w)
+    rs = complete(p, bound)
+    assert _rule_data(rs) == _rule_data(ref)
+    assert rs.stats == ref.stats
+    assert (rs.complete_below, rs.globally_complete) == \
+        (ref.complete_below, ref.globally_complete)
+    for w in words:
+        assert_nf_matches_scan(rs, w)

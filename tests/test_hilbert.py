@@ -62,7 +62,11 @@ def test_series_coefficients(claim, coeffs):
     assert series_coefficients(claim, 4) == coeffs
 
 
-@pytest.mark.parametrize("bad", ["1/(1-t", "t^^2", "", "1/t", "x+1", "1/0"])
+@pytest.mark.parametrize("bad", ["1/(1-t", "t^^2", "", "1/t", "x+1", "1/0",
+                                 "t^1000000", "1/(1-t)^3000", "1^1000000",
+                                 "t^257", "t^" + "9" * 5000,
+                                 "(1-t)^200*(1+t)^100",
+                                 "1/((1-t)^200*(1+t)^100)"])
 def test_claim_syntax_errors(bad):
     with pytest.raises(ClaimSyntaxError):
         series_coefficients(bad, 4)
