@@ -262,7 +262,7 @@ def run(cfg: RunConfig) -> tuple[dict, int]:
     report["seed_probe"] = confluence_probe(p, min(cfg.degree_bound, 5),
                                             cfg.seed)
 
-    dims = hilbert_function(rs, cfg.degree_bound, label=p.label)
+    dims = hilbert_function(rs, cfg.degree_bound)
     if "hilbert" in cfg.checks:
         hil: dict = {"dims": list(dims.dims), "certified_to": dims.certified_to}
         gk = gk_estimate(dims)

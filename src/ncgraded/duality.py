@@ -64,20 +64,20 @@ def _functional_basis(res: Resolution, i: int, mu: int) -> list:
     return out
 
 
-def _dual_matrix(res: Resolution, i: int, mu: int) -> tuple:
-    """d*: C^i_mu -> C^(i+1)_mu as (columns over _functional_basis(res, i, mu),
-    number of rows).  Column (g, w) is  sum_h a_(h,g) * w  at slot h."""
+def _dual_matrix(res: Resolution, i: int, mu: int) -> SparseMatrix:
+    """d*: C^i_mu -> C^(i+1)_mu, one column per element (g, w) of
+    _functional_basis(res, i, mu): sum_h a_(h,g) * w  at slot h."""
     dom = _functional_basis(res, i, mu)
     cod = _functional_basis(res, i + 1, mu)
     if not cod:
-        return [{} for _ in dom], 0
+        return SparseMatrix(0, [{} for _ in dom], res.rs.field)
     cod_idx = {bw: r for r, bw in enumerate(cod)}
     gens = res.stages[i + 1].gens
     cols = [res.rs.combine([(h, t + w, ct)
                             for h, gen in enumerate(gens) if g in gen.column
                             for t, ct in gen.column[g].terms.items()], cod_idx)
             for g, w in dom]
-    return cols, len(cod)
+    return SparseMatrix(len(cod), cols, res.rs.field)
 
 
 def _ext_table(res: Resolution, side: str, window: tuple | None) -> ExtTable:
@@ -99,12 +99,9 @@ def _ext_table(res: Resolution, side: str, window: tuple | None) -> ExtTable:
     nullity: dict = {}
     for i in range(0, top_level + 1):
         for mu in range(lo, hi + 1):
-            cols, height = _dual_matrix(res, i, mu)
-            rk = 0
-            if cols and height:
-                rk = rref(SparseMatrix.from_columns(cols, height,
-                                                    res.rs.field)).rank
-            rank[(i, mu)], nullity[(i, mu)] = rk, len(cols) - rk
+            d = _dual_matrix(res, i, mu)
+            rk = rref(d).rank if d.rows and d.cols else 0
+            rank[(i, mu)], nullity[(i, mu)] = rk, d.cols - rk
     entries: dict = {}
     certified: dict = {}
     zero_cert: dict = {}
@@ -244,7 +241,7 @@ def diagonal_bimodule_resolution(p: Presentation, hbound: int, dbound: int):
     deltas = [FreeElement(f, rs.degrees, {(i,): f.one(),
                                           (n + i,): f.neg(f.one())})
               for i in range(n)]
-    res = resolve_cyclic(rs, deltas, hbound, dbound, module_label="diagonal")
+    res = resolve_cyclic(rs, deltas, hbound, dbound)
     res.base = p
     return res, betti(res)
 
@@ -301,11 +298,11 @@ def _cohomology_rep(res: Resolution, i: int, mu: int) -> tuple:
     (domain basis, image columns, representative vector or None)."""
     f = res.rs.field
     dom = _functional_basis(res, i, mu)
-    img_cols = ([c for c in _dual_matrix(res, i - 1, mu)[0] if c]
+    img_cols = ([c for c in _dual_matrix(res, i - 1, mu).columns if c]
                 if i >= 1 else [])
-    cols, height = _dual_matrix(res, i, mu)
-    if height:
-        kern = kernel_basis(SparseMatrix.from_columns(cols, height, f))
+    d = _dual_matrix(res, i, mu)
+    if d.rows:
+        kern = kernel_basis(d)
     else:
         kern = [{c: f.one()} for c in range(len(dom))]
     span = RowSpan(f)
@@ -393,11 +390,7 @@ def rigidity_check(t: ExtTable, hilbert: GradedDims) -> RigidityVerdict:
                  if not f.is_zero(rows[g][k])}
         twist[names[g]] = FreeElement(f, gdegs, terms)
     # invertibility of the substitution matrix
-    mm = SparseMatrix(n, n, f)
-    for g in range(n):
-        for k in range(n):
-            if not f.is_zero(rows[g][k]):
-                mm.set(g, k, rows[g][k])
+    mm = SparseMatrix(n, [{g: rows[g][k] for g in range(n)} for k in range(n)], f)
     if rref(mm).rank != n:
         notes.append("substitution matrix is singular")
     # endomorphism property on the defining relations

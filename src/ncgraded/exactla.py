@@ -3,13 +3,15 @@
 Everything downstream (rewriting, graded dimension counts, resolutions,
 cohomology tables) reduces to exact rank / kernel / span computations, so
 this module is deliberately small and boring: scalars are `fractions.Fraction`
-over Q and plain ints in ``[0, p)`` over F_p, and matrices are sparse dicts.
+over Q and plain ints in ``[0, p)`` over F_p, and a matrix is its list of
+sparse columns.
 
 One sparse elimination serves both fields.  A row is a dict column ->
 nonzero scalar, and `_Rows` keeps beside the rows a map from each column to
 the rows that are nonzero there, so clearing a column touches only those
 rows.  The arithmetic is the same code for both fields, with a ``% p`` after
-each step over F_p.  `rref` takes the columns left to right and pivots on
+each step over F_p.  `rref` reads a matrix's columns into those rows and
+that map in one pass, then takes the columns left to right and pivots on
 the shortest candidate row; `RowSpan` keeps a growing subspace in reduced
 row echelon form on the same structure.  The reduced row echelon form of a
 matrix or of a subspace is unique, so the pivot choice changes the work and
@@ -27,9 +29,9 @@ next step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -125,31 +127,17 @@ def field_from_name(name: str) -> FieldSpec:
 
 @dataclass
 class SparseMatrix:
-    """Sparse matrix as a map (row, col) -> nonzero scalar."""
+    """A matrix as its list of sparse columns, each a dict row -> scalar.
+    Values need not be reduced: the elimination reduces them mod p and drops
+    the zeros as it reads them."""
 
     rows: int
-    cols: int
+    columns: list
     field: FieldSpec
-    entries: dict = field(default_factory=dict)
 
-    def set(self, r: int, c: int, v: Scalar) -> None:
-        if self.field.is_zero(v):
-            self.entries.pop((r, c), None)
-        else:
-            self.entries[(r, c)] = v
-
-    @classmethod
-    def from_columns(cls, columns: Iterable[Mapping[int, Scalar]], rows: int,
-                     field: FieldSpec) -> "SparseMatrix":
-        cols = list(columns)
-        m = cls(rows, len(cols), field)
-        for c, colvec in enumerate(cols):
-            for r, v in colvec.items():
-                m.set(r, c, v)
-        return m
-
-    def column(self, c: int) -> dict:
-        return {r: v for (r, cc), v in self.entries.items() if cc == c}
+    @property
+    def cols(self) -> int:
+        return len(self.columns)
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +197,7 @@ class _Rows:
 
 @dataclass
 class RrefResult:
-    pivots: list  # list of (row, col) in row order
+    pivots: list  # pivot column of each echelon row, ascending
     rank: int
     rows: list    # the echelon rows, dicts col -> scalar, in row order
 
@@ -221,29 +209,27 @@ def rref(m: SparseMatrix) -> RrefResult:
     that is nonzero there and not yet a pivot, the lowest row on a tie."""
     p = m.field.p
     work = _Rows(m.field)
-    rowdicts: dict[int, dict] = {}
-    for (r, c), v in m.entries.items():
-        rowdicts.setdefault(r, {})[c] = v % p if p else v
-    for r, row in rowdicts.items():
-        work.put(r, row)
+    rows, at = work.rows, work.at
+    for c, col in enumerate(m.columns):
+        for r, v in col.items():
+            if p:
+                v %= p
+            if v:
+                rows.setdefault(r, {})[c] = v
+                at.setdefault(c, set()).add(r)
     done: list[int] = []        # pivot rows, in order
     taken: set[int] = set()
     piv_cols: list[int] = []
     for c in range(m.cols):
-        cand = [i for i in work.at.get(c, ()) if i not in taken]
+        cand = [i for i in at.get(c, ()) if i not in taken]
         if not cand:
             continue
-        i = min(cand, key=lambda i: (len(work.rows[i]), i))
+        i = min(cand, key=lambda i: (len(rows[i]), i))
         work.pivot(i, c)
         done.append(i)
         taken.add(i)
         piv_cols.append(c)
-    return RrefResult(list(enumerate(piv_cols)), len(piv_cols),
-                      [work.rows[i] for i in done])
-
-
-def rank(m: SparseMatrix) -> int:
-    return rref(m).rank
+    return RrefResult(piv_cols, len(piv_cols), [rows[i] for i in done])
 
 
 def kernel_basis(m: SparseMatrix) -> list[dict]:
@@ -253,11 +239,11 @@ def kernel_basis(m: SparseMatrix) -> list[dict]:
     order).  Deterministic."""
     res = rref(m)
     one = m.field.one()
-    pivot_cols = {c for _, c in res.pivots}
+    pivot_cols = set(res.pivots)
     basis = {f: {f: one} for f in range(m.cols) if f not in pivot_cols}
     # vector f is e_f - sum_i R[i, f] e_(pivot i); a reduced row is zero at
-    # every other pivot column, so each of its other entries is free
-    for (_, c), row in zip(res.pivots, res.rows):
+    # every other pivot column, so each of its other nonzeros is free
+    for c, row in zip(res.pivots, res.rows):
         for f, v in row.items():
             if f != c:
                 basis[f][c] = m.field.neg(v)
@@ -270,21 +256,12 @@ def solve_columns(columns: list[Mapping[int, Scalar]], target: Mapping[int, Scal
 
     Free variables are set to zero, so the answer is deterministic."""
     ncols = len(columns)
-    m = SparseMatrix(height, ncols + 1, fieldspec)
-    for c, col in enumerate(columns):
-        for r, v in col.items():
-            m.set(r, c, v)
-    for r, v in target.items():
-        m.set(r, ncols, v)
-    res = rref(m)
-    sol: dict = {}
-    for i, (_, c) in enumerate(res.pivots):
-        if c == ncols:
-            return None
-        v = res.rows[i].get(ncols)
-        if v is not None and not fieldspec.is_zero(v):
-            sol[c] = v
-    return sol
+    res = rref(SparseMatrix(height, [*columns, target], fieldspec))
+    if res.pivots and res.pivots[-1] == ncols:
+        return None
+    # an echelon row holds no zeros
+    return {c: row[ncols] for c, row in zip(res.pivots, res.rows)
+            if ncols in row}
 
 
 # ---------------------------------------------------------------------------
@@ -307,10 +284,6 @@ class RowSpan:
     def __init__(self, fieldspec: FieldSpec):
         self.field = fieldspec
         self._rows = _Rows(fieldspec)
-
-    @property
-    def rank(self) -> int:
-        return len(self._rows.rows)
 
     def reduce(self, vec: Mapping[int, Scalar]) -> dict:
         p = self.field.p
@@ -346,7 +319,7 @@ class RowSpan:
 def same_row_spans(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """Mask over a batch of matrix pairs: True where the rows of a[j] and of
     b[j] span the same subspace of F_p^m.  a and b are int64 arrays of shape
-    (batch, k, m) with entries in [0, p).
+    (batch, k, m) with values in [0, p).
 
     The spans are equal when each contains the rows of the other.  For one
     containment, y[j] is echelonized row by row: row r gets the pivot column

@@ -36,7 +36,7 @@ import itertools
 from dataclasses import dataclass, field as dc_field
 
 from .exactla import FieldSpec
-from .freealg import EMPTY_WORD, FreeElement, Word, deglex_key, word_degree
+from .freealg import EMPTY_WORD, FreeElement, Word, word_degree
 
 
 def find_subword(word: Word, sub: Word) -> int:
@@ -167,35 +167,35 @@ class RewriteSystem:
 
 
 def normal_form(rs: RewriteSystem, elem: FreeElement) -> FreeElement:
-    """Fully reduce an element.  Terminates because every rewrite replaces a
-    word with deglex-strictly-smaller words."""
-    f = rs.field
-    degrees = rs.degrees
+    """Fully reduce an element.  A rewrite replaces a word with words of the
+    same degree that are deglex-smaller, and inside one degree deglex is
+    tuple order.  So taking the largest pending word in tuple order never
+    meets a word twice: a normal word goes straight into the result."""
+    p = rs.field.p          # None over Q
+    if p:
+        work = {w: c % p for w, c in elem.terms.items() if c % p}
+    else:
+        work = {w: c for w, c in elem.terms.items() if c}
     out: dict = {}
-    work = dict(elem.terms)
     while work:
-        w = max(work, key=lambda t: deglex_key(t, degrees))
+        w = max(work)
         c = work.pop(w)
-        if f.is_zero(c):
-            continue
         occ = rs.site(w)
         if occ is None:
-            s = f.add(out.get(w, f.zero()), c)
-            if f.is_zero(s):
-                out.pop(w, None)
-            else:
-                out[w] = s
+            out[w] = c
             continue
         pos, rule = occ
         pre, post = w[:pos], w[pos + len(rule.lead):]
         for tw, tc in rule.tail.terms.items():
             w2 = pre + tw + post
-            s = f.add(work.get(w2, f.zero()), f.mul(c, tc))
-            if f.is_zero(s):
-                work.pop(w2, None)
-            else:
+            s = work.get(w2, 0) + c * tc
+            if p:
+                s %= p
+            if s:
                 work[w2] = s
-    return FreeElement(f, degrees, out)
+            else:
+                work.pop(w2, None)
+    return FreeElement(rs.field, rs.degrees, out)
 
 
 def _overlaps(u: Word, v: Word):
@@ -381,8 +381,9 @@ class NormalWordDFA:
 
     States are proper prefixes of lead words (the empty word is the start
     state); `step(state, g)` returns the successor state or None when the
-    extended word acquires a lead as a suffix.  Shared by the fast dimension
-    counter and by the chain/series certificates downstream.
+    extended word acquires a lead as a suffix.  Only the dimension counter
+    `count_avoiding_words` drives it; the chain certificates in `resolution`
+    walk the leads themselves.
     """
 
     def __init__(self, leads: list):

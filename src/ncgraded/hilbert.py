@@ -4,9 +4,10 @@ Dimensions come from the lead-avoidance automaton of a completed rewrite
 system, so they are certified exactly as far as the completion certificate
 reaches.  Rational-series claims p(t)/q(t) are parsed by a tiny recursive
 descent parser, which refuses any exponent, numerator or denominator of
-degree above 256, and checked by exact power series division; the growth
-estimator works on the partial-sum sequence with a discrete log derivative,
-which is exact on polynomial growth.
+degree above 256 and any integer literal of more than 600 digits, and
+checked by exact power series division; the growth estimator works on the
+partial-sum sequence with a discrete log derivative, which is exact on
+polynomial growth.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ from .groebner import RewriteSystem, normal_word_counts
 
 @dataclass(frozen=True)
 class GradedDims:
-    label: str
-    field_name: str
     dims: tuple
     certified_to: int
 
@@ -29,7 +28,7 @@ class GradedDims:
         return self.dims[d] if 0 <= d < len(self.dims) else 0
 
 
-def hilbert_function(rs: RewriteSystem, dmax: int, label: str = "") -> GradedDims:
+def hilbert_function(rs: RewriteSystem, dmax: int) -> GradedDims:
     """Graded dimensions for degrees 0..dmax.
 
     certified_to is dmax when the rewrite system is globally complete and
@@ -38,7 +37,7 @@ def hilbert_function(rs: RewriteSystem, dmax: int, label: str = "") -> GradedDim
     """
     cert = dmax if rs.globally_complete else min(dmax, rs.complete_below)
     dims = normal_word_counts(rs, cert)
-    return GradedDims(label, rs.field.describe(), tuple(dims), cert)
+    return GradedDims(tuple(dims), cert)
 
 
 # ---------------------------------------------------------------------------
@@ -50,8 +49,11 @@ class ClaimSyntaxError(ValueError):
 
 
 # Highest degree of an exponent, and of any numerator or denominator along
-# the way, that a claim may use; keeps the parser's work bounded
+# the way, that a claim may use, and the most digits of an integer literal
+# (int() converts 640 under any setting of the interpreter's limit); keeps
+# the parser's work bounded
 _CLAIM_MAX_DEGREE = 256
+_CLAIM_MAX_DIGITS = 600
 
 
 _CLAIM_TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<t>t)|(?P<sym>[-+*/^()]))")
@@ -178,6 +180,9 @@ class _ClaimParser:
     def _factor(self) -> _Rat:
         t = self._take()
         if t[0] == "int":
+            if len(t[1]) > _CLAIM_MAX_DIGITS:
+                raise ClaimSyntaxError("integer literal longer than "
+                                       f"{_CLAIM_MAX_DIGITS} digits")
             r = _Rat([Fraction(int(t[1]))])
         elif t[0] == "t":
             r = _Rat([Fraction(0), Fraction(1)])
@@ -249,7 +254,6 @@ def verify_rational(gd: GradedDims, claim: str) -> RationalCheck:
 class GKEstimate:
     value: float | None
     exponential: bool
-    local_exponents: tuple
     window: tuple
     detail: str
 
@@ -273,7 +277,7 @@ def gk_estimate(gd: GradedDims, window: tuple | None = None) -> GKEstimate:
     ratios_big = all(dims[d - 1] >= 0 and 2 * dims[d] > 3 * dims[d - 1] and dims[d] > 0
                      for d in range(lo, hi + 1))
     if ratios_big and dims[hi] > dims[lo - 1]:
-        return GKEstimate(None, True, (), window,
+        return GKEstimate(None, True, window,
                           "dimension ratios stay above 3/2 across the window")
     partial = []
     acc = 0
@@ -285,5 +289,5 @@ def gk_estimate(gd: GradedDims, window: tuple | None = None) -> GKEstimate:
         prev = partial[d - 1]
         locs.append(float(d * dims[d] / prev) if prev else 0.0)
     value = sum(locs) / len(locs) if locs else 0.0
-    return GKEstimate(value, False, tuple(locs), window,
+    return GKEstimate(value, False, window,
                       f"mean discrete log derivative over degrees {lo}..{hi}")

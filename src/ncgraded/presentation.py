@@ -117,6 +117,23 @@ _TOKEN_RE = re.compile(r"\s*(?:(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<int>\d+)"
                        r"|(?P<sym>[=+*^/(),-]))")
 
 
+# Bounds that keep the parse cheap in the length of the text.  An integer
+# literal has at most _MAX_DIGITS digits (int() converts 640 under any
+# setting of the interpreter's limit); a product or a power may reach degree
+# _MAX_DEGREE and may have at most _MAX_TERMS terms before cancellation.
+_MAX_DIGITS = 600
+_MAX_DEGREE = 256
+_MAX_TERMS = 1 << 16
+
+
+def _int(tok) -> int:
+    """The value of an integer token."""
+    if len(tok[1]) > _MAX_DIGITS:
+        raise PresentationError(f"integer literal longer than {_MAX_DIGITS} "
+                                "digits", tok[2], tok[3])
+    return int(tok[1])
+
+
 def _tokenize(text: str, lineno: int) -> list:
     toks, pos = [], 0
     while pos < len(text):
@@ -153,6 +170,16 @@ class _RelParser:
         self.i += 1
         return t
 
+    def _check_size(self, degree: int, terms: int, tok) -> None:
+        if degree > _MAX_DEGREE or terms > _MAX_TERMS:
+            raise PresentationError(
+                f"product of degree {degree} with up to {terms} terms; at "
+                f"most degree {_MAX_DEGREE} and {_MAX_TERMS} terms",
+                tok[2], tok[3])
+
+    def _degree(self, e: FreeElement) -> int:
+        return max((word_degree(w, self.degrees) for w in e.terms), default=0)
+
     def parse(self) -> FreeElement:
         e = self._sum()
         t = self._peek()
@@ -188,18 +215,21 @@ class _RelParser:
                 d = self._take()
                 if d[0] != "int":
                     raise PresentationError("denominator must be an integer", d[2], d[3])
-                denom = self.field.from_int(int(d[1]))
+                denom = self.field.from_int(_int(d))
                 if self.field.is_zero(denom):
                     raise PresentationError("division by zero in coefficient", d[2], d[3])
                 e = e.scaled(self.field.inv(denom))
             else:
-                e = e * self._factor()
+                rhs = self._factor()
+                self._check_size(self._degree(e) + self._degree(rhs),
+                                 len(e.terms) * len(rhs.terms), t)
+                e = e * rhs
 
     def _factor(self) -> FreeElement:
         t = self._take()
         if t[0] == "int":
             base = FreeElement.monomial(self.field, self.degrees, EMPTY_WORD,
-                                        self.field.from_int(int(t[1])))
+                                        self.field.from_int(_int(t)))
         elif t[0] == "name":
             if t[1] not in self.index:
                 raise PresentationError(f"unknown generator {t[1]!r}", t[2], t[3])
@@ -215,9 +245,11 @@ class _RelParser:
             e = self._take()
             if e[0] != "int":
                 raise PresentationError("exponent must be an integer", e[2], e[3])
-            n = int(e[1])
-            if n < 0:
-                raise PresentationError("negative exponent", e[2], e[3])
+            n = _int(e)
+            if n > _MAX_DEGREE:
+                raise PresentationError(f"exponent above {_MAX_DEGREE}",
+                                        e[2], e[3])
+            self._check_size(n * self._degree(base), len(base.terms) ** n, e)
             out = FreeElement.monomial(self.field, self.degrees, EMPTY_WORD)
             for _ in range(n):
                 out = out * base
@@ -267,7 +299,7 @@ def parse(text: str):
                 if len(body) < 3 or body[1][1] != "=" or body[2][0] != "int":
                     raise PresentationError(f"expected '{name} = <int>'",
                                             head[2], body[0][3])
-                gens.append((name, int(body[2][1])))
+                gens.append((name, _int(body[2])))
                 body = body[3:]
                 if body:
                     if body[0][1] != ",":

@@ -54,9 +54,7 @@ class Resolution:
     stages: list
     hbound: int
     dbound: int
-    module_label: str
     module_relations: tuple
-    kernel_dims: dict = dc_field(default_factory=dict)
     base: object = None   # Presentation resolved over its enveloping algebra
     _nw: dict = dc_field(default_factory=dict, repr=False)
 
@@ -81,8 +79,8 @@ class Resolution:
         return top
 
 
-def resolve_cyclic(rs: RewriteSystem, module_relations, hbound: int, dbound: int,
-                   module_label: str = "module") -> Resolution:
+def resolve_cyclic(rs: RewriteSystem, module_relations, hbound: int,
+                   dbound: int) -> Resolution:
     """Minimal free resolution of B/(module_relations) out to stage hbound,
     internal degree dbound.  Relations are reduced to normal form first;
     redundant ones are dropped by the minimality sieve, not by the caller."""
@@ -92,7 +90,7 @@ def resolve_cyclic(rs: RewriteSystem, module_relations, hbound: int, dbound: int
             f"{rs.complete_below}")
     f = rs.field
     res = Resolution(rs, [ResolutionStage(0, [StageGen(0, {})])], hbound, dbound,
-                     module_label, tuple(module_relations))
+                     tuple(module_relations))
 
     rels = []
     for r in module_relations:
@@ -135,8 +133,7 @@ def resolve_cyclic(rs: RewriteSystem, module_relations, hbound: int, dbound: int
                      for tgt, a in prev.gens[gi].column.items()
                      for tw, tc in a.terms.items()], cod_idx)
                     for gi, w in dom]
-                cands = kernel_basis(SparseMatrix.from_columns(cols, len(cod), f))
-                res.kernel_dims[(i, j)] = len(cands)
+                cands = kernel_basis(SparseMatrix(len(cod), cols, f))
             span = RowSpan(f)
             for g, dg in enumerate(rs.degrees):
                 if not sub.get(j - dg):
@@ -146,13 +143,9 @@ def resolve_cyclic(rs: RewriteSystem, module_relations, hbound: int, dbound: int
                     span.add(rs.combine(
                         [(src[k][0], (g,) + src[k][1], c) for k, c in v.items()],
                         dom_idx))
-            below = span.rank
             for v in cands:
                 if span.add(v):
                     stage.gens.append(StageGen(j, _vector_to_column(rs, v, dom)))
-            if i == 1:
-                res.kernel_dims[("m_ideal", j)] = below
-                res.kernel_dims[("ideal", j)] = span.rank
             sub[j] = span.basis()
     return res
 
@@ -173,7 +166,7 @@ def minimal_resolution(rs: RewriteSystem, hbound: int, dbound: int) -> Resolutio
     """Minimal resolution of the trivial module: the augmentation ideal is
     generated by the algebra generators."""
     rels = [rs.monomial((g,)) for g in range(len(rs.degrees))]
-    return resolve_cyclic(rs, rels, hbound, dbound, module_label="k")
+    return resolve_cyclic(rs, rels, hbound, dbound)
 
 
 # ---------------------------------------------------------------------------

@@ -38,8 +38,8 @@ def dual_composites_vanish(res, window) -> bool:
     lo, hi = window
     for mu in range(lo, hi + 1):
         for i in range(len(res.stages) - 2):
-            first, _ = _dual_matrix(res, i, mu)
-            second, _ = _dual_matrix(res, i + 1, mu)
+            first = _dual_matrix(res, i, mu).columns
+            second = _dual_matrix(res, i + 1, mu).columns
             for col in first:
                 acc: dict = {}
                 for r, c in col.items():
@@ -195,8 +195,9 @@ def rule_scan_normal_form(rs, elem):
 def to_dense_fp(m) -> np.ndarray:
     assert m.field.kind == "Fp"
     a = np.zeros((m.rows, m.cols), dtype=np.int64)
-    for (r, c), v in m.entries.items():
-        a[r, c] = v % m.field.p
+    for c, col in enumerate(m.columns):
+        for r, v in col.items():
+            a[r, c] = v % m.field.p
     return a
 
 
@@ -281,7 +282,8 @@ def reference_rref(m) -> tuple:
             rows.append(dict(zip(nz.tolist(), row[nz].tolist())))
         return piv_cols, rows
     rowdicts: dict = {}
-    for (r, c), v in m.entries.items():
-        rowdicts.setdefault(r, {})[c] = v
+    for c, col in enumerate(m.columns):
+        for r, v in col.items():
+            rowdicts.setdefault(r, {})[c] = v
     rows, piv_cols = _rref_q_rows(list(rowdicts.values()))
     return piv_cols, rows

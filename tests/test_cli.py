@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import time
 
 import pytest
 
@@ -102,10 +103,29 @@ def test_claim_mismatch_exits_one(capsys):
     ["--builtin", "free-x"],
     ["--builtin", "polynomial-2", "-d", "4", "-h", "2", "--check", "hilbert",
      "--json", "/no/such/dir/r.json"],
+    pytest.param(["--builtin", "polynomial-2", "--claim", "9" * 5000],
+                 id="claim-5000-digits"),
 ])
 def test_usage_errors_exit_two(argv, capsys):
     assert main(argv) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("body", [
+    "deg x = 1, y = 1\nrel " + "9" * 5000 + "*x*y - y*x",
+    "deg x = " + "9" * 5000 + ", y = 1\nrel x*y - y*x",
+    "deg x = 1\nrel x^100000",
+    "deg x = 1, y = 1\nrel (x+y)^40",
+], ids=["coefficient", "degree", "exponent", "terms"])
+def test_oversized_input_exits_two_at_once(body, tmp_path, capsys):
+    path = tmp_path / "a.alg"
+    path.write_text("algebra a over F32003\n" + body + "\n")
+    start = time.perf_counter()
+    assert main(["--input", str(path)]) == 2
+    # unbounded, x^20000 took 4 s and the cost grew quadratically in the
+    # exponent; refused, each case takes milliseconds
+    assert time.perf_counter() - start < 5
+    assert capsys.readouterr().err.startswith("ncgraded: error: line ")
 
 
 def test_resolution_error_exits_three(monkeypatch, capsys):

@@ -161,7 +161,7 @@ def test_dual_differential_squares_to_zero():
         r = t.resolution
         assert dual_composites_vanish(r, t.window)
         # the maps are not all zero, so the check above has content
-        assert any(any(_dual_matrix(r, i, mu)[0])
+        assert any(any(_dual_matrix(r, i, mu).columns)
                    for i in range(len(r.stages) - 1)
                    for mu in range(t.window[0], t.window[1] + 1))
         for d in range(5):

@@ -1,26 +1,30 @@
 """Exact linear algebra: elimination, kernels, incremental spans, solving."""
 
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from ncgraded import resolution
 from ncgraded.exactla import (F32003, F46337, QQ, FieldSpec, RowSpan,
                               SparseMatrix, field_from_name, kernel_basis,
-                              rank, rref, same_row_spans, solve_columns)
+                              rref, same_row_spans, solve_columns)
+from ncgraded.groebner import complete
+from ncgraded.resolution import minimal_resolution
 
-from support import reference_rref
+from support import dd_composites_vanish, random_presentations, reference_rref
 
 
 def from_rows(rows, f):
-    m = SparseMatrix(len(rows), len(rows[0]) if rows else 0, f)
+    columns = [{} for _ in (rows[0] if rows else ())]
     for i, row in enumerate(rows):
         for j, v in enumerate(row):
             s = f.from_int(v)
             if not f.is_zero(s):
-                m.set(i, j, s)
-    return m
+                columns[j][i] = s
+    return SparseMatrix(len(rows), columns, f)
 
 
 def apply_columns(columns, x, f):
@@ -85,15 +89,15 @@ def test_rref_rank_deficient_q():
     m = from_rows([[1, 2], [2, 4]], QQ)
     r = rref(m)
     assert r.rank == 1
-    assert [c for _, c in r.pivots] == [0]
+    assert r.pivots == [0]
 
 
 def test_rref_full_rank_fp():
     m = from_rows([[1, 1, 0], [0, 1, 1], [1, 0, 1]], F32003)
-    assert rank(m) == 3
+    assert rref(m).rank == 3
     # same matrix is singular in characteristic 2
-    assert rank(from_rows([[1, 1, 0], [0, 1, 1], [1, 0, 1]],
-                          field_from_name("F2"))) == 2
+    assert rref(from_rows([[1, 1, 0], [0, 1, 1], [1, 0, 1]],
+                          field_from_name("F2"))).rank == 2
 
 
 @pytest.mark.parametrize("f", [FieldSpec("Fp", 2), F32003,
@@ -121,21 +125,43 @@ def test_rref_matches_deleted_eliminations(f, data):
     m = from_rows(rows, f)
     res = rref(m)
     piv_cols, ref_rows = reference_rref(m)
-    assert [col for _, col in res.pivots] == piv_cols
+    assert res.pivots == piv_cols
     assert res.rank == len(piv_cols)
     assert res.rows == ref_rows
+
+
+@given(case=random_presentations())
+def test_resolution_kernels_match_deleted_eliminations(case):
+    # every kernel matrix of a real resolution, over F32003 or Q, has the
+    # same pivots and echelon rows under the reference elimination of its
+    # field; these are larger and sparser than the drawn matrices above
+    p, bound = case
+    shapes = []
+
+    def checked(m):
+        res = rref(m)
+        piv_cols, ref_rows = reference_rref(m)
+        assert res.pivots == piv_cols
+        assert res.rows == ref_rows
+        shapes.append((m.rows, m.cols))
+        return kernel_basis(m)
+
+    with mock.patch.object(resolution, "kernel_basis", checked):
+        res = minimal_resolution(complete(p, bound), 3, bound)
+    assert shapes
+    assert dd_composites_vanish(res)
 
 
 def _kernel_by_loop(m):
     """The kernel read off the dict echelon rows, one free column at a time."""
     res = rref(m)
-    pivot_of_col = {c: i for i, (_, c) in enumerate(res.pivots)}
+    pivot_of_col = {c: i for i, c in enumerate(res.pivots)}
     basis = []
     for f in range(m.cols):
         if f in pivot_of_col:
             continue
         vec = {f: m.field.one()}
-        for i, (_, c) in enumerate(res.pivots):
+        for i, c in enumerate(res.pivots):
             v = res.rows[i].get(f)
             if v is not None and not m.field.is_zero(v):
                 vec[c] = m.field.neg(v)
@@ -156,7 +182,7 @@ def test_kernel_basis_matches_dict_loop(f, rows):
 def test_kernel_known():
     m = from_rows([[1, 2], [2, 4]], QQ)
     (k,) = kernel_basis(m)
-    assert apply_columns([m.column(0), m.column(1)], k, QQ) == {}
+    assert apply_columns(m.columns, k, QQ) == {}
 
 
 @pytest.mark.parametrize("f", [F32003, QQ])
@@ -164,18 +190,17 @@ def test_kernel_known():
 def test_rank_nullity_and_kernel_annihilates(f, rows):
     m = from_rows(rows, f)
     ker = kernel_basis(m)
-    assert rank(m) + len(ker) == m.cols
-    cols = [m.column(j) for j in range(m.cols)]
+    assert rref(m).rank + len(ker) == m.cols
     for v in ker:
         assert v
-        assert apply_columns(cols, v, f) == {}
+        assert apply_columns(m.columns, v, f) == {}
 
 
 @given(rows=int_matrices())
 def test_rank_agrees_across_fields(rows):
     # entries in [-3, 3] on a <=5x5 matrix keep every minor far below
     # both primes, so characteristic cannot change the rank
-    ranks = {rank(from_rows(rows, f)) for f in (QQ, F32003, F46337)}
+    ranks = {rref(from_rows(rows, f)).rank for f in (QQ, F32003, F46337)}
     assert len(ranks) == 1
 
 
@@ -185,7 +210,7 @@ def test_rank_agrees_across_fields(rows):
 def test_solve_columns_recovers_membership(rows, coeffs):
     f = F32003
     m = from_rows(rows, f)
-    cols = [m.column(j) for j in range(m.cols)]
+    cols = m.columns
     x = {j: f.from_int(c) for j, c in enumerate(coeffs[:m.cols])
          if not f.is_zero(f.from_int(c))}
     target = apply_columns(cols, x, f)
@@ -231,13 +256,14 @@ def _check_rowspan_against_rref(f, data):
     vecs = [{j: c for j, c in enumerate(row) if c} for row in rows]
     span = RowSpan(f)
     for k, v in enumerate(vecs):
-        before = span.rank
+        before = len(span.pivot_columns())
         grew = span.add(v)
-        assert span.rank == rank(from_rows(rows[:k + 1], f))
-        assert grew == (span.rank == before + 1)
+        rank = len(span.pivot_columns())
+        assert rank == rref(from_rows(rows[:k + 1], f)).rank
+        assert grew == (rank == before + 1)
     ref = rref(from_rows(rows, f))
     assert span.basis() == ref.rows
-    assert span.pivot_columns() == [c for _, c in ref.pivots]
+    assert span.pivot_columns() == ref.pivots
     for v in vecs:
         assert span.contains(v)
         assert span.reduce(v) == {}
@@ -245,7 +271,7 @@ def _check_rowspan_against_rref(f, data):
     # times the echelon rows, which is zero at every pivot column
     probe = data.draw(st.lists(residues, min_size=width, max_size=width))
     want = dict(enumerate(probe))
-    for (_, c), row in zip(ref.pivots, ref.rows):
+    for c, row in zip(ref.pivots, ref.rows):
         coef = probe[c]
         for j, x in row.items():
             want[j] = f.sub(want[j], f.mul(coef, x))

@@ -12,7 +12,7 @@ from ncgraded.presentation import builtin, enveloping
 
 
 def dims_of(name, dmax=8):
-    return hilbert_function(complete(builtin(name), dmax), dmax, label=name)
+    return hilbert_function(complete(builtin(name), dmax), dmax)
 
 
 def test_corpus_dimensions():
@@ -44,7 +44,7 @@ def test_certified_to_tracks_completion():
 
 
 def test_dim_accessor_out_of_range():
-    gd = GradedDims("a", "Q", (1, 2), 1)
+    gd = GradedDims((1, 2), 1)
     assert gd.dim(-1) == 0 and gd.dim(5) == 0 and gd.dim(1) == 2
 
 
@@ -66,7 +66,10 @@ def test_series_coefficients(claim, coeffs):
                                  "t^1000000", "1/(1-t)^3000", "1^1000000",
                                  "t^257", "t^" + "9" * 5000,
                                  "(1-t)^200*(1+t)^100",
-                                 "1/((1-t)^200*(1+t)^100)"])
+                                 "1/((1-t)^200*(1+t)^100)",
+                                 pytest.param("9" * 5000, id="5000-digits"),
+                                 pytest.param("1/(1-" + "9" * 601 + "*t)",
+                                              id="601-digits")])
 def test_claim_syntax_errors(bad):
     with pytest.raises(ClaimSyntaxError):
         series_coefficients(bad, 4)

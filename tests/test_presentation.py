@@ -83,6 +83,36 @@ def test_parse_error_carries_position():
     assert "3" in str(ei.value)
 
 
+BIG = "9" * 5000
+
+
+@pytest.mark.parametrize("body,line,col", [
+    (f"deg x = 1, y = 1\nrel {BIG}*x*y - y*x", 3, 5),      # coefficient
+    (f"deg x = 1, y = 1\nrel x*y - y*x/{BIG}", 3, 15),     # denominator
+    (f"deg x = {BIG}, y = 1\nrel x*y - y*x", 2, 9),        # degree
+    (f"deg x = 1\nrel x^{BIG}", 3, 7),                     # exponent
+    ("deg x = 1\nrel x^100000", 3, 7),
+    ("deg x = 1\nrel x^257", 3, 7),
+    ("deg x = 1\nrel (x*x)^129", 3, 11),                   # degree 258
+    ("deg x = 1, y = 1\nrel (x+y)^40", 3, 11),             # 2^40 terms
+    ("deg x = 1, y = 1\nrel (x+y)^17", 3, 11),
+    ("deg x = 1, y = 1\nrel (x+y)^9*(x+y)^9", 3, 12),
+], ids=["coefficient", "denominator", "degree", "exponent-digits",
+        "x^100000", "x^257", "degree-258", "2^40-terms", "2^17-terms",
+        "2^18-terms-product"])
+def test_parse_refuses_oversized_input(body, line, col):
+    # refused at the offending token, before any large product is built
+    with pytest.raises(PresentationError) as ei:
+        parse("algebra a over F32003\n" + body)
+    assert (ei.value.line, ei.value.col) == (line, col)
+
+
+def test_parse_takes_input_at_the_bounds():
+    p = parse("algebra a over F32003\ndeg x = 1, y = 1\n"
+              f"rel {'9' * 600}*x^256 - (x*y)^128")
+    assert p.relations[0].degree() == 256
+
+
 # -- corpus -------------------------------------------------------------------
 
 def test_builtin_names_all_construct():
