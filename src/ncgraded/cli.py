@@ -278,11 +278,15 @@ def run(cfg: RunConfig) -> tuple[dict, int]:
                 exit_code = 1
         report["hilbert"] = hil
 
+    # The one-sided table also fixes the Betti numbers of the right-side and
+    # the bimodule resolutions, which then skip the kernels it rules out.
     res = tab = gl = None
-    if {"betti", "koszul", "asregular"} & set(cfg.checks):
+    if {"betti", "koszul", "asregular", "hochschild",
+            "rigidity"} & set(cfg.checks):
         res = minimal_resolution(rs, cfg.homological_bound, cfg.degree_bound)
         tab = betti(res)
         gl = gldim_upto(res, tab)
+    if {"betti", "koszul"} & set(cfg.checks):
         bet: dict = {
             "entries": {f"{i},{j}": n for (i, j), n in sorted(tab.entries.items())},
             "certified_internal": tab.certified_internal,
@@ -299,15 +303,14 @@ def run(cfg: RunConfig) -> tuple[dict, int]:
                              "identity_to": ko.identity_to,
                              "certified_stages": ko.certified_stages,
                              "detail": ko.detail}
-        if "betti" in cfg.checks or "koszul" in cfg.checks:
-            report["betti"] = bet
+        report["betti"] = bet
 
     asv = None
     if "asregular" in cfg.checks:
         t_left = ext_k_A(rs, res)
         rs_r = complete(opposite(p), degree_bound=cfg.degree_bound)
         res_r = minimal_resolution(rs_r, cfg.homological_bound,
-                                   cfg.degree_bound)
+                                   cfg.degree_bound, tab)
         t_right = ext_k_A(rs_r, res_r)
         asv = as_check(t_left, t_right, gldim=gl)
         report["ext_k_A"] = {"left": _ext_json(t_left),
@@ -322,7 +325,7 @@ def run(cfg: RunConfig) -> tuple[dict, int]:
     hoch = rig = None
     if {"hochschild", "rigidity"} & set(cfg.checks):
         dres, dtab = diagonal_bimodule_resolution(p, cfg.homological_bound,
-                                                  cfg.degree_bound)
+                                                  cfg.degree_bound, tab)
         hoch = hochschild_ext(dres.rs, dres)
         if "hochschild" in cfg.checks:
             report["hochschild"] = _ext_json(hoch)
@@ -346,7 +349,6 @@ def run(cfg: RunConfig) -> tuple[dict, int]:
     if asv is not None or rig is not None:
         gk_for_report = gk_estimate(dims) if asv and asv.status == "fails" else None
         inv = invariant_report(asv or ASVerdict("inconclusive"), rig,
-                               tab if tab is not None else None,
                                gk=gk_for_report)
         report["invariants"] = {
             "fhtr": inv["fhtr"],

@@ -231,9 +231,13 @@ def as_check(t_left: ExtTable, t_right: ExtTable,
 # diagonal bimodule and its Ext
 
 
-def diagonal_bimodule_resolution(p: Presentation, hbound: int, dbound: int):
+def diagonal_bimodule_resolution(p: Presentation, hbound: int, dbound: int,
+                                 table: BettiTable | None = None):
     """Resolve the algebra as a cyclic module over its enveloping algebra,
-    killing the differences x_i - x_i_op.  Returns (Resolution, BettiTable)."""
+    killing the differences x_i - x_i_op.  Returns (Resolution, BettiTable).
+
+    `table`, the one-sided Betti table of p, is passed to `resolve_cyclic`:
+    the minimal bimodule resolution has the one-sided Betti numbers."""
     env = enveloping(p)
     rs = complete(env, degree_bound=dbound)
     n = len(p.generators)
@@ -241,7 +245,7 @@ def diagonal_bimodule_resolution(p: Presentation, hbound: int, dbound: int):
     deltas = [FreeElement(f, rs.degrees, {(i,): f.one(),
                                           (n + i,): f.neg(f.one())})
               for i in range(n)]
-    res = resolve_cyclic(rs, deltas, hbound, dbound)
+    res = resolve_cyclic(rs, deltas, hbound, dbound, table)
     res.base = p
     return res, betti(res)
 
@@ -417,7 +421,7 @@ def rigidity_check(t: ExtTable, hilbert: GradedDims) -> RigidityVerdict:
 
 
 def invariant_report(asv: ASVerdict, rig: RigidityVerdict | None,
-                     b: BettiTable, gk=None) -> dict:
+                     gk=None) -> dict:
     """Derived invariant summary.  Claims are made only along certified
     routes; everything else stays commentary."""
     report: dict = {"fhtr": None, "htr_QA_conditional": None,

@@ -11,6 +11,23 @@ relations) and the kernel K of the previous differential after it
 construction (differentials land in the augmentation ideal, which is
 asserted).  Products go through the system's memoized `combine`.
 
+Two rules end the sieve early without changing what it finds:
+
+* Stage 1 stops at the highest relation degree.  No candidate lies above
+  it, and the span S_j of a higher degree would only serve still higher
+  degrees of the same stage.
+* Given the Betti table of the same algebra, or of its opposite, a stage
+  i >= 2 computes kernels only at the degrees j with beta_(i,j) > 0 and
+  stops at the last of them.  At a degree with beta_(i,j) = 0 the kernel
+  K_j equals sum_g g * K_(j - deg g), which the sieve builds anyway, so
+  that span stands in for K_j.  Two theorems supply the table: Tor is
+  balanced, so Tor^A(k, k) = Tor^(A^op)(k, k) and the opposite side has
+  the same Betti numbers; and the minimal resolution P of A over A^e has
+  P_i = A (x) Tor_i^A(k, k) (x) A, because P (x)_A k is a minimal
+  resolution of k, so the bimodule Betti numbers are the one-sided ones.
+  The RREF of a subspace is unique, so every S_j, every generator and
+  every column come out as the full sieve finds them.
+
 Certification discipline: every Betti entry inside the searched window
 (homological index <= hbound, internal degree <= dbound) is exact.  Claims
 *beyond* the window (a stage being finished, global dimension, Koszulity)
@@ -80,14 +97,28 @@ class Resolution:
 
 
 def resolve_cyclic(rs: RewriteSystem, module_relations, hbound: int,
-                   dbound: int) -> Resolution:
+                   dbound: int, table: BettiTable | None = None) -> Resolution:
     """Minimal free resolution of B/(module_relations) out to stage hbound,
     internal degree dbound.  Relations are reduced to normal form first;
-    redundant ones are dropped by the minimality sieve, not by the caller."""
+    redundant ones are dropped by the minimality sieve, not by the caller.
+
+    Stage 1 ends at the highest relation degree.  `table`, when given, is
+    the Betti table of the trivial module over the algebra or its opposite;
+    it fixes the Betti numbers of the trivial module over either and of the
+    diagonal bimodule over the enveloping algebra (see the module
+    docstring), and of no other module.  Stage i >= 2 then computes kernels
+    only where beta_(i,j) > 0 and ends at the last such degree.  The table
+    must certify the whole window, since an absent entry reads as zero."""
     if not rs.globally_complete and dbound > rs.complete_below:
         raise ResolutionError(
             f"degree bound {dbound} exceeds rewrite certificate "
             f"{rs.complete_below}")
+    if table is not None and (table.certified_homological < hbound
+                              or table.certified_internal < dbound):
+        raise ResolutionError(
+            f"Betti table certified to stage {table.certified_homological} "
+            f"and degree {table.certified_internal} cannot guide a "
+            f"resolution to stage {hbound} and degree {dbound}")
     f = rs.field
     res = Resolution(rs, [ResolutionStage(0, [StageGen(0, {})])], hbound, dbound,
                      tuple(module_relations))
@@ -114,10 +145,19 @@ def resolve_cyclic(rs: RewriteSystem, module_relations, hbound: int,
         # S_j is the degree-j image of stage i in stage i-1: the ideal J for
         # i = 1, the kernel K of the previous differential after it.  A
         # candidate (a relation, or a kernel basis vector) is a generator
-        # exactly when it falls outside  sum_g g * S_(j - deg g).
+        # exactly when it falls outside  sum_g g * S_(j - deg g).  `top` is
+        # the last degree that can hold a generator: a relation degree for
+        # i = 1, the last degree with beta_(i,j) > 0 when a table is given.
+        if i == 1:
+            top = max((r.degree() for r in rels), default=-1)
+        elif table is not None:
+            top = max((j for (ii, j), n in table.entries.items()
+                       if ii == i and n), default=-1)
+        else:
+            top = dbound
         sub: dict[int, list] = {}      # j -> echelon basis of S_j
         min_deg = min(g.degree for g in prev.gens)
-        for j in range(min_deg, dbound + 1):
+        for j in range(min_deg, min(top, dbound) + 1):
             dom = res.stage_basis(i - 1, j)
             if not dom and i > 1:     # stage 1 records J_j = 0 all the same
                 continue
@@ -125,6 +165,8 @@ def resolve_cyclic(rs: RewriteSystem, module_relations, hbound: int,
             if i == 1:
                 cands = [{dom_idx[(0, w)]: c for w, c in r.terms.items()}
                          for r in rels if r.degree() == j]
+            elif table is not None and not table.entries.get((i, j)):
+                cands = []     # K_j is the span below, by the theorem
             else:
                 cod = res.stage_basis(i - 2, j)
                 cod_idx = {bw: k for k, bw in enumerate(cod)}
@@ -162,11 +204,13 @@ def _vector_to_column(rs: RewriteSystem, vec: dict, basis: list) -> dict:
             for gi, terms in col.items()}
 
 
-def minimal_resolution(rs: RewriteSystem, hbound: int, dbound: int) -> Resolution:
+def minimal_resolution(rs: RewriteSystem, hbound: int, dbound: int,
+                       table: BettiTable | None = None) -> Resolution:
     """Minimal resolution of the trivial module: the augmentation ideal is
-    generated by the algebra generators."""
+    generated by the algebra generators.  `table` is passed to
+    `resolve_cyclic`; the table of the opposite algebra serves."""
     rels = [rs.monomial((g,)) for g in range(len(rs.degrees))]
-    return resolve_cyclic(rs, rels, hbound, dbound)
+    return resolve_cyclic(rs, rels, hbound, dbound, table)
 
 
 # ---------------------------------------------------------------------------

@@ -50,11 +50,14 @@ def dual_composites_vanish(res, window) -> bool:
     return True
 
 
-def euler_defects(table, dims) -> list:
+def euler_defects(table, dims, through: int | None = None) -> list:
     """Internal degrees where the alternating Betti convolution with the
-    graded dimensions misses the trivial module.  Valid only when every
-    resolution stage fits inside the homological window."""
+    graded dimensions misses the trivial module, checked through degree
+    `through` (default: the certified window).  Valid only when no stage
+    beyond the homological window reaches those degrees."""
     n = min(table.certified_internal, dims.certified_to)
+    if through is not None:
+        n = min(n, through)
     bad = []
     for d in range(n + 1):
         s = 0

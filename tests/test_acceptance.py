@@ -96,7 +96,7 @@ def test_criterion_3_skew_polynomial_regularity():
         verdict, tab, _ = full_verdict(skew_polynomial(n, params), n + 1, 8)
         assert verdict.status == "regular"
         assert (verdict.n, verdict.l) == (n, n)
-        inv = invariant_report(verdict, None, tab)
+        inv = invariant_report(verdict, None)
         assert inv["fhtr"]["value"] == n
         elapsed = time.monotonic() - t0
         assert elapsed <= 30.0

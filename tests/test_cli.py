@@ -51,6 +51,18 @@ def test_reports_match_goldens(name):
     assert payload == (GOLDEN / f"report_{name}.json").read_text()
 
 
+@pytest.mark.parametrize("check", ["hochschild", "rigidity"])
+def test_bimodule_checks_alone_match_the_full_golden(check):
+    # the one-sided resolution still runs, to guide the bimodule one, but
+    # its table is not reported
+    golden = json.loads((GOLDEN / "report_quantum-plane-2.json").read_text())
+    report, code = run(RunConfig(input="quantum-plane-2", degree_bound=8,
+                                 homological_bound=5, checks=(check,)))
+    assert code == 0
+    assert "betti" not in report
+    assert report[check] == golden[check]
+
+
 def test_runs_are_deterministic():
     a, _ = run_builtin("quantum-plane-2")
     b, _ = run_builtin("quantum-plane-2")

@@ -175,9 +175,7 @@ def test_dual_differential_squares_to_zero():
 def test_invariants_on_regular_algebra():
     t_l, t_r, gl = two_sided(skew_polynomial(3, 5), 4, 8)
     v = as_check(t_l, t_r, gldim=gl)
-    rs = complete(skew_polynomial(3, 5), 8)
-    res = minimal_resolution(rs, 4, 8)
-    inv = invariant_report(v, None, betti(res))
+    inv = invariant_report(v, None)
     assert inv["fhtr"]["value"] == 3
     assert inv["hammerhead"]["value"] == 3
     assert inv["htr_QA_conditional"]["value"] == 3
@@ -191,7 +189,7 @@ def test_invariants_on_failing_algebra(sz_rs, sz_res):
     t_right = ext_k_A(rs_r, minimal_resolution(rs_r, 5, 8))
     from ncgraded.hilbert import gk_estimate
     v = as_check(t_left, t_right, gldim=gldim_upto(sz_res))
-    inv = invariant_report(v, None, betti(sz_res),
+    inv = invariant_report(v, None,
                            gk=gk_estimate(hilbert_function(sz_rs, 8)))
     assert inv["fhtr"] is None
     assert inv["hammerhead"] is None

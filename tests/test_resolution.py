@@ -4,11 +4,14 @@ import math
 
 import pytest
 
-from support import dd_composites_vanish, euler_defects
+from hypothesis import given
 
+from support import dd_composites_vanish, euler_defects, random_presentations
+
+from ncgraded.duality import diagonal_bimodule_resolution
 from ncgraded.groebner import complete
 from ncgraded.hilbert import hilbert_function
-from ncgraded.presentation import builtin, enveloping, parse
+from ncgraded.presentation import builtin, enveloping, opposite, parse
 from ncgraded.resolution import (ResolutionError, betti, gldim_upto,
                                  koszul_check, minimal_resolution,
                                  resolve_cyclic)
@@ -108,6 +111,17 @@ def test_euler_identity_every_degree(name):
     assert euler_defects(tab, dims) == []
 
 
+@given(case=random_presentations())
+def test_euler_identity_on_random_presentations(case):
+    # generators sit in degree 1, so a stage i > 3 lies in degrees > 3 and
+    # the table of a resolution to stage 3 is exact through degree 3
+    p, bound = case
+    rs = complete(p, bound)
+    tab = betti(minimal_resolution(rs, 3, bound))
+    dims = hilbert_function(rs, bound)
+    assert euler_defects(tab, dims, through=min(3, bound)) == []
+
+
 # -- Koszul pattern -----------------------------------------------------------
 
 def test_koszul_verdicts_on_corpus(sz_res, sz_rs):
@@ -153,3 +167,69 @@ def test_stage_bases_and_kernel_bookkeeping(sz_res):
     for st_ in sz_res.stages[1:5]:
         for g in st_.gens:
             assert g.degree == st_.index
+
+
+# -- resolutions guided by the one-sided Betti table -------------------------
+
+def stage_columns(res) -> list:
+    """Every stage as (degree, column) pairs, a column as the terms dict of
+    each of its entries."""
+    return [[(g.degree, {k: e.terms for k, e in g.column.items()})
+             for g in st_.gens] for st_ in res.stages]
+
+
+def assert_guided_paths_agree(p, hbound, dbound):
+    """The opposite side and the diagonal bimodule, each resolved with and
+    without the one-sided table, give the same stages column for column.
+    Returns the table."""
+    tab = betti(minimal_resolution(complete(p, dbound), hbound, dbound))
+    rs_o = complete(opposite(p), dbound)
+    full = minimal_resolution(rs_o, hbound, dbound)
+    guided = minimal_resolution(rs_o, hbound, dbound, tab)
+    assert stage_columns(guided) == stage_columns(full)
+    full, _ = diagonal_bimodule_resolution(p, hbound, dbound)
+    guided, _ = diagonal_bimodule_resolution(p, hbound, dbound, tab)
+    assert stage_columns(guided) == stage_columns(full)
+    return tab
+
+
+@pytest.mark.parametrize("name", ["polynomial-1", "polynomial-2",
+                                  "quantum-plane-2", "smith-zhang"])
+def test_guided_resolutions_match_full_sieve(name):
+    assert_guided_paths_agree(builtin(name), 5, 5)
+
+
+# beta_2 sits in degrees 2 and 4 only, so the guided sieve skips the kernel
+# at degree 3 and must still span K_3 for degree 4 to read
+GAP_INPUTS = ["""
+algebra gap over F32003
+deg x = 1, y = 1
+rel y*x - x*y
+rel x^4
+""", """
+algebra gap over Q
+deg x = 1, y = 1
+rel y*x - 2*x*y
+rel y^4
+"""]
+
+
+@pytest.mark.parametrize("text", GAP_INPUTS)
+def test_guided_resolutions_match_full_sieve_across_a_gap(text):
+    tab = assert_guided_paths_agree(parse(text), 4, 7)
+    assert sorted(j for i, j in tab.entries if i == 2) == [2, 4]
+
+
+@given(case=random_presentations())
+def test_guided_resolutions_match_full_sieve_on_random_presentations(case):
+    p, bound = case
+    assert_guided_paths_agree(p, 3, min(bound, 4))
+
+
+def test_table_with_a_narrower_window_is_refused(poly2_rs):
+    narrow_h = betti(minimal_resolution(poly2_rs, 3, 8))
+    with pytest.raises(ResolutionError, match="Betti table"):
+        minimal_resolution(poly2_rs, 4, 8, narrow_h)
+    narrow_d = betti(minimal_resolution(poly2_rs, 4, 6))
+    with pytest.raises(ResolutionError, match="Betti table"):
+        minimal_resolution(poly2_rs, 4, 8, narrow_d)
