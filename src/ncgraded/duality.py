@@ -236,8 +236,9 @@ def diagonal_bimodule_resolution(p: Presentation, hbound: int, dbound: int,
     """Resolve the algebra as a cyclic module over its enveloping algebra,
     killing the differences x_i - x_i_op.  Returns (Resolution, BettiTable).
 
-    `table`, the one-sided Betti table of p, is passed to `resolve_cyclic`:
-    the minimal bimodule resolution has the one-sided Betti numbers."""
+    `table`, the one-sided Betti table of p, guides `resolve_cyclic` by its
+    support: the minimal bimodule resolution has the one-sided Betti
+    numbers."""
     env = enveloping(p)
     rs = complete(env, degree_bound=dbound)
     n = len(p.generators)
@@ -245,7 +246,8 @@ def diagonal_bimodule_resolution(p: Presentation, hbound: int, dbound: int,
     deltas = [FreeElement(f, rs.degrees, {(i,): f.one(),
                                           (n + i,): f.neg(f.one())})
               for i in range(n)]
-    res = resolve_cyclic(rs, deltas, hbound, dbound, table)
+    res = resolve_cyclic(rs, deltas, hbound, dbound,
+                         table.support() if table is not None else None)
     res.base = p
     return res, betti(res)
 

@@ -16,15 +16,23 @@ Two rules end the sieve early without changing what it finds:
 * Stage 1 stops at the highest relation degree.  No candidate lies above
   it, and the span S_j of a higher degree would only serve still higher
   degrees of the same stage.
-* Given the Betti table of the same algebra, or of its opposite, a stage
-  i >= 2 computes kernels only at the degrees j with beta_(i,j) > 0 and
-  stops at the last of them.  At a degree with beta_(i,j) = 0 the kernel
-  K_j equals sum_g g * K_(j - deg g), which the sieve builds anyway, so
-  that span stands in for K_j.  Two theorems supply the table: Tor is
-  balanced, so Tor^A(k, k) = Tor^(A^op)(k, k) and the opposite side has
-  the same Betti numbers; and the minimal resolution P of A over A^e has
-  P_i = A (x) Tor_i^A(k, k) (x) A, because P (x)_A k is a minimal
-  resolution of k, so the bimodule Betti numbers are the one-sided ones.
+* Given a guide, the cells (i, j) where a stage-i generator may sit, a
+  stage i >= 2 computes kernels only at its degrees j in the guide and
+  stops at the last of them.  Elsewhere beta_(i,j) = 0, so the kernel K_j
+  equals sum_g g * K_(j - deg g), which the sieve builds anyway, and that
+  span stands in for K_j.  A guide is only an upper bound on where
+  generators sit, and two theorems supply one:
+  - the Betti table of the same algebra, or of its opposite, read as its
+    support.  Tor is balanced, so Tor^A(k, k) = Tor^(A^op)(k, k) and the
+    opposite side has the same Betti numbers; and the minimal resolution
+    P of A over A^e has P_i = A (x) Tor_i^A(k, k) (x) A, because
+    P (x)_A k is a minimal resolution of k, so the bimodule Betti numbers
+    are the one-sided ones;
+  - the chains of a globally complete rewrite system, for the trivial
+    module.  Its minimal resolution is a direct summand of Anick's (Anick
+    1986, Trans. AMS 296), which has one stage-i generator per chain of
+    stage i, so beta_(i,j) is at most the number of such chains in degree
+    j, and zero where none sits.
   The RREF of a subspace is unique, so every S_j, every generator and
   every column come out as the full sieve finds them.
 
@@ -39,6 +47,7 @@ of further generators is a theorem rather than an observation.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 
 from .exactla import RowSpan, SparseMatrix, kernel_basis
@@ -97,28 +106,32 @@ class Resolution:
 
 
 def resolve_cyclic(rs: RewriteSystem, module_relations, hbound: int,
-                   dbound: int, table: BettiTable | None = None) -> Resolution:
+                   dbound: int, guide: Guide | None = None) -> Resolution:
     """Minimal free resolution of B/(module_relations) out to stage hbound,
     internal degree dbound.  Relations are reduced to normal form first;
     redundant ones are dropped by the minimality sieve, not by the caller.
 
-    Stage 1 ends at the highest relation degree.  `table`, when given, is
-    the Betti table of the trivial module over the algebra or its opposite;
-    it fixes the Betti numbers of the trivial module over either and of the
-    diagonal bimodule over the enveloping algebra (see the module
-    docstring), and of no other module.  Stage i >= 2 then computes kernels
-    only where beta_(i,j) > 0 and ends at the last such degree.  The table
-    must certify the whole window, since an absent entry reads as zero."""
+    Stage 1 ends at the highest relation degree.  `guide`, when given,
+    lists the cells (i, j) where a stage-i generator of this module may
+    sit: an upper bound, not the Betti numbers.  Two theorems supply one
+    (see the module docstring): the support of the trivial module's Betti
+    table over the algebra or its opposite, which bounds the trivial module
+    over either and the diagonal bimodule over the enveloping algebra; and
+    the chains of a globally complete system, which bound the trivial
+    module (`chain_guide`).  Neither bounds any other module.  Stage i >= 2
+    then computes kernels only at its cells and ends at the last one.  The
+    guide must certify the whole window, since an absent cell reads as no
+    generator.  Without a guide every stage runs the full sieve."""
     if not rs.globally_complete and dbound > rs.complete_below:
         raise ResolutionError(
             f"degree bound {dbound} exceeds rewrite certificate "
             f"{rs.complete_below}")
-    if table is not None and (table.certified_homological < hbound
-                              or table.certified_internal < dbound):
+    if guide is not None and (guide.hbound < hbound
+                              or guide.dbound < dbound):
         raise ResolutionError(
-            f"Betti table certified to stage {table.certified_homological} "
-            f"and degree {table.certified_internal} cannot guide a "
-            f"resolution to stage {hbound} and degree {dbound}")
+            f"{guide.source} certified to stage {guide.hbound} and degree "
+            f"{guide.dbound} cannot guide a resolution to stage {hbound} "
+            f"and degree {dbound}")
     f = rs.field
     res = Resolution(rs, [ResolutionStage(0, [StageGen(0, {})])], hbound, dbound,
                      tuple(module_relations))
@@ -147,12 +160,11 @@ def resolve_cyclic(rs: RewriteSystem, module_relations, hbound: int,
         # candidate (a relation, or a kernel basis vector) is a generator
         # exactly when it falls outside  sum_g g * S_(j - deg g).  `top` is
         # the last degree that can hold a generator: a relation degree for
-        # i = 1, the last degree with beta_(i,j) > 0 when a table is given.
+        # i = 1, the last cell of stage i when a guide is given.
         if i == 1:
             top = max((r.degree() for r in rels), default=-1)
-        elif table is not None:
-            top = max((j for (ii, j), n in table.entries.items()
-                       if ii == i and n), default=-1)
+        elif guide is not None:
+            top = max((j for ii, j in guide.cells if ii == i), default=-1)
         else:
             top = dbound
         sub: dict[int, list] = {}      # j -> echelon basis of S_j
@@ -165,7 +177,7 @@ def resolve_cyclic(rs: RewriteSystem, module_relations, hbound: int,
             if i == 1:
                 cands = [{dom_idx[(0, w)]: c for w, c in r.terms.items()}
                          for r in rels if r.degree() == j]
-            elif table is not None and not table.entries.get((i, j)):
+            elif guide is not None and (i, j) not in guide.cells:
                 cands = []     # K_j is the span below, by the theorem
             else:
                 cod = res.stage_basis(i - 2, j)
@@ -207,52 +219,86 @@ def _vector_to_column(rs: RewriteSystem, vec: dict, basis: list) -> dict:
 def minimal_resolution(rs: RewriteSystem, hbound: int, dbound: int,
                        table: BettiTable | None = None) -> Resolution:
     """Minimal resolution of the trivial module: the augmentation ideal is
-    generated by the algebra generators.  `table` is passed to
-    `resolve_cyclic`; the table of the opposite algebra serves."""
+    generated by the algebra generators.
+
+    Guided by the support of `table`, the Betti table of the algebra or of
+    its opposite (Tor is balanced), when one is given; else, on a globally
+    complete system, by its chains (Anick's resolution contains the minimal
+    one).  Each is only an upper bound on where generators sit, and the
+    resolution equals the full sieve's.  A system that is not globally
+    complete runs the full sieve: its chains bound nothing there."""
     rels = [rs.monomial((g,)) for g in range(len(rs.degrees))]
-    return resolve_cyclic(rs, rels, hbound, dbound, table)
+    if table is not None:
+        guide = table.support()
+    elif rs.globally_complete:
+        guide = chain_guide(rs, hbound, dbound)
+    else:
+        guide = None
+    return resolve_cyclic(rs, rels, hbound, dbound, guide)
 
 
 # ---------------------------------------------------------------------------
 # chain certificates
 
 
-def chain_degree_levels(leads: list, lambda_words: list, degrees: tuple,
-                        max_level: int, cap: int):
-    """Potential generator degrees per stage via left-extension chains.
+def chain_counts(leads: list, lambda_words: list, degrees: tuple,
+                 max_level: int, cap: int):
+    """Potential generators per stage and degree via left-extension chains.
 
-    Stage 1 candidates are the given lead words of the stage-1 generators;
-    a stage i+1 candidate extends a stage-i chain on the left by a lead word
-    overlapping its head.  Returns a list indexed by stage (0 unused) of
-    (degree set truncated at cap, overflow) pairs; overflow records that some
-    chain passed the cap, so vanishing above the cap is not certified there.
-    """
+    Stage 1 chains are the given lead words of the stage-1 generators; a
+    stage i+1 chain extends a stage-i chain on the left by a lead word
+    overlapping its head, the piece added last.  Returns a list indexed by
+    stage (0 unused) of (Counter degree -> number of chains, truncated at
+    cap; overflow) pairs; overflow records that some chain passed the cap,
+    so vanishing above the cap is not certified there.
+
+    Every Anick chain is one of these, so the counts bound the ranks of
+    Anick's resolution from above.  The walk does not ask that the lead be
+    the only one in the extended head, so where a lead overlaps a head in
+    two ways it counts chains Anick's do not (over x^3 = 0, stage 3 has a
+    chain in degree 5 as well as 4)."""
     leads = [tuple(L) for L in leads]
-    out = [(frozenset(), False)]  # stage 0 placeholder
-    frontier = {(tuple(w), word_degree(tuple(w), degrees)) for w in lambda_words}
+    out = [(Counter(), False)]  # stage 0 placeholder
+    frontier: Counter = Counter()   # (head, degree) -> number of chains
     overflow = False
-    drop = {(h, d) for (h, d) in frontier if d > cap}
-    if drop:
-        overflow = True
-        frontier -= drop
-    out.append((frozenset(d for _, d in frontier), overflow))
-    for _ in range(2, max_level + 1):
-        nxt = set()
-        over = overflow
-        for head, d in frontier:
-            for o in leads:
-                for k in range(1, min(len(head), len(o) - 1) + 1):
-                    if o[-k:] == head[:k]:
-                        u = o[:-k]
-                        dd = d + word_degree(u, degrees)
-                        if dd > cap:
-                            over = True
-                        else:
-                            nxt.add((u, dd))
-        out.append((frozenset(d for _, d in nxt), over))
-        frontier = nxt
-        overflow = over
+    for w in lambda_words:
+        d = word_degree(tuple(w), degrees)
+        if d > cap:
+            overflow = True
+        else:
+            frontier[(tuple(w), d)] += 1
+    for i in range(1, max_level + 1):
+        if i > 1:
+            nxt: Counter = Counter()
+            for (head, d), m in frontier.items():
+                for o in leads:
+                    for k in range(1, min(len(head), len(o) - 1) + 1):
+                        if o[-k:] == head[:k]:
+                            u = o[:-k]
+                            dd = d + word_degree(u, degrees)
+                            if dd > cap:
+                                overflow = True
+                            else:
+                                nxt[(u, dd)] += m
+            frontier = nxt
+        counts: Counter = Counter()
+        for (_, d), m in frontier.items():
+            counts[d] += m
+        out.append((counts, overflow))
     return out
+
+
+def chain_guide(rs: RewriteSystem, hbound: int, dbound: int) -> Guide:
+    """The cells of the trivial module's resolution that hold a chain of a
+    globally complete system, through stage hbound and degree dbound."""
+    if not rs.globally_complete:
+        raise ResolutionError("chains of a truncated rewrite system bound "
+                              "nothing")
+    levels = chain_counts(rs.leads(), [(g,) for g in range(len(rs.degrees))],
+                          rs.degrees, hbound, dbound)
+    cells = frozenset((i, j) for i, (counts, _) in enumerate(levels)
+                      for j in counts)
+    return Guide(cells, hbound, dbound, "chain set")
 
 
 def stage_certificates(res: Resolution) -> dict:
@@ -266,12 +312,10 @@ def stage_certificates(res: Resolution) -> dict:
     for g in res.stages[1].gens:
         elem = g.column[0]
         lam.append(elem.lead_word())
-    levels = chain_degree_levels(rs.leads(), lam, rs.degrees,
-                                 res.hbound, res.dbound)
-    cert = {}
-    for i in range(1, res.hbound + 1):
-        degset, overflow = levels[i]
-        cert[i] = (not overflow) and all(d <= res.dbound for d in degset)
+    levels = chain_counts(rs.leads(), lam, rs.degrees, res.hbound, res.dbound)
+    # the counts stop at the cap dbound, so only an overflow leaves a stage
+    # uncertified
+    cert = {i: not levels[i][1] for i in range(1, res.hbound + 1)}
     # stage-1 generators can only sit at the degrees of the given relations
     if res.stages[1].gens or res.module_relations:
         reldegs = [r.degree() for r in res.module_relations if not r.is_zero()]
@@ -282,6 +326,18 @@ def stage_certificates(res: Resolution) -> dict:
 
 # ---------------------------------------------------------------------------
 # Betti data and the derived checks
+
+
+@dataclass(frozen=True)
+class Guide:
+    """Where the generators of a resolution may sit: a stage-i generator of
+    internal degree j, i >= 2, needs (i, j) in `cells`.  An upper bound
+    only, certified through stage `hbound` and degree `dbound`; `source`
+    names the bound in errors."""
+    cells: frozenset
+    hbound: int
+    dbound: int
+    source: str
 
 
 @dataclass(frozen=True)
@@ -298,6 +354,12 @@ class BettiTable:
 
     def total(self, i: int) -> int:
         return sum(n for (ii, _), n in self.entries.items() if ii == i)
+
+    def support(self) -> Guide:
+        """The cells with a generator, certified as far as the table."""
+        return Guide(frozenset(k for k, n in self.entries.items() if n),
+                     self.certified_homological, self.certified_internal,
+                     "Betti table")
 
 
 def betti(res: Resolution) -> BettiTable:

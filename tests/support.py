@@ -134,6 +134,57 @@ def random_presentations(draw):
     return p, draw(st.sampled_from((4, 5)))
 
 
+@st.composite
+def random_monomial_presentations(draw):
+    """(presentation, completion bound): 1-3 generators of degree 1 and 1-4
+    relations, each a single word of length 2 or 3 with coefficient 1, over
+    F32003 or Q, completed at bound 5 or 6."""
+    field = draw(st.sampled_from((F32003, QQ)))
+    names = ("x", "y", "z")[:draw(st.integers(1, 3))]
+    degrees = (1,) * len(names)
+    words = draw(st.lists(st.sampled_from(enumerate_words(degrees, 2)
+                                          + enumerate_words(degrees, 3)),
+                          min_size=1, max_size=4, unique=True))
+    rels = [FreeElement(field, degrees, {w: field.one()}) for w in words]
+    p = Presentation(field, tuple((n, 1) for n in names), rels)
+    return p, draw(st.sampled_from((5, 6)))
+
+
+def anick_chain_counts(leads, degrees, max_level, cap) -> dict:
+    """{(stage, degree): number of Anick chains} of the trivial module,
+    stages 1..max_level and degrees <= cap, from the left form of
+    Ufnarovski's graph: stage 1 holds the letters, and a stage-(i+1) chain
+    puts a nonempty word u before a stage-i chain whose head (the piece put
+    on last) is h, when u + h holds exactly one lead occurrence, a prefix of
+    it that ends inside h.  Each u is looked for among all words."""
+    leads = [tuple(w) for w in leads]
+    longest = max(map(len, leads), default=1)
+    words = [u for n in range(1, longest)
+             for u in itertools.product(range(len(degrees)), repeat=n)]
+
+    def occurrences(w):
+        return [(k, lead) for lead in leads
+                for k in range(len(w) - len(lead) + 1)
+                if w[k:k + len(lead)] == lead]
+
+    frontier = {((g,), dg): 1 for g, dg in enumerate(degrees) if dg <= cap}
+    out: dict = {}
+    for i in range(1, max_level + 1):
+        if i > 1:
+            nxt: dict = {}
+            for (h, d), m in frontier.items():
+                for u in words:
+                    occ = occurrences(u + h)
+                    dd = d + sum(degrees[g] for g in u)
+                    if (len(occ) == 1 and occ[0][0] == 0
+                            and len(occ[0][1]) > len(u) and dd <= cap):
+                        nxt[(u, dd)] = nxt.get((u, dd), 0) + m
+            frontier = nxt
+        for (_, d), m in frontier.items():
+            out[(i, d)] = out.get((i, d), 0) + m
+    return out
+
+
 # -- reference normal form ---------------------------------------------------
 # The rule scan that `RewriteSystem.site` replaced, kept verbatim for the
 # differential tests of the lead index.

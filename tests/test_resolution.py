@@ -1,19 +1,24 @@
 """Minimal graded resolutions: Betti tables, certificates, Koszulity."""
 
 import math
+from unittest import mock
 
 import pytest
 
 from hypothesis import given
 
-from support import dd_composites_vanish, euler_defects, random_presentations
+from support import (anick_chain_counts, dd_composites_vanish, euler_defects,
+                     random_monomial_presentations, random_presentations)
 
+from ncgraded import resolution
 from ncgraded.duality import diagonal_bimodule_resolution
 from ncgraded.groebner import complete
 from ncgraded.hilbert import hilbert_function
-from ncgraded.presentation import builtin, enveloping, opposite, parse
-from ncgraded.resolution import (ResolutionError, betti, gldim_upto,
-                                 koszul_check, minimal_resolution,
+from ncgraded.presentation import (FilteredPresentation, builtin,
+                                   builtin_names, enveloping, homogenize,
+                                   opposite, parse)
+from ncgraded.resolution import (ResolutionError, betti, chain_counts,
+                                 gldim_upto, koszul_check, minimal_resolution,
                                  resolve_cyclic)
 
 
@@ -178,13 +183,18 @@ def stage_columns(res) -> list:
              for g in st_.gens] for st_ in res.stages]
 
 
+def augmentation(rs) -> list:
+    """The algebra generators, which generate the augmentation ideal."""
+    return [rs.monomial((g,)) for g in range(len(rs.degrees))]
+
+
 def assert_guided_paths_agree(p, hbound, dbound):
     """The opposite side and the diagonal bimodule, each resolved with and
     without the one-sided table, give the same stages column for column.
     Returns the table."""
     tab = betti(minimal_resolution(complete(p, dbound), hbound, dbound))
     rs_o = complete(opposite(p), dbound)
-    full = minimal_resolution(rs_o, hbound, dbound)
+    full = resolve_cyclic(rs_o, augmentation(rs_o), hbound, dbound)
     guided = minimal_resolution(rs_o, hbound, dbound, tab)
     assert stage_columns(guided) == stage_columns(full)
     full, _ = diagonal_bimodule_resolution(p, hbound, dbound)
@@ -233,3 +243,148 @@ def test_table_with_a_narrower_window_is_refused(poly2_rs):
     narrow_d = betti(minimal_resolution(poly2_rs, 4, 6))
     with pytest.raises(ResolutionError, match="Betti table"):
         minimal_resolution(poly2_rs, 4, 8, narrow_d)
+
+
+# -- resolutions guided by the chains ----------------------------------------
+
+def graded(name):
+    """A builtin as the CLI resolves it: a filtered one homogenized."""
+    p = builtin(name)
+    return homogenize(p) if isinstance(p, FilteredPresentation) else p
+
+
+def kernel_calls(resolve) -> int:
+    """The number of kernels `resolve()` builds."""
+    with mock.patch.object(resolution, "kernel_basis",
+                           wraps=resolution.kernel_basis) as kb:
+        resolve()
+    return kb.call_count
+
+
+def assert_chain_guided_matches_full_sieve(p, hbound, dbound):
+    """`minimal_resolution` finds the full sieve's stages column for column;
+    a system that is not globally complete takes the full sieve itself."""
+    rs = complete(p, dbound)
+    full = resolve_cyclic(rs, augmentation(rs), hbound, dbound)
+    guided = minimal_resolution(rs, hbound, dbound)
+    assert stage_columns(guided) == stage_columns(full)
+    if not rs.globally_complete:
+        assert (kernel_calls(lambda: minimal_resolution(rs, hbound, dbound))
+                == kernel_calls(lambda: resolve_cyclic(
+                    rs, augmentation(rs), hbound, dbound)))
+    return rs
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_chain_guided_resolution_matches_full_sieve(name):
+    assert_chain_guided_matches_full_sieve(graded(name), 5, 8)
+
+
+@pytest.mark.parametrize("text", GAP_INPUTS)
+def test_chain_guided_resolution_matches_full_sieve_across_a_gap(text):
+    rs = assert_chain_guided_matches_full_sieve(parse(text), 4, 7)
+    assert rs.globally_complete
+
+
+@given(case=random_presentations())
+def test_chain_guided_resolution_matches_full_sieve_on_random_presentations(
+        case):
+    p, bound = case
+    assert_chain_guided_matches_full_sieve(p, 3, bound)
+
+
+def test_truncated_system_takes_the_full_sieve():
+    # the completion of the braid relation still has overlaps past degree 6
+    rs = assert_chain_guided_matches_full_sieve(parse("""
+algebra braid over F32003
+deg x = 1, y = 1
+rel y*x*y - x*y*x
+"""), 4, 6)
+    assert not rs.globally_complete
+    with pytest.raises(ResolutionError, match="truncated"):
+        resolution.chain_guide(rs, 4, 6)
+
+
+def test_chains_skip_the_kernels_of_a_free_algebra():
+    # no rules, so no chain past stage 1 and no kernel to build
+    rs = complete(builtin("free-3"), 8)
+    assert kernel_calls(lambda: minimal_resolution(rs, 5, 8)) == 0
+    assert kernel_calls(
+        lambda: resolve_cyclic(rs, augmentation(rs), 5, 8)) > 0
+
+
+def test_chain_guide_with_a_narrower_window_is_refused(poly2_rs):
+    guide = resolution.chain_guide(poly2_rs, 3, 6)
+    rels = augmentation(poly2_rs)
+    for h, d in ((4, 6), (3, 7)):
+        with pytest.raises(ResolutionError, match="chain set"):
+            resolve_cyclic(poly2_rs, rels, h, d, guide)
+
+
+# -- chain counts as an oracle -------------------------------------------------
+
+def walk_counts(rs, hbound, dbound) -> dict:
+    """{(stage, degree): chains} of the trivial module, stages 1..hbound."""
+    levels = chain_counts(rs.leads(), [(g,) for g in range(len(rs.degrees))],
+                          rs.degrees, hbound, dbound)
+    return {(i, j): n for i in range(1, hbound + 1)
+            for j, n in levels[i][0].items()}
+
+
+def full_betti(rs, hbound, dbound) -> dict:
+    """{(stage, degree): beta} of the full sieve, stages 1..hbound."""
+    tab = betti(resolve_cyclic(rs, augmentation(rs), hbound, dbound))
+    return {k: n for k, n in tab.entries.items() if k[0] >= 1}
+
+
+def assert_betti_within_chain_counts(rs, hbound, dbound):
+    counts = walk_counts(rs, hbound, dbound)
+    for k, n in full_betti(rs, hbound, dbound).items():
+        assert n <= counts.get(k, 0), k
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_betti_numbers_within_chain_counts(name):
+    rs = complete(graded(name), 8)
+    assert rs.globally_complete
+    assert_betti_within_chain_counts(rs, 5, 8)
+
+
+@given(case=random_presentations())
+def test_betti_numbers_within_chain_counts_on_random_presentations(case):
+    # the chains of a truncated system miss the leads above its bound
+    p, bound = case
+    rs = complete(p, bound)
+    if rs.globally_complete:
+        assert_betti_within_chain_counts(rs, 3, bound)
+
+
+@given(case=random_monomial_presentations())
+def test_chain_counts_are_betti_numbers_of_monomial_algebras(case):
+    # Anick's resolution of a monomial algebra is minimal.  The walk counts
+    # at least Anick's chains, and exactly those when every lead is
+    # quadratic
+    p, bound = case
+    rs = complete(p, bound)
+    anick = anick_chain_counts(rs.leads(), rs.degrees, 4, bound)
+    assert full_betti(rs, 4, bound) == anick
+    walk = walk_counts(rs, 4, bound)
+    assert all(walk.get(k, 0) >= n for k, n in anick.items())
+    if all(len(w) == 2 for w in rs.leads()):
+        assert walk == anick
+
+
+def test_chain_counts_bound_a_self_overlapping_lead():
+    # over x^3 = 0 the Betti numbers sit in degrees 0, 1, 3, 4, 6, ...: one
+    # Anick chain per stage.  The walk also counts x^2 * x^3 at (3, 5),
+    # whose extended head x^4 holds the lead twice
+    rs = complete(parse("""
+algebra cube over F32003
+deg x = 1
+rel x^3
+"""), 8)
+    anick = anick_chain_counts(rs.leads(), rs.degrees, 5, 8)
+    assert anick == {(1, 1): 1, (2, 3): 1, (3, 4): 1, (4, 6): 1, (5, 7): 1}
+    assert full_betti(rs, 5, 8) == anick
+    walk = walk_counts(rs, 5, 8)
+    assert all(walk.get(k, 0) >= n for k, n in anick.items())
