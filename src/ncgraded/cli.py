@@ -305,10 +305,14 @@ def run(cfg: RunConfig) -> tuple[dict, int]:
                              "detail": ko.detail}
         report["betti"] = bet
 
+    # the opposite algebra serves the right side and the enveloping system
+    rs_r = None
+    if {"asregular", "hochschild", "rigidity"} & set(cfg.checks):
+        rs_r = complete(opposite(p), degree_bound=cfg.degree_bound)
+
     asv = None
     if "asregular" in cfg.checks:
         t_left = ext_k_A(rs, res)
-        rs_r = complete(opposite(p), degree_bound=cfg.degree_bound)
         res_r = minimal_resolution(rs_r, cfg.homological_bound,
                                    cfg.degree_bound, tab)
         t_right = ext_k_A(rs_r, res_r)
@@ -324,7 +328,8 @@ def run(cfg: RunConfig) -> tuple[dict, int]:
 
     hoch = rig = None
     if {"hochschild", "rigidity"} & set(cfg.checks):
-        dres, dtab = diagonal_bimodule_resolution(p, cfg.homological_bound,
+        dres, dtab = diagonal_bimodule_resolution(p, rs, rs_r,
+                                                  cfg.homological_bound,
                                                   cfg.degree_bound, tab)
         hoch = hochschild_ext(dres.rs, dres)
         if "hochschild" in cfg.checks:

@@ -24,9 +24,9 @@ from dataclasses import dataclass, field as dc_field
 
 from .exactla import SparseMatrix, RowSpan, kernel_basis, rref, solve_columns
 from .freealg import FreeElement
-from .groebner import RewriteSystem, complete, normal_form
+from .groebner import RewriteSystem, enveloping_system, normal_form
 from .hilbert import GradedDims
-from .presentation import Presentation, enveloping
+from .presentation import Presentation
 from .resolution import (Resolution, ResolutionError, betti, BettiTable,
                          GlobalDimReport, resolve_cyclic, stage_certificates)
 
@@ -66,18 +66,26 @@ def _functional_basis(res: Resolution, i: int, mu: int) -> list:
 
 def _dual_matrix(res: Resolution, i: int, mu: int) -> SparseMatrix:
     """d*: C^i_mu -> C^(i+1)_mu, one column per element (g, w) of
-    _functional_basis(res, i, mu): sum_h a_(h,g) * w  at slot h."""
+    _functional_basis(res, i, mu): sum_h a_(h,g) * w  at slot h.  Each
+    product t * w goes to `combine` as its pair of factors, so over the
+    enveloping algebra it costs one product in A and one in A^op."""
     dom = _functional_basis(res, i, mu)
     cod = _functional_basis(res, i + 1, mu)
     if not cod:
         return SparseMatrix(0, [{} for _ in dom], res.rs.field)
-    cod_idx = {bw: r for r, bw in enumerate(cod)}
+    rs = res.rs
+    fac = rs.factor
+    cod_idx = rs.basis_index(cod)
     gens = res.stages[i + 1].gens
-    cols = [res.rs.combine([(h, t + w, ct)
-                            for h, gen in enumerate(gens) if g in gen.column
-                            for t, ct in gen.column[g].terms.items()], cod_idx)
-            for g, w in dom]
-    return SparseMatrix(len(cod), cols, res.rs.field)
+    entries = [[(h, fac(t), ct) for h, gen in enumerate(gens) if g in gen.column
+                for t, ct in gen.column[g].terms.items()]
+               for g in range(len(res.stages[i].gens))]
+    cols = []
+    for g, w in dom:
+        fw = fac(w)
+        cols.append(rs.combine([(h, ft, fw, ct) for h, ft, ct in entries[g]],
+                               cod_idx))
+    return SparseMatrix(len(cod), cols, rs.field)
 
 
 def _ext_table(res: Resolution, side: str, window: tuple | None) -> ExtTable:
@@ -231,22 +239,27 @@ def as_check(t_left: ExtTable, t_right: ExtTable,
 # diagonal bimodule and its Ext
 
 
-def diagonal_bimodule_resolution(p: Presentation, hbound: int, dbound: int,
-                                 table: BettiTable | None = None):
-    """Resolve the algebra as a cyclic module over its enveloping algebra,
+def diagonal_bimodule_resolution(p: Presentation, rs: RewriteSystem,
+                                 rs_op: RewriteSystem, hbound: int,
+                                 dbound: int, table: BettiTable | None = None):
+    """Resolve the algebra p as a cyclic module over its enveloping algebra,
     killing the differences x_i - x_i_op.  Returns (Resolution, BettiTable).
 
-    `table`, the one-sided Betti table of p, guides `resolve_cyclic` by its
-    support: the minimal bimodule resolution has the one-sided Betti
-    numbers."""
-    env = enveloping(p)
-    rs = complete(env, degree_bound=dbound)
+    `rs` and `rs_op` are completed systems of p and of `opposite(p)`; the
+    enveloping system is built from them (`groebner.enveloping_system`),
+    not completed, and reduces every product as a pair of one-sided
+    products.  `table`, the one-sided Betti table of p, guides
+    `resolve_cyclic` by its support: the minimal bimodule resolution has
+    the one-sided Betti numbers."""
+    if rs.degrees != p.degree_vector():
+        raise ResolutionError("rewrite system of another free algebra")
+    env = enveloping_system(rs, rs_op)
     n = len(p.generators)
-    f = rs.field
-    deltas = [FreeElement(f, rs.degrees, {(i,): f.one(),
-                                          (n + i,): f.neg(f.one())})
+    f = env.field
+    deltas = [FreeElement(f, env.degrees, {(i,): f.one(),
+                                           (n + i,): f.neg(f.one())})
               for i in range(n)]
-    res = resolve_cyclic(rs, deltas, hbound, dbound,
+    res = resolve_cyclic(env, deltas, hbound, dbound,
                          table.support() if table is not None else None)
     res.base = p
     return res, betti(res)
@@ -254,7 +267,10 @@ def diagonal_bimodule_resolution(p: Presentation, hbound: int, dbound: int,
 
 def hochschild_ext(env_rs: RewriteSystem, stages: Resolution,
                    window: tuple | None = None) -> ExtTable:
-    """Ext of the diagonal bimodule with values in the enveloping algebra.
+    """Ext of the diagonal bimodule with values in the enveloping algebra,
+    from its resolution over the enveloping system `env_rs`.  The dual
+    differentials multiply in A (x) A^op as pairs of one-sided products
+    (`_dual_matrix`), through the memos of the systems of A and A^op.
 
     Raw functional degrees are relabeled per level: when stage i is
     concentrated in one internal degree s, entries are reported at
@@ -363,7 +379,8 @@ def rigidity_check(t: ExtTable, hilbert: GradedDims) -> RigidityVerdict:
         return RigidityVerdict(i0, True, None, bounds,
                                ("lowest class not one-dimensional; "
                                 "twist not extracted",))
-    f = res.rs.field
+    rs = res.rs
+    f = rs.field
     dom0, _, rep = _cohomology_rep(res, i0, mu0)
     if rep is None:
         return RigidityVerdict(i0, True, None, bounds,
@@ -371,11 +388,13 @@ def rigidity_check(t: ExtTable, hilbert: GradedDims) -> RigidityVerdict:
     n = len(base.generators)
 
     dom1, img_cols1, _ = _cohomology_rep(res, i0, mu0 + 1)
-    dom1_idx = {bw: c for c, bw in enumerate(dom1)}
+    fac = rs.factor
+    dom1_idx = rs.basis_index(dom1)
 
     def times_letter(letter: int) -> dict:
-        return res.rs.combine([(dom0[k][0], dom0[k][1] + (letter,), c)
-                               for k, c in rep.items()], dom1_idx)
+        fl = fac((letter,))
+        return rs.combine([(dom0[k][0], fac(dom0[k][1]), fl, c)
+                           for k, c in rep.items()], dom1_idx)
 
     right_plain = [times_letter(g) for g in range(n)]
     right_op = [times_letter(n + g) for g in range(n)]
@@ -399,9 +418,9 @@ def rigidity_check(t: ExtTable, hilbert: GradedDims) -> RigidityVerdict:
     mm = SparseMatrix(n, [{g: rows[g][k] for g in range(n)} for k in range(n)], f)
     if rref(mm).rank != n:
         notes.append("substitution matrix is singular")
-    # endomorphism property on the defining relations
-    base_rs = complete(base, degree_bound=max(
-        (r.degree() for r in base.relations), default=2))
+    # endomorphism property on the defining relations, reduced by the
+    # system of the algebra that the enveloping system carries
+    base_rs = rs.algebra
     ok = True
     for r in base.relations:
         acc = FreeElement.zero(f, gdegs)

@@ -24,9 +24,25 @@ updates the index through `add_rule` and `retire`.
 
 Downstream products in the algebra go through `nf` and `combine`: the
 system memoizes the normal form of each word for as long as its rule set
-stands, and writes sums of normal forms into coordinate vectors over
-(slot, normal word) bases, which is the shape of every differential, dual
-differential and action map built from the system.
+stands, and writes sums of normal forms of products left * right into
+coordinate vectors over (slot, normal word) bases, which is the shape of
+every differential, dual differential and action map built from the system.
+Callers hand `combine` each factor as `factor` writes it and index the
+basis through `basis_index`, so one caller serves every system.
+
+The enveloping algebra A (x) A^op is not completed: `enveloping_system`
+builds its rewrite system from completed systems of A and A^op.  Its rules
+are A's rules, A^op's rules on the opposite letters n..2n-1, and the
+commutators g' * h -> h * g' of an opposite letter g' and an original
+letter h.  Overlaps of a commutator with another rule resolve at every
+degree, by commuting the other rule's tail past the letter, so together
+the rules form a Groebner basis as far as A's and A^op's do (the Groebner
+basis of a tensor product, Bergman 1978, Adv. Math. 29, the diamond lemma).
+A normal word of the enveloping algebra is a normal word of A followed by
+one of A^op, and the normal form of any word is the product of the normal
+forms of its original and of its opposite letters.  So `EnvelopingSystem`
+reduces a product as a pair of one-sided products through the two
+one-sided memos, and memoizes no normal form of a whole word.
 """
 
 from __future__ import annotations
@@ -139,6 +155,46 @@ class RewriteSystem:
     def monomial(self, w: Word, coeff=None) -> FreeElement:
         return FreeElement.monomial(self.field, self.degrees, w, coeff)
 
+    def normal_words(self, degree: int) -> list:
+        """See the module function `normal_words`."""
+        leads, lengths = self._leads, self._lengths
+        out: list = []
+
+        def ok(word: Word) -> bool:
+            # only a lead ending at the last letter can be new
+            for m in lengths:
+                if m > len(word):
+                    return True
+                if word[-m:] in leads:
+                    return False
+            return True
+
+        def extend(word: Word, deg: int) -> None:
+            if deg == degree:
+                out.append(word)
+                return
+            for g in range(len(self.degrees)):
+                d = deg + self.degrees[g]
+                if d > degree:
+                    continue
+                w = word + (g,)
+                if ok(w):
+                    extend(w, d)
+
+        if degree < 0:
+            return []
+        extend(EMPTY_WORD, 0)
+        return out
+
+    def factor(self, w: Word):
+        """A word as `combine` takes it: the word itself here."""
+        return w
+
+    def basis_index(self, basis: list) -> dict:
+        """Position of each (slot, normal word) of `basis`, keyed as
+        `combine` looks it up."""
+        return {bw: k for k, bw in enumerate(basis)}
+
     def nf(self, word: Word) -> dict:
         """Normal form of a word as a dict normal word -> scalar, computed
         once per word for the rule set as it stands."""
@@ -149,21 +205,159 @@ class RewriteSystem:
         return terms
 
     def combine(self, products, index: dict) -> dict:
-        """Coordinates of  sum coef * NF(word)  over (slot, word, coef) in
-        `products`; normal word u of NF(word) sits at index[(slot, u)]."""
+        """Coordinates of  sum coef * NF(left * right)  over
+        (slot, left, right, coef) in `products`, each factor as `factor`
+        writes it; the normal words of slot sit where `basis_index` put
+        them."""
         cache = self._nf
         acc: dict = {}
-        for slot, word, coef in products:
+        for slot, left, right, coef in products:
+            word = left + right
             terms = cache.get(word)
             if terms is None:
                 terms = self.nf(word)
             for u, cu in terms.items():
                 r = index[(slot, u)]
                 acc[r] = acc.get(r, 0) + coef * cu
-        p = self.field.p          # None over Q
-        if p is None:
-            return {r: v for r, v in acc.items() if v}
-        return {r: v % p for r, v in acc.items() if v % p}
+        return _reduced(acc, self.field.p)
+
+
+def _reduced(acc: dict, p) -> dict:
+    """The nonzero entries of a coordinate vector, over F_p reduced mod p
+    (p is None over Q)."""
+    if p is None:
+        return {r: v for r, v in acc.items() if v}
+    return {r: v % p for r, v in acc.items() if v % p}
+
+
+@dataclass
+class EnvelopingSystem(RewriteSystem):
+    """The rewrite system of A (x) A^op, built by `enveloping_system` from
+    the completed systems `algebra` of A and `opposite` of A^op.
+
+    Its rules and lead index are those of the module docstring, and
+    `normal_form` and `site` rewrite with them.  `nf`, `combine` and
+    `normal_words` take the split instead: a word factors into its original
+    letters and its opposite letters (shifted back to 0..n-1), and its
+    normal form is NF_A(original) (x) NF_A^op(opposite).  No normal form of
+    a whole word is memoized; only the factors of each normal word that
+    `normal_words` lists are kept, since the bases are factored over and
+    over."""
+
+    algebra: RewriteSystem | None = None
+    opposite: RewriteSystem | None = None
+    _sides: dict = dc_field(init=False, default_factory=dict, repr=False,
+                            compare=False)
+    _factors: dict = dc_field(init=False, default_factory=dict, repr=False,
+                              compare=False)
+
+    def factor(self, w: Word):
+        """(original letters, opposite letters shifted back to 0..n-1)."""
+        pair = self._factors.get(w)
+        if pair is None:
+            n = len(self.algebra.degrees)
+            pair = (tuple(g for g in w if g < n),
+                    tuple(g - n for g in w if g >= n))
+        return pair
+
+    def basis_index(self, basis: list) -> dict:
+        fac = self.factor
+        return {(slot,) + fac(w): k for k, (slot, w) in enumerate(basis)}
+
+    def nf(self, word: Word) -> dict:
+        a, o = self.factor(word)
+        n, mul = len(self.algebra.degrees), self.field.mul
+        vs = [(tuple(g + n for g in v), cv)
+              for v, cv in self.opposite.nf(o).items()]
+        return {u + v: mul(cu, cv)
+                for u, cu in self.algebra.nf(a).items() for v, cv in vs}
+
+    def combine(self, products, index: dict) -> dict:
+        """As `RewriteSystem.combine`, each factor a pair (original,
+        opposite) and each basis word keyed (slot, u, v): two one-sided
+        memo lookups per product, and no word of A (x) A^op is built."""
+        a_rs, o_rs = self.algebra, self.opposite
+        a_cache, o_cache = a_rs._nf, o_rs._nf
+        acc: dict = {}
+        for slot, (la, lo), (ra, ro), coef in products:
+            word = la + ra
+            a_terms = a_cache.get(word)
+            if a_terms is None:
+                a_terms = a_rs.nf(word)
+            word = lo + ro
+            o_terms = o_cache.get(word)
+            if o_terms is None:
+                o_terms = o_rs.nf(word)
+            for u, cu in a_terms.items():
+                cu *= coef
+                for v, cv in o_terms.items():
+                    r = index[(slot, u, v)]
+                    acc[r] = acc.get(r, 0) + cu * cv
+        return _reduced(acc, self.field.p)
+
+    def normal_words(self, degree: int) -> list:
+        """The words u + v' over the pairs of a normal word u of A of
+        degree a and v' one of A^op of degree degree - a, shifted to the
+        opposite letters, sorted in tuple order as the search over all 2n
+        letters lists them."""
+        out: list = []
+        factors = self._factors
+        for a in range(degree + 1):
+            us = self._one_sided(a)[0]
+            if not us:
+                continue
+            vs = self._one_sided(degree - a)[1]
+            for u in us:
+                for v, v_op in vs:
+                    w = u + v_op
+                    factors[w] = (u, v)
+                    out.append(w)
+        out.sort()
+        return out
+
+    def _one_sided(self, degree: int) -> tuple:
+        """(normal words of A, pairs (v, v shifted to the opposite letters)
+        over the normal words v of A^op), of one degree."""
+        sides = self._sides.get(degree)
+        if sides is None:
+            n = len(self.algebra.degrees)
+            sides = self._sides[degree] = (
+                self.algebra.normal_words(degree),
+                [(v, tuple(g + n for g in v))
+                 for v in self.opposite.normal_words(degree)])
+        return sides
+
+
+def enveloping_system(rs: RewriteSystem,
+                      rs_op: RewriteSystem) -> EnvelopingSystem:
+    """The rewrite system of A (x) A^op from a completed system `rs` of A
+    and one `rs_op` of its opposite (same generators, relations reversed),
+    with the generators of `presentation.enveloping`: the originals, then
+    one `_op` copy of each.  It is certified below the lower of the two
+    bounds, and globally complete when both systems are."""
+    if rs.field != rs_op.field or rs.degrees != rs_op.degrees:
+        raise ValueError("the opposite system is over another free algebra")
+    f, n = rs.field, len(rs.degrees)
+    degrees = rs.degrees + rs.degrees
+
+    def embed(elem: FreeElement, shift: int) -> FreeElement:
+        return FreeElement(f, degrees, {tuple(g + shift for g in w): c
+                                        for w, c in elem.terms.items()})
+
+    rules = [RewriteRule(tuple(g + shift for g in r.lead),
+                         embed(r.tail, shift), r.degree)
+             for shift, side in ((0, rs), (n, rs_op))
+             for r in side.alive_rules()]
+    one = f.one()
+    rules += [RewriteRule((n + j, i), FreeElement(f, degrees, {(i, n + j): one}),
+                          degrees[i] + degrees[j])
+              for j in range(n) for i in range(n)]
+    return EnvelopingSystem(
+        f, degrees, rs.names + tuple(name + "_op" for name in rs.names),
+        rs.degree_bound, rules,
+        complete_below=min(rs.complete_below, rs_op.complete_below),
+        globally_complete=rs.globally_complete and rs_op.globally_complete,
+        algebra=rs, opposite=rs_op)
 
 
 def normal_form(rs: RewriteSystem, elem: FreeElement) -> FreeElement:
@@ -206,6 +400,13 @@ def _overlaps(u: Word, v: Word):
             yield k, u + v[k:]
 
 
+def _resolves_everywhere(ri: RewriteRule, rj: RewriteRule) -> bool:
+    """An ambiguity of two rules with zero tails resolves in every degree:
+    its S-polynomial is 0 - 0.  Tails are only ever reduced, so a zero tail
+    stays zero."""
+    return ri.tail.is_zero() and rj.tail.is_zero()
+
+
 def _tail_reducible(rs: RewriteSystem, rule: RewriteRule) -> bool:
     return any(not rs.is_normal_word(w) for w in rule.tail.terms)
 
@@ -229,7 +430,8 @@ class _Completion:
     def push_pair(self, i: int, j: int, k: int, word: Word) -> None:
         deg = word_degree(word, self.rs.degrees)
         if deg > self.rs.degree_bound:
-            self.skipped = True
+            if not _resolves_everywhere(self.rs.rules[i], self.rs.rules[j]):
+                self.skipped = True
             self.stats["pairs_skipped_degree"] += 1
             return
         heapq.heappush(self.heap, (deg, next(self.counter), "pair", (i, j, k)))
@@ -302,7 +504,8 @@ class _Completion:
                     for k, word in _overlaps(ri.lead, rj.lead):
                         deg = word_degree(word, self.rs.degrees)
                         if deg > self.rs.degree_bound:
-                            self.skipped = True
+                            if not _resolves_everywhere(ri, rj):
+                                self.skipped = True
                             continue
                         s = normal_form(self.rs, self.spoly(i, j, k))
                         if not s.is_zero():
@@ -346,34 +549,7 @@ def normal_words(rs: RewriteSystem, degree: int) -> list:
     """Irreducible words of the given total degree, in deglex order.
     Valid in every degree when globally_complete, else for
     degree <= complete_below."""
-    leads, lengths = rs._leads, rs._lengths
-    out: list = []
-
-    def ok(word: Word) -> bool:
-        # only a lead ending at the last letter can be new
-        for m in lengths:
-            if m > len(word):
-                return True
-            if word[-m:] in leads:
-                return False
-        return True
-
-    def extend(word: Word, deg: int) -> None:
-        if deg == degree:
-            out.append(word)
-            return
-        for g in range(len(rs.degrees)):
-            d = deg + rs.degrees[g]
-            if d > degree:
-                continue
-            w = word + (g,)
-            if ok(w):
-                extend(w, d)
-
-    if degree < 0:
-        return []
-    extend(EMPTY_WORD, 0)
-    return out
+    return rs.normal_words(degree)
 
 
 class NormalWordDFA:

@@ -9,7 +9,8 @@ inside S_j, where S is the ideal J for stage 1 (candidates: the module
 relations) and the kernel K of the previous differential after it
 (candidates: a kernel basis).  The resolution is therefore minimal by
 construction (differentials land in the augmentation ideal, which is
-asserted).  Products go through the system's memoized `combine`.
+asserted).  Products go through the system's memoized `combine`, as pairs of
+factors; over the enveloping algebra each is a pair of one-sided products.
 
 Two rules end the sieve early without changing what it finds:
 
@@ -132,7 +133,7 @@ def resolve_cyclic(rs: RewriteSystem, module_relations, hbound: int,
             f"{guide.source} certified to stage {guide.hbound} and degree "
             f"{guide.dbound} cannot guide a resolution to stage {hbound} "
             f"and degree {dbound}")
-    f = rs.field
+    f, fac = rs.field, rs.factor
     res = Resolution(rs, [ResolutionStage(0, [StageGen(0, {})])], hbound, dbound,
                      tuple(module_relations))
 
@@ -168,34 +169,41 @@ def resolve_cyclic(rs: RewriteSystem, module_relations, hbound: int,
         else:
             top = dbound
         sub: dict[int, list] = {}      # j -> echelon basis of S_j
+        # the entries of each differential column, factored for `combine`
+        entries = [[(tgt, fac(tw), tc) for tgt, a in gen.column.items()
+                    for tw, tc in a.terms.items()] for gen in prev.gens]
         min_deg = min(g.degree for g in prev.gens)
         for j in range(min_deg, min(top, dbound) + 1):
             dom = res.stage_basis(i - 1, j)
             if not dom and i > 1:     # stage 1 records J_j = 0 all the same
                 continue
-            dom_idx = {bw: k for k, bw in enumerate(dom)}
+            dom_idx = rs.basis_index(dom)
             if i == 1:
-                cands = [{dom_idx[(0, w)]: c for w, c in r.terms.items()}
+                pos = {w: k for k, (_, w) in enumerate(dom)}
+                cands = [{pos[w]: c for w, c in r.terms.items()}
                          for r in rels if r.degree() == j]
             elif guide is not None and (i, j) not in guide.cells:
                 cands = []     # K_j is the span below, by the theorem
             else:
                 cod = res.stage_basis(i - 2, j)
-                cod_idx = {bw: k for k, bw in enumerate(cod)}
-                cols = [rs.combine(
-                    [(tgt, w + tw, tc)
-                     for tgt, a in prev.gens[gi].column.items()
-                     for tw, tc in a.terms.items()], cod_idx)
-                    for gi, w in dom]
+                cod_idx = rs.basis_index(cod)
+                cols = []
+                for gi, w in dom:
+                    fw = fac(w)
+                    cols.append(rs.combine(
+                        [(tgt, fw, ft, tc) for tgt, ft, tc in entries[gi]],
+                        cod_idx))
                 cands = kernel_basis(SparseMatrix(len(cod), cols, f))
             span = RowSpan(f)
             for g, dg in enumerate(rs.degrees):
                 if not sub.get(j - dg):
                     continue
-                src = res.stage_basis(i - 1, j - dg)
+                fg = fac((g,))
+                src = [(slot, fac(w))
+                       for slot, w in res.stage_basis(i - 1, j - dg)]
                 for v in sub[j - dg]:
                     span.add(rs.combine(
-                        [(src[k][0], (g,) + src[k][1], c) for k, c in v.items()],
+                        [(src[k][0], fg, src[k][1], c) for k, c in v.items()],
                         dom_idx))
             for v in cands:
                 if span.add(v):

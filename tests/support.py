@@ -7,8 +7,8 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import strategies as st
 
-from ncgraded import normal_form
-from ncgraded.duality import _dual_matrix
+from ncgraded import complete, normal_form, opposite
+from ncgraded.duality import _dual_matrix, diagonal_bimodule_resolution
 from ncgraded.exactla import F32003, QQ, RowSpan
 from ncgraded.freealg import FreeElement, deglex_key, enumerate_words
 from ncgraded.groebner import find_subword, normal_words
@@ -29,6 +29,14 @@ def dd_composites_vanish(res) -> bool:
                 if not normal_form(rs, elem).is_zero():
                     return False
     return True
+
+
+def bimodule_resolution(p, hbound, dbound, table=None):
+    """`diagonal_bimodule_resolution` of p over its enveloping system, built
+    from p and its opposite completed at dbound."""
+    return diagonal_bimodule_resolution(
+        p, complete(p, dbound), complete(opposite(p), dbound), hbound,
+        dbound, table)
 
 
 def dual_composites_vanish(res, window) -> bool:

@@ -21,11 +21,11 @@ from ncgraded.presentation import (builtin, enveloping, group_algebra_oracle,
                                    group_algebra_relations, homogenize,
                                    opposite, skew_polynomial)
 from ncgraded.resolution import betti, gldim_upto, minimal_resolution
-from ncgraded.duality import (as_check, diagonal_bimodule_resolution, ext_k_A,
-                              hochschild_ext, invariant_report)
+from ncgraded.duality import as_check, ext_k_A, hochschild_ext, invariant_report
 from ncgraded.cli import confluence_probe, normal_element_scan
 
-from support import convolution, dd_composites_vanish, euler_defects
+from support import (bimodule_resolution, convolution, dd_composites_vanish,
+                     euler_defects)
 
 GOLDEN = pathlib.Path(ncgraded.__file__).parent / "golden"
 
@@ -111,7 +111,7 @@ def test_criterion_4_bimodule_betti_matches_one_sided():
         p = builtin(name)
         rs = complete(p, dbound)
         one_sided = betti(minimal_resolution(rs, 5, dbound))
-        _, two_sided = diagonal_bimodule_resolution(p, 5, dbound)
+        _, two_sided = bimodule_resolution(p, 5, dbound)
         window = min(one_sided.certified_internal, two_sided.certified_internal)
         left = {k: v for k, v in one_sided.entries.items() if k[1] <= window}
         right = {k: v for k, v in two_sided.entries.items() if k[1] <= window}
@@ -127,7 +127,7 @@ def test_criterion_5_enveloping_algebra_and_bimodule_ext():
     verdict, _, _ = full_verdict(enveloping(p), 5, 8)
     assert verdict.status == "regular"
     assert (verdict.n, verdict.l) == (4, 4)
-    dres, _ = diagonal_bimodule_resolution(p, 5, 8)
+    dres, _ = bimodule_resolution(p, 5, 8)
     h = hochschild_ext(dres.rs, dres)
     assert h.nonzero_levels() == [2]
     assert all(h.zero_certified[i] for i in range(5) if i != 2)

@@ -312,3 +312,18 @@ def test_runconfig_validation():
         RunConfig(input="polynomial-2", homological_bound=0)
     with pytest.raises(UsageError):
         RunConfig(input="polynomial-2", checks=("hilbert", "nope"))
+
+
+def test_monomial_overlaps_above_the_bound_resolve(tmp_path, capsys):
+    # x^3 overlaps itself in degree 5, above the bound; an overlap of two
+    # zero-tail rules resolves in every degree, so the system is complete
+    src = tmp_path / "cube.alg"
+    src.write_text("algebra cube over F32003\ndeg x = 1\nrel x^3\n")
+    assert main(["--input", str(src), "-d", "4", "-h", "3", "--check", "betti",
+                 "--json", "-"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["groebner"]["globally_complete"]
+    assert report["betti"]["entries"] == {"0,0": 1, "1,1": 1, "2,3": 1,
+                                          "3,4": 1}
+    stages = report["betti"]["stage_complete"]
+    assert stages["1"] and stages["2"]

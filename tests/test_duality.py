@@ -9,11 +9,11 @@ from ncgraded.groebner import complete
 from ncgraded.hilbert import hilbert_function
 from ncgraded.presentation import builtin, enveloping, opposite, skew_polynomial
 from ncgraded.resolution import ResolutionError, betti, gldim_upto, minimal_resolution
-from ncgraded.duality import (_dual_matrix, as_check,
-                              diagonal_bimodule_resolution, ext_k_A,
+from ncgraded.duality import (_dual_matrix, as_check, ext_k_A,
                               hochschild_ext, invariant_report, rigidity_check)
 
-from support import dual_composites_vanish, rule_scan_normal_form
+from support import (bimodule_resolution, dual_composites_vanish,
+                     rule_scan_normal_form)
 
 
 def two_sided(p, hbound, dbound):
@@ -92,7 +92,7 @@ def test_table_requires_matching_system(qp_res, sz_rs):
 # -- bimodule side ------------------------------------------------------------
 
 def test_line_algebra_bimodule_ext_is_shifted_line():
-    dres, dtab = diagonal_bimodule_resolution(builtin("polynomial-1"), 5, 8)
+    dres, dtab = bimodule_resolution(builtin("polynomial-1"), 5, 8)
     assert dtab.entries == {(0, 0): 1, (1, 1): 1}
     h = hochschild_ext(dres.rs, dres)
     assert h.nonzero_levels() == [1]
@@ -103,7 +103,7 @@ def test_line_algebra_bimodule_ext_is_shifted_line():
 
 def test_quantum_plane_bimodule_concentration(qp_rs):
     p = builtin("quantum-plane-2")
-    dres, dtab = diagonal_bimodule_resolution(p, 5, 8)
+    dres, dtab = bimodule_resolution(p, 5, 8)
     assert dtab.entries == {(0, 0): 1, (1, 1): 2, (2, 2): 1}
     h = hochschild_ext(dres.rs, dres)
     assert h.nonzero_levels() == [2]
@@ -116,7 +116,7 @@ def test_quantum_plane_bimodule_concentration(qp_rs):
 
 def test_quantum_plane_twist(qp_rs):
     p = builtin("quantum-plane-2")
-    dres, _ = diagonal_bimodule_resolution(p, 5, 8)
+    dres, _ = bimodule_resolution(p, 5, 8)
     h = hochschild_ext(dres.rs, dres)
     rig = rigidity_check(h, hilbert_function(qp_rs, 8))
     assert rig.concentrated_at == 2
@@ -128,7 +128,7 @@ def test_quantum_plane_twist(qp_rs):
 def test_quantum_plane_twist_small_field():
     f3 = field_from_name("F3")
     p = builtin("quantum-plane-2", field=f3)
-    dres, _ = diagonal_bimodule_resolution(p, 5, 8)
+    dres, _ = bimodule_resolution(p, 5, 8)
     rs = complete(p, 8)
     rig = rigidity_check(hochschild_ext(dres.rs, dres), hilbert_function(rs, 8))
     twist = {k: v.format(p.names()) for k, v in rig.twist_on_generators.items()}
@@ -137,7 +137,7 @@ def test_quantum_plane_twist_small_field():
 
 def test_commutative_plane_twist_is_identity(poly2_rs):
     p = builtin("polynomial-2")
-    dres, _ = diagonal_bimodule_resolution(p, 5, 8)
+    dres, _ = bimodule_resolution(p, 5, 8)
     rig = rigidity_check(hochschild_ext(dres.rs, dres),
                          hilbert_function(poly2_rs, 8))
     twist = {k: v.format(p.names()) for k, v in rig.twist_on_generators.items()}
@@ -146,7 +146,7 @@ def test_commutative_plane_twist_is_identity(poly2_rs):
 
 def test_reference_bimodule_window_is_honest(sz_res):
     p = builtin("smith-zhang")
-    dres, dtab = diagonal_bimodule_resolution(p, 5, 5)
+    dres, dtab = bimodule_resolution(p, 5, 5)
     assert not dres.rs.globally_complete
     assert dtab.entries == {k: v for k, v in betti(sz_res).entries.items()
                             if k[1] <= 5}
@@ -156,7 +156,7 @@ def test_reference_bimodule_window_is_honest(sz_res):
 def test_dual_differential_squares_to_zero():
     rs = complete(builtin("polynomial-3"), 8)
     res = minimal_resolution(rs, 4, 8)
-    dres, _ = diagonal_bimodule_resolution(builtin("quantum-plane-2"), 4, 6)
+    dres, _ = bimodule_resolution(builtin("quantum-plane-2"), 4, 6)
     for t in (ext_k_A(rs, res), hochschild_ext(dres.rs, dres)):
         r = t.resolution
         assert dual_composites_vanish(r, t.window)

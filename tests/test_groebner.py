@@ -9,15 +9,18 @@ from hypothesis import given, settings, strategies as st
 
 from ncgraded import groebner
 from ncgraded.exactla import F32003, QQ, field_from_name
-from ncgraded.freealg import FreeElement, deglex_key
+from ncgraded.freealg import FreeElement, deglex_key, word_degree
+from ncgraded.duality import diagonal_bimodule_resolution, hochschild_ext
 from ncgraded.groebner import (RewriteRule, RewriteSystem, complete,
-                               count_avoiding_words, normal_form,
-                               normal_word_counts, normal_words)
+                               count_avoiding_words, enveloping_system,
+                               normal_form, normal_word_counts, normal_words)
 from ncgraded.presentation import (FilteredPresentation, builtin,
-                                   builtin_names, enveloping, homogenize)
+                                   builtin_names, enveloping, homogenize,
+                                   opposite, parse)
 from ncgraded.cli import confluence_probe
 
-from support import random_presentations, rule_scan_normal_form
+from support import (dual_composites_vanish, random_presentations,
+                     rule_scan_normal_form)
 
 
 def test_polynomial_2_single_rule(poly2_rs):
@@ -243,3 +246,70 @@ def test_random_presentations_rewrite_as_the_rule_scan(case, data):
         (ref.complete_below, ref.globally_complete)
     for w in words:
         assert_nf_matches_scan(rs, w)
+
+
+# ---------------------------------------------------------------------------
+# the enveloping system built from A and A^op against the completed
+# enveloping presentation
+
+WEIGHTED = """
+algebra weighted over F32003
+deg x = 2, y = 1
+rel x*y - y*x - y^3
+"""
+
+
+def _alive(rs) -> dict:
+    return {r.lead: r.tail.terms for r in rs.alive_rules()}
+
+
+def assert_enveloping_system_matches_completion(p, bound, words):
+    """The built system has the completion's rules and certificate (or a
+    stronger one), lists the same normal words, and its split normal form
+    is the rule scan's on `words`."""
+    rs, rs_op = complete(p, bound), complete(opposite(p), bound)
+    env = enveloping_system(rs, rs_op)
+    ref = complete(enveloping(p), bound)
+    assert _alive(env) == _alive(ref)
+    assert env.complete_below == ref.complete_below
+    # Overlaps of zero-tail rules resolve above the bound, but the
+    # completion still skips those of a zero-tail rule and a commutator, and
+    # those of a commutator and a lead within a letter of the bound
+    assert env.globally_complete >= ref.globally_complete
+    rules = rs.alive_rules() + rs_op.alive_rules()
+    if not any(r.tail.is_zero() or r.degree + max(rs.degrees) > bound
+               for r in rules):
+        assert env.globally_complete == ref.globally_complete
+    for d in range(bound + 1):
+        assert normal_words(env, d) == normal_words(ref, d), d
+    for w in words:
+        assert env.nf(w) == rule_scan_normal_form(env, env.monomial(w)).terms, w
+    # a product of two words as `combine` reduces it, as a pair of pairs
+    for left, right in zip(words, words[1:]):
+        d = word_degree(left + right, env.degrees)
+        if d <= bound:
+            basis = [(0, u) for u in normal_words(env, d)]
+            got = env.combine([(0, env.factor(left), env.factor(right), 1)],
+                              env.basis_index(basis))
+            assert {basis[k][1]: c for k, c in got.items()} == \
+                env.nf(left + right), (left, right)
+    dres, _ = diagonal_bimodule_resolution(p, rs, rs_op, 3, bound)
+    assert dual_composites_vanish(dres, hochschild_ext(dres.rs, dres).window)
+
+
+@settings(max_examples=25)
+@given(case=random_presentations(), data=st.data())
+def test_enveloping_system_matches_completed_enveloping(case, data):
+    p, bound = case
+    letters = st.integers(0, 2 * len(p.generators) - 1)
+    words = data.draw(st.lists(st.lists(letters, max_size=bound).map(tuple),
+                               min_size=1, max_size=12))
+    assert_enveloping_system_matches_completion(p, bound, words)
+
+
+def test_enveloping_system_with_a_degree_2_generator():
+    # x has degree 2 and comes first, so the normal words of one degree
+    # interleave the pairs of different splits a + b in tuple order
+    p = parse(WEIGHTED)
+    words = [w for n in range(5) for w in itertools.product(range(4), repeat=n)]
+    assert_enveloping_system_matches_completion(p, 6, words)

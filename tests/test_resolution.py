@@ -7,11 +7,11 @@ import pytest
 
 from hypothesis import given
 
-from support import (anick_chain_counts, dd_composites_vanish, euler_defects,
+from support import (anick_chain_counts, bimodule_resolution,
+                     dd_composites_vanish, euler_defects,
                      random_monomial_presentations, random_presentations)
 
 from ncgraded import resolution
-from ncgraded.duality import diagonal_bimodule_resolution
 from ncgraded.groebner import complete
 from ncgraded.hilbert import hilbert_function
 from ncgraded.presentation import (FilteredPresentation, builtin,
@@ -197,8 +197,8 @@ def assert_guided_paths_agree(p, hbound, dbound):
     full = resolve_cyclic(rs_o, augmentation(rs_o), hbound, dbound)
     guided = minimal_resolution(rs_o, hbound, dbound, tab)
     assert stage_columns(guided) == stage_columns(full)
-    full, _ = diagonal_bimodule_resolution(p, hbound, dbound)
-    guided, _ = diagonal_bimodule_resolution(p, hbound, dbound, tab)
+    full, _ = bimodule_resolution(p, hbound, dbound)
+    guided, _ = bimodule_resolution(p, hbound, dbound, tab)
     assert stage_columns(guided) == stage_columns(full)
     return tab
 
