@@ -2,9 +2,19 @@
 
 Everything downstream (rewriting, graded dimension counts, resolutions,
 cohomology tables) reduces to exact rank / kernel / span computations, so
-this module is deliberately small and boring: scalars are `fractions.Fraction`
-over Q and plain ints in ``[0, p)`` over F_p, and a matrix is its list of
-sparse columns.
+this module is deliberately small and boring: scalars over F_p are plain
+ints in ``[0, p)``, scalars over Q are exact rationals, and a matrix is its
+list of sparse columns.
+
+A rational scalar is a Python int while it is integral and a
+`fractions.Fraction` only once it has a denominator above 1.  Ints are
+exact already, and int arithmetic costs no gcd and no allocation, so an
+input with integer coefficients and pivots +-1 (every builtin but
+quantum-plane-2, with its q = 2) runs at about the cost of F_p.
+`FieldSpec` never returns a Fraction whose denominator is 1.  The hot loops
+multiply and add scalars with the raw operators, which keep ints ints; a
+Fraction enters only by the inverse of a non-unit, and whatever it touches
+may stay a Fraction of denominator 1, which equals and hashes as its int.
 
 One sparse elimination serves both fields.  A row is a dict column ->
 nonzero scalar, and `_Rows` keeps beside the rows a map from each column to
@@ -38,7 +48,7 @@ import numpy as np
 DEFAULT_PRIME = 32003
 SECOND_PRIME = 46337
 
-Scalar = object  # Fraction over Q, int over F_p
+Scalar = object  # int over F_p; over Q an int, or a Fraction when not integral
 
 
 @dataclass(frozen=True)
@@ -66,25 +76,25 @@ class FieldSpec:
     # -- scalar arithmetic ------------------------------------------------
 
     def zero(self) -> Scalar:
-        return 0 if self.kind == "Fp" else Fraction(0)
+        return 0
 
     def one(self) -> Scalar:
-        return 1 if self.kind == "Fp" else Fraction(1)
+        return 1
 
     def from_int(self, n: int) -> Scalar:
-        return n % self.p if self.kind == "Fp" else Fraction(n)
+        return n % self.p if self.kind == "Fp" else n
 
     def add(self, a: Scalar, b: Scalar) -> Scalar:
-        return (a + b) % self.p if self.kind == "Fp" else a + b
+        return (a + b) % self.p if self.kind == "Fp" else _rational(a + b)
 
     def sub(self, a: Scalar, b: Scalar) -> Scalar:
-        return (a - b) % self.p if self.kind == "Fp" else a - b
+        return (a - b) % self.p if self.kind == "Fp" else _rational(a - b)
 
     def mul(self, a: Scalar, b: Scalar) -> Scalar:
-        return (a * b) % self.p if self.kind == "Fp" else a * b
+        return (a * b) % self.p if self.kind == "Fp" else _rational(a * b)
 
     def neg(self, a: Scalar) -> Scalar:
-        return (-a) % self.p if self.kind == "Fp" else -a
+        return (-a) % self.p if self.kind == "Fp" else _rational(-a)
 
     def inv(self, a: Scalar) -> Scalar:
         if self.kind == "Fp":
@@ -94,13 +104,18 @@ class FieldSpec:
             return pow(a, self.p - 2, self.p)
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return Fraction(1) / a
+        return _rational(1 / Fraction(a))
 
     def is_zero(self, a: Scalar) -> bool:
         return (a % self.p == 0) if self.kind == "Fp" else a == 0
 
     def describe(self) -> str:
         return "Q" if self.kind == "Q" else f"F{self.p}"
+
+
+def _rational(x: Scalar) -> Scalar:
+    """A rational scalar as an int when it is integral."""
+    return x.numerator if type(x) is Fraction and x.denominator == 1 else x
 
 
 QQ = FieldSpec("Q")

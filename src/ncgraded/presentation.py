@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .exactla import F32003, FieldSpec, field_from_name
 from .freealg import EMPTY_WORD, FreeElement, GeneratorInfo, Word, deglex_key, word_degree
@@ -398,8 +397,6 @@ def skew_polynomial(n: int, params, field: FieldSpec = F32003) -> Presentation:
     for i in range(n):
         for j in range(i + 1, n):
             q = field.from_int(1) if (i, j) not in params else params[(i, j)]
-            if isinstance(q, int) and field.kind == "Q":
-                q = Fraction(q)
             if field.kind == "Fp" and not isinstance(q, int):
                 raise PresentationError(f"q_{i}{j} not a prime-field scalar")
             if field.is_zero(q):

@@ -58,6 +58,13 @@ def dual_composites_vanish(res, window) -> bool:
     return True
 
 
+def stage_columns(res) -> list:
+    """Every stage as (degree, column) pairs, a column as the terms dict of
+    each of its entries."""
+    return [[(g.degree, {k: e.terms for k, e in g.column.items()})
+             for g in st_.gens] for st_ in res.stages]
+
+
 def euler_defects(table, dims, through: int | None = None) -> list:
     """Internal degrees where the alternating Betti convolution with the
     graded dimensions misses the trivial module, checked through degree
@@ -123,11 +130,11 @@ def normal_elements_one_by_one(rs, d) -> list:
 
 
 @st.composite
-def random_presentations(draw):
+def random_presentations(draw, fields=(F32003, QQ)):
     """(presentation, completion bound): 2-3 generators of degree 1 and 1-3
     quadratic or cubic relations of 1-4 terms with coefficients in -3..3,
-    over F32003 or Q, completed at bound 4 or 5."""
-    field = draw(st.sampled_from((F32003, QQ)))
+    over one of `fields`, completed at bound 4 or 5."""
+    field = draw(st.sampled_from(fields))
     names = ("x", "y", "z")[:draw(st.integers(2, 3))]
     degrees = (1,) * len(names)
     rels = []
@@ -140,6 +147,15 @@ def random_presentations(draw):
                                                  for w, c in terms.items()}))
     p = Presentation(field, tuple((n, 1) for n in names), rels)
     return p, draw(st.sampled_from((4, 5)))
+
+
+def over_field(p, field):
+    """p, whose coefficients are ints, entered over `field` by its from_int."""
+    return Presentation(field, tuple((g.name, g.degree) for g in p.generators),
+                        [FreeElement(field, r.degrees,
+                                     {w: field.from_int(c)
+                                      for w, c in r.terms.items()})
+                         for r in p.relations])
 
 
 @st.composite

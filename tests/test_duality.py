@@ -1,19 +1,26 @@
 """Dualized resolutions: one-sided Ext tables, the regularity verdict,
 bimodule cohomology, and twist extraction."""
 
-import pytest
+from fractions import Fraction
+from unittest import mock
 
-from ncgraded.exactla import field_from_name
+import pytest
+from hypothesis import given
+
+from ncgraded import duality
+from ncgraded.exactla import QQ, FieldSpec, field_from_name
 from ncgraded.freealg import enumerate_words
 from ncgraded.groebner import complete
 from ncgraded.hilbert import hilbert_function
 from ncgraded.presentation import builtin, enveloping, opposite, skew_polynomial
 from ncgraded.resolution import ResolutionError, betti, gldim_upto, minimal_resolution
 from ncgraded.duality import (_dual_matrix, as_check, ext_k_A,
-                              hochschild_ext, invariant_report, rigidity_check)
+                              diagonal_bimodule_resolution, hochschild_ext,
+                              invariant_report, rigidity_check)
 
-from support import (bimodule_resolution, dual_composites_vanish,
-                     rule_scan_normal_form)
+from support import (bimodule_resolution, dual_composites_vanish, over_field,
+                     random_presentations, rule_scan_normal_form,
+                     stage_columns)
 
 
 def two_sided(p, hbound, dbound):
@@ -197,3 +204,93 @@ def test_invariants_on_failing_algebra(sz_rs, sz_res):
     assert inv["unchecked_hypotheses"] == []
     assert any("growth estimate" in n for n in inv["notes"])
     assert any("fails" in n for n in inv["notes"])
+
+
+# -- rational scalars stay ints while they are integral ------------------------
+
+def rule_scalars(rs):
+    return [c for r in rs.alive_rules() for c in r.tail.terms.values()]
+
+
+def column_scalars(res):
+    return [c for st_ in res.stages for g in st_.gens
+            for e in g.column.values() for c in e.terms.values()]
+
+
+def test_integral_rational_run_holds_no_fraction():
+    # every coefficient of smith-zhang is +-1, and so is every pivot, so no
+    # scalar of a FULL run over Q needs a denominator.  A Fraction here
+    # means an int was coerced somewhere, which slows Q down 2-4x
+    p = builtin("smith-zhang", field=QQ)
+    rs, rs_r = complete(p, 6), complete(opposite(p), 6)
+    res = minimal_resolution(rs, 5, 6)
+    tab = betti(res)
+    res_r = minimal_resolution(rs_r, 5, 6, tab)
+    built = []
+
+    def record(*args):
+        built.append(_dual_matrix(*args))
+        return built[-1]
+
+    with mock.patch.object(duality, "_dual_matrix", side_effect=record):
+        ext_k_A(rs, res)
+        ext_k_A(rs_r, res_r)
+        dres, _ = diagonal_bimodule_resolution(p, rs, rs_r, 5, 6, tab)
+        hochschild_ext(dres.rs, dres)
+    scalars = {
+        "tails": rule_scalars(rs) + rule_scalars(rs_r) + rule_scalars(dres.rs),
+        "left": column_scalars(res),
+        "right": column_scalars(res_r),
+        "bimodule": column_scalars(dres),
+        "d*": [v for m in built for col in m.columns for v in col.values()],
+    }
+    for where, values in scalars.items():
+        assert values, where
+        assert not [c for c in values if isinstance(c, Fraction)], where
+
+
+class FractionQ(FieldSpec):
+    """Q with every scalar a Fraction, integral or not: the representation
+    before integral scalars were kept as ints."""
+
+    def zero(self):
+        return Fraction(0)
+
+    def one(self):
+        return Fraction(1)
+
+    def from_int(self, n):
+        return Fraction(n)
+
+    def add(self, a, b):
+        return Fraction(a + b)
+
+    def sub(self, a, b):
+        return Fraction(a - b)
+
+    def mul(self, a, b):
+        return Fraction(a * b)
+
+    def neg(self, a):
+        return Fraction(-a)
+
+    def inv(self, a):
+        return 1 / Fraction(a)
+
+
+def rational_pipeline(p, hbound, dbound):
+    rs, rs_r = complete(p, dbound), complete(opposite(p), dbound)
+    res = minimal_resolution(rs, hbound, dbound)
+    tab = betti(res)
+    return ({r.lead: r.tail.terms for r in rs.alive_rules()},
+            rs.complete_below, stage_columns(res), tab,
+            ext_k_A(rs, res),
+            ext_k_A(rs_r, minimal_resolution(rs_r, hbound, dbound, tab)))
+
+
+@given(case=random_presentations(fields=(QQ,)))
+def test_integral_scalars_match_the_fraction_reference(case):
+    # coefficients in -3..3 divide by non-units, so ints and Fractions mix
+    p, bound = case
+    assert (rational_pipeline(p, 3, bound)
+            == rational_pipeline(over_field(p, FractionQ("Q")), 3, bound))

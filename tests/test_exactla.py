@@ -12,6 +12,7 @@ from ncgraded.exactla import (F32003, F46337, QQ, FieldSpec, RowSpan,
                               SparseMatrix, field_from_name, kernel_basis,
                               rref, same_row_spans, solve_columns)
 from ncgraded.groebner import complete
+from ncgraded.presentation import parse
 from ncgraded.resolution import minimal_resolution
 
 from support import dd_composites_vanish, random_presentations, reference_rref
@@ -81,6 +82,36 @@ def test_prime_field_arithmetic():
 def test_rational_arithmetic():
     assert QQ.inv(Fraction(2, 3)) == Fraction(3, 2)
     assert QQ.neg(QQ.one()) == Fraction(-1)
+
+
+def exactly(value, expected):
+    """`value` equals `expected` and is of its very type."""
+    return type(value) is type(expected) and value == expected
+
+
+def test_rational_scalars_are_ints_while_integral():
+    assert exactly(QQ.zero(), 0) and exactly(QQ.one(), 1)
+    assert exactly(QQ.from_int(-7), -7)
+    for unit in (1, -1, Fraction(1), Fraction(-1)):
+        assert exactly(QQ.inv(unit), int(unit))
+    assert exactly(QQ.inv(2), Fraction(1, 2))
+    assert exactly(QQ.inv(Fraction(1, 3)), 3)
+    assert exactly(QQ.mul(Fraction(1, 2), 2), 1)
+    assert exactly(QQ.add(Fraction(1, 2), Fraction(1, 2)), 1)
+    assert exactly(QQ.sub(Fraction(5, 2), Fraction(1, 2)), 2)
+    assert exactly(QQ.neg(Fraction(4, 2)), -2)
+    assert exactly(QQ.mul(Fraction(1, 2), 3), Fraction(3, 2))
+
+
+def test_parsed_rational_coefficients_are_ints_until_divided():
+    (rel,) = parse("""
+algebra c over Q
+deg x = 1, y = 1
+rel 2*y*x - 1/2*x*y + 4/2*x*x
+""").relations
+    assert exactly(rel.terms[(1, 0)], 2)
+    assert exactly(rel.terms[(0, 1)], Fraction(-1, 2))
+    assert exactly(rel.terms[(0, 0)], 2)
 
 
 # -- elimination --------------------------------------------------------------

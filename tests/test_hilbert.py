@@ -3,12 +3,17 @@
 import math
 
 import pytest
+from hypothesis import given
 
+from ncgraded.exactla import F32003, F46337, QQ
 from ncgraded.groebner import complete
 from ncgraded.hilbert import (ClaimSyntaxError, GradedDims, gk_estimate,
                               hilbert_function, series_coefficients,
                               verify_rational)
-from ncgraded.presentation import builtin, enveloping
+from ncgraded.presentation import (FilteredPresentation, builtin,
+                                   builtin_names, enveloping, homogenize)
+
+from support import over_field, random_presentations
 
 
 def dims_of(name, dmax=8):
@@ -24,14 +29,27 @@ def test_corpus_dimensions():
         math.comb(d + 3, 3) for d in range(9)]
 
 
-@pytest.mark.parametrize("name", ["quantum-plane-2", "smith-zhang"])
+@pytest.mark.parametrize("name", builtin_names())
 def test_dimensions_agree_across_fields(name):
-    from ncgraded.exactla import F46337, QQ
     seen = set()
-    for f in (QQ, F46337):
-        rs = complete(builtin(name, field=f), 6)
-        seen.add(hilbert_function(rs, 6).dims)
-    assert seen == {dims_of(name, 6).dims}
+    for f in (F32003, F46337, QQ):
+        p = builtin(name, field=f)
+        if isinstance(p, FilteredPresentation):
+            p = homogenize(p)
+        seen.add(hilbert_function(complete(p, 6), 6).dims)
+    assert len(seen) == 1
+
+
+@given(case=random_presentations(fields=(QQ,)))
+def test_prime_dimensions_bound_the_rational_ones(case):
+    # the relations have integer coefficients, so the relation matrices of
+    # each degree can only lose rank mod p, and A_d only grow
+    p, bound = case
+    over_q = hilbert_function(complete(p, bound), bound)
+    for f in (F32003, F46337):
+        over_p = hilbert_function(complete(over_field(p, f), bound), bound)
+        through = min(over_p.certified_to, over_q.certified_to)
+        assert all(over_p.dims[d] >= over_q.dims[d] for d in range(through + 1))
 
 
 def test_certified_to_tracks_completion():

@@ -9,7 +9,8 @@ from hypothesis import given
 
 from support import (anick_chain_counts, bimodule_resolution,
                      dd_composites_vanish, euler_defects,
-                     random_monomial_presentations, random_presentations)
+                     random_monomial_presentations, random_presentations,
+                     stage_columns)
 
 from ncgraded import resolution
 from ncgraded.groebner import complete
@@ -175,13 +176,6 @@ def test_stage_bases_and_kernel_bookkeeping(sz_res):
 
 
 # -- resolutions guided by the one-sided Betti table -------------------------
-
-def stage_columns(res) -> list:
-    """Every stage as (degree, column) pairs, a column as the terms dict of
-    each of its entries."""
-    return [[(g.degree, {k: e.terms for k, e in g.column.items()})
-             for g in st_.gens] for st_ in res.stages]
-
 
 def augmentation(rs) -> list:
     """The algebra generators, which generate the augmentation ideal."""
