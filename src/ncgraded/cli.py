@@ -312,10 +312,10 @@ def run(cfg: RunConfig) -> tuple[dict, int]:
 
     asv = None
     if "asregular" in cfg.checks:
-        t_left = ext_k_A(rs, res)
+        t_left = ext_k_A(res)
         res_r = minimal_resolution(rs_r, cfg.homological_bound,
                                    cfg.degree_bound, tab)
-        t_right = ext_k_A(rs_r, res_r)
+        t_right = ext_k_A(res_r)
         asv = as_check(t_left, t_right, gldim=gl)
         report["ext_k_A"] = {"left": _ext_json(t_left),
                              "right": _ext_json(t_right)}
@@ -328,16 +328,16 @@ def run(cfg: RunConfig) -> tuple[dict, int]:
 
     hoch = rig = None
     if {"hochschild", "rigidity"} & set(cfg.checks):
-        dres, dtab = diagonal_bimodule_resolution(p, rs, rs_r,
+        dres, dtab = diagonal_bimodule_resolution(rs, rs_r,
                                                   cfg.homological_bound,
                                                   cfg.degree_bound, tab)
-        hoch = hochschild_ext(dres.rs, dres)
+        hoch = hochschild_ext(dres)
         if "hochschild" in cfg.checks:
             report["hochschild"] = _ext_json(hoch)
             report["hochschild"]["bimodule_betti"] = {
                 f"{i},{j}": n for (i, j), n in sorted(dtab.entries.items())}
         if "rigidity" in cfg.checks:
-            rig = rigidity_check(hoch, dims)
+            rig = rigidity_check(p, dres, hoch, dims)
             twist = None
             if rig.twist_on_generators is not None:
                 names = [g.name for g in p.generators]

@@ -20,11 +20,12 @@ verdict treats them as facts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .exactla import SparseMatrix, RowSpan, kernel_basis, rref, solve_columns
 from .freealg import FreeElement
-from .groebner import RewriteSystem, enveloping_system, normal_form
+from .groebner import (RewriteSystem, enveloping_system, normal_form,
+                       normal_words)
 from .hilbert import GradedDims
 from .presentation import Presentation
 from .resolution import (Resolution, ResolutionError, betti, BettiTable,
@@ -41,9 +42,6 @@ class ExtTable:
     levels: tuple                # (lowest, highest) cohomological level inspected
     level_shift: dict            # level -> reported j minus raw functional degree
     notes: tuple = ()
-    # what the rigidity check needs to build cohomology classes
-    resolution: Resolution | None = dc_field(default=None, repr=False,
-                                             compare=False)
 
     def nonzero_levels(self) -> list:
         return sorted({i for (i, _) in self.entries})
@@ -59,7 +57,7 @@ def _functional_basis(res: Resolution, i: int, mu: int) -> list:
     for gi, gen in enumerate(res.stages[i].gens):
         j = gen.degree + mu
         if 0 <= j <= res.dbound:
-            for w in res.normal_basis(j):
+            for w in normal_words(res.rs, j):
                 out.append((gi, w))
     return out
 
@@ -123,17 +121,14 @@ def _ext_table(res: Resolution, side: str, window: tuple | None) -> ExtTable:
                                           and cert.get(i, False)
                                           and cert.get(i + 1, False))
     return ExtTable(side, entries, certified, zero_cert, (lo, hi),
-                    (0, top_level), {i: 0 for i in range(top_level + 1)},
-                    resolution=res)
+                    (0, top_level), {i: 0 for i in range(top_level + 1)})
 
 
-def ext_k_A(rs: RewriteSystem, stages: Resolution,
-            window: tuple | None = None) -> ExtTable:
+def ext_k_A(res: Resolution, window: tuple | None = None) -> ExtTable:
     """Graded Ext of the trivial module with values in the algebra, from a
-    minimal resolution.  Entries keyed by (level, functional degree)."""
-    if stages.rs is not rs:
-        raise ResolutionError("resolution was built over a different system")
-    return _ext_table(stages, "overA", window)
+    minimal resolution over its system `res.rs`.  Entries keyed by (level,
+    functional degree)."""
+    return _ext_table(res, "overA", window)
 
 
 # ---------------------------------------------------------------------------
@@ -239,36 +234,32 @@ def as_check(t_left: ExtTable, t_right: ExtTable,
 # diagonal bimodule and its Ext
 
 
-def diagonal_bimodule_resolution(p: Presentation, rs: RewriteSystem,
-                                 rs_op: RewriteSystem, hbound: int,
-                                 dbound: int, table: BettiTable | None = None):
-    """Resolve the algebra p as a cyclic module over its enveloping algebra,
+def diagonal_bimodule_resolution(rs: RewriteSystem, rs_op: RewriteSystem,
+                                 hbound: int, dbound: int,
+                                 table: BettiTable | None = None):
+    """Resolve the algebra A as a cyclic module over its enveloping algebra,
     killing the differences x_i - x_i_op.  Returns (Resolution, BettiTable).
 
-    `rs` and `rs_op` are completed systems of p and of `opposite(p)`; the
+    `rs` and `rs_op` are completed systems of A and of its opposite; the
     enveloping system is built from them (`groebner.enveloping_system`),
     not completed, and reduces every product as a pair of one-sided
-    products.  `table`, the one-sided Betti table of p, guides
+    products.  `table`, the one-sided Betti table of A, guides
     `resolve_cyclic` by its support: the minimal bimodule resolution has
     the one-sided Betti numbers."""
-    if rs.degrees != p.degree_vector():
-        raise ResolutionError("rewrite system of another free algebra")
     env = enveloping_system(rs, rs_op)
-    n = len(p.generators)
+    n = len(rs.degrees)
     f = env.field
     deltas = [FreeElement(f, env.degrees, {(i,): f.one(),
                                            (n + i,): f.neg(f.one())})
               for i in range(n)]
     res = resolve_cyclic(env, deltas, hbound, dbound,
                          table.support() if table is not None else None)
-    res.base = p
     return res, betti(res)
 
 
-def hochschild_ext(env_rs: RewriteSystem, stages: Resolution,
-                   window: tuple | None = None) -> ExtTable:
+def hochschild_ext(res: Resolution, window: tuple | None = None) -> ExtTable:
     """Ext of the diagonal bimodule with values in the enveloping algebra,
-    from its resolution over the enveloping system `env_rs`.  The dual
+    from its resolution over the enveloping system `res.rs`.  The dual
     differentials multiply in A (x) A^op as pairs of one-sided products
     (`_dual_matrix`), through the memos of the systems of A and A^op.
 
@@ -278,28 +269,22 @@ def hochschild_ext(env_rs: RewriteSystem, stages: Resolution,
     it matches (a shift by s for the module grading and another s for the
     functional grading).  Non-concentrated levels stay in raw degrees, with
     a note."""
-    if stages.rs is not env_rs:
-        raise ResolutionError("resolution was built over a different system")
-    t = _ext_table(stages, "overAe", window)
+    t = _ext_table(res, "overAe", window)
     shifts = {}
     notes = []
     for i in range(t.levels[0], t.levels[1] + 1):
-        if i >= len(stages.stages):
+        if i >= len(res.stages):
             continue
-        degs = {g.degree for g in stages.stages[i].gens}
-        if len(degs) == 1:
-            shifts[i] = 2 * next(iter(degs))
-        elif not degs:
-            shifts[i] = 0
-        else:
-            shifts[i] = 0
+        degs = {g.degree for g in res.stages[i].gens}
+        shifts[i] = 2 * next(iter(degs)) if len(degs) == 1 else 0
+        if len(degs) > 1:
             notes.append(f"level {i} spans degrees {sorted(degs)}; "
                          "reported in raw functional degree")
     entries = {(i, j + shifts.get(i, 0)): n for (i, j), n in t.entries.items()}
     certified = {(i, j + shifts.get(i, 0)): c
                  for (i, j), c in t.certified.items()}
     return ExtTable(t.side, entries, certified, t.zero_certified, t.window,
-                    t.levels, shifts, tuple(notes), resolution=t.resolution)
+                    t.levels, shifts, tuple(notes))
 
 
 # ---------------------------------------------------------------------------
@@ -315,32 +300,35 @@ class RigidityVerdict:
     notes: tuple = ()
 
 
-def _cohomology_rep(res: Resolution, i: int, mu: int) -> tuple:
-    """One representative of H^i_mu plus the data needed to reduce classes:
-    (domain basis, image columns, representative vector or None)."""
+def _coboundaries(res: Resolution, i: int, mu: int) -> list:
+    """The nonzero columns of d* into (i, mu), which span its image."""
+    return ([c for c in _dual_matrix(res, i - 1, mu).columns if c]
+            if i >= 1 else [])
+
+
+def _cohomology_rep(res: Resolution, i: int, mu: int) -> dict | None:
+    """A cocycle at (i, mu) outside the coboundaries, over
+    _functional_basis(res, i, mu), or None when H^i_mu = 0."""
     f = res.rs.field
-    dom = _functional_basis(res, i, mu)
-    img_cols = ([c for c in _dual_matrix(res, i - 1, mu).columns if c]
-                if i >= 1 else [])
     d = _dual_matrix(res, i, mu)
     if d.rows:
         kern = kernel_basis(d)
     else:
-        kern = [{c: f.one()} for c in range(len(dom))]
+        kern = [{c: f.one()} for c in range(d.cols)]
     span = RowSpan(f)
-    for col in img_cols:
+    for col in _coboundaries(res, i, mu):
         span.add(col)
-    rep = None
     for v in kern:
         if span.add(v):
-            rep = v
-            break
-    return dom, img_cols, rep
+            return v
+    return None
 
 
-def rigidity_check(t: ExtTable, hilbert: GradedDims) -> RigidityVerdict:
-    """Concentration and graded-match test for the bimodule Ext table, with
-    twist extraction from the lowest cohomology class.
+def rigidity_check(p: Presentation, res: Resolution, t: ExtTable,
+                   hilbert: GradedDims) -> RigidityVerdict:
+    """Concentration and graded-match test for the bimodule Ext table
+    t = hochschild_ext(res) of the algebra p, with twist extraction from
+    the lowest cohomology class.
 
     The two module actions on a class [c] (right multiplication of the
     functional values by a generator, and by its opposite-copy partner) agree
@@ -372,22 +360,22 @@ def rigidity_check(t: ExtTable, hilbert: GradedDims) -> RigidityVerdict:
                                ("graded dimensions do not match the algebra "
                                 f"shifted by {s}",))
     notes = []
-    res = t.resolution
-    base: Presentation | None = res.base
     mu0 = -s
-    if t.entries.get((i0, mu0 + shift), 0) != 1 or base is None:
+    if t.entries.get((i0, mu0 + shift), 0) != 1:
         return RigidityVerdict(i0, True, None, bounds,
                                ("lowest class not one-dimensional; "
                                 "twist not extracted",))
     rs = res.rs
     f = rs.field
-    dom0, _, rep = _cohomology_rep(res, i0, mu0)
+    rep = _cohomology_rep(res, i0, mu0)
     if rep is None:
         return RigidityVerdict(i0, True, None, bounds,
                                ("no representative found at the lowest degree",))
-    n = len(base.generators)
+    n = len(p.generators)
 
-    dom1, img_cols1, _ = _cohomology_rep(res, i0, mu0 + 1)
+    dom0 = _functional_basis(res, i0, mu0)
+    dom1 = _functional_basis(res, i0, mu0 + 1)
+    img_cols1 = _coboundaries(res, i0, mu0 + 1)
     fac = rs.factor
     dom1_idx = rs.basis_index(dom1)
 
@@ -407,8 +395,8 @@ def rigidity_check(t: ExtTable, hilbert: GradedDims) -> RigidityVerdict:
                                    ("opposite action not expressible through "
                                     "the plain action in the window",))
         rows.append([sol.get(k, f.zero()) for k in range(n)])
-    names = [g.name for g in base.generators]
-    gdegs = tuple(g.degree for g in base.generators)
+    names = [g.name for g in p.generators]
+    gdegs = tuple(g.degree for g in p.generators)
     twist = {}
     for g in range(n):
         terms = {(k,): rows[g][k] for k in range(n)
@@ -420,16 +408,15 @@ def rigidity_check(t: ExtTable, hilbert: GradedDims) -> RigidityVerdict:
         notes.append("substitution matrix is singular")
     # endomorphism property on the defining relations, reduced by the
     # system of the algebra that the enveloping system carries
-    base_rs = rs.algebra
     ok = True
-    for r in base.relations:
+    for r in p.relations:
         acc = FreeElement.zero(f, gdegs)
         for w, c in r.terms.items():
             part = FreeElement(f, gdegs, {(): c})
             for letter in w:
                 part = part * twist[names[letter]]
             acc = acc + part
-        if not normal_form(base_rs, acc).is_zero():
+        if not normal_form(rs.algebra, acc).is_zero():
             ok = False
             break
     notes.append("twist respects the defining relations" if ok else

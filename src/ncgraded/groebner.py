@@ -88,8 +88,9 @@ class RewriteSystem:
     lengths; `site` finds a rewrite with one hash lookup per start position
     and lead length.  The index is built from `rules` (ValueError when the
     alive leads are not an antichain) and afterwards changes only through
-    `add_rule` and `retire`, which also clear the memo of normal forms that
-    `nf` and `combine` read."""
+    `add_rule` and `retire`, which also clear the memos that depend on the
+    rules: the normal forms that `nf` and `combine` read, and the normal
+    words of each degree that `normal_words` lists."""
 
     field: FieldSpec
     degrees: tuple
@@ -102,6 +103,7 @@ class RewriteSystem:
     _leads: dict = dc_field(init=False, repr=False, compare=False)
     _lengths: list = dc_field(init=False, repr=False, compare=False)
     _nf: dict = dc_field(init=False, repr=False, compare=False)
+    _nw: dict = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         alive = self.alive_rules()
@@ -116,6 +118,7 @@ class RewriteSystem:
     def _reindexed(self) -> None:
         self._lengths = sorted({len(L) for L in self._leads})
         self._nf = {}
+        self._nw = {}
 
     def add_rule(self, rule: RewriteRule) -> None:
         """Append and index a rule whose lead no alive lead divides or is
@@ -156,7 +159,15 @@ class RewriteSystem:
         return FreeElement.monomial(self.field, self.degrees, w, coeff)
 
     def normal_words(self, degree: int) -> list:
-        """See the module function `normal_words`."""
+        """See the module function `normal_words`.  Listed once per degree
+        for the rule set as it stands; callers share the list and must not
+        change it."""
+        words = self._nw.get(degree)
+        if words is None:
+            words = self._nw[degree] = self._list_normal_words(degree)
+        return words
+
+    def _list_normal_words(self, degree: int) -> list:
         leads, lengths = self._leads, self._lengths
         out: list = []
 
@@ -246,8 +257,6 @@ class EnvelopingSystem(RewriteSystem):
 
     algebra: RewriteSystem | None = None
     opposite: RewriteSystem | None = None
-    _sides: dict = dc_field(init=False, default_factory=dict, repr=False,
-                            compare=False)
     _factors: dict = dc_field(init=False, default_factory=dict, repr=False,
                               compare=False)
 
@@ -295,18 +304,20 @@ class EnvelopingSystem(RewriteSystem):
                     acc[r] = acc.get(r, 0) + cu * cv
         return _reduced(acc, self.field.p)
 
-    def normal_words(self, degree: int) -> list:
+    def _list_normal_words(self, degree: int) -> list:
         """The words u + v' over the pairs of a normal word u of A of
         degree a and v' one of A^op of degree degree - a, shifted to the
         opposite letters, sorted in tuple order as the search over all 2n
-        letters lists them."""
+        letters lists them.  u and v come from the memos of A and A^op."""
+        n = len(self.algebra.degrees)
         out: list = []
         factors = self._factors
         for a in range(degree + 1):
-            us = self._one_sided(a)[0]
+            us = self.algebra.normal_words(a)
             if not us:
                 continue
-            vs = self._one_sided(degree - a)[1]
+            vs = [(v, tuple(g + n for g in v))
+                  for v in self.opposite.normal_words(degree - a)]
             for u in us:
                 for v, v_op in vs:
                     w = u + v_op
@@ -314,18 +325,6 @@ class EnvelopingSystem(RewriteSystem):
                     out.append(w)
         out.sort()
         return out
-
-    def _one_sided(self, degree: int) -> tuple:
-        """(normal words of A, pairs (v, v shifted to the opposite letters)
-        over the normal words v of A^op), of one degree."""
-        sides = self._sides.get(degree)
-        if sides is None:
-            n = len(self.algebra.degrees)
-            sides = self._sides[degree] = (
-                self.algebra.normal_words(degree),
-                [(v, tuple(g + n for g in v))
-                 for v in self.opposite.normal_words(degree)])
-        return sides
 
 
 def enveloping_system(rs: RewriteSystem,

@@ -49,7 +49,7 @@ of further generators is a theorem rather than an observation.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .exactla import RowSpan, SparseMatrix, kernel_basis
 from .freealg import EMPTY_WORD, FreeElement, word_degree
@@ -71,9 +71,6 @@ class ResolutionStage:
     index: int
     gens: list
 
-    def degrees(self) -> list:
-        return [g.degree for g in self.gens]
-
 
 @dataclass
 class Resolution:
@@ -82,19 +79,12 @@ class Resolution:
     hbound: int
     dbound: int
     module_relations: tuple
-    base: object = None   # Presentation resolved over its enveloping algebra
-    _nw: dict = dc_field(default_factory=dict, repr=False)
-
-    def normal_basis(self, j: int) -> list:
-        if j not in self._nw:
-            self._nw[j] = normal_words(self.rs, j)
-        return self._nw[j]
 
     def stage_basis(self, i: int, j: int) -> list:
         """Ordered basis of stage i at internal degree j: (gen index, word)."""
         out = []
         for gi, gen in enumerate(self.stages[i].gens):
-            for w in self.normal_basis(j - gen.degree):
+            for w in normal_words(self.rs, j - gen.degree):
                 out.append((gi, w))
         return out
 

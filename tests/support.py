@@ -35,8 +35,8 @@ def bimodule_resolution(p, hbound, dbound, table=None):
     """`diagonal_bimodule_resolution` of p over its enveloping system, built
     from p and its opposite completed at dbound."""
     return diagonal_bimodule_resolution(
-        p, complete(p, dbound), complete(opposite(p), dbound), hbound,
-        dbound, table)
+        complete(p, dbound), complete(opposite(p), dbound), hbound, dbound,
+        table)
 
 
 def dual_composites_vanish(res, window) -> bool:

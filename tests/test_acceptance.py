@@ -35,9 +35,9 @@ def full_verdict(p, hbound, dbound):
     res = minimal_resolution(rs, hbound, dbound)
     tab = betti(res)
     gl = gldim_upto(res, tab)
-    t_left = ext_k_A(rs, res)
+    t_left = ext_k_A(res)
     rs_r = complete(opposite(p), dbound)
-    t_right = ext_k_A(rs_r, minimal_resolution(rs_r, hbound, dbound))
+    t_right = ext_k_A(minimal_resolution(rs_r, hbound, dbound))
     return as_check(t_left, t_right, gldim=gl), tab, gl
 
 
@@ -54,9 +54,9 @@ def test_criterion_1_reference_algebra_certificates():
     assert len(res.stages[5].gens) == 0
     gl = gldim_upto(res, tab)
     assert gl.value == 4 and gl.certified
-    t_left = ext_k_A(rs, res)
+    t_left = ext_k_A(res)
     rs_r = complete(opposite(p), 8)
-    t_right = ext_k_A(rs_r, minimal_resolution(rs_r, 5, 8))
+    t_right = ext_k_A(minimal_resolution(rs_r, 5, 8))
     verdict = as_check(t_left, t_right, gldim=gl)
     assert verdict.status == "fails"
     assert verdict.witness is not None
@@ -128,7 +128,7 @@ def test_criterion_5_enveloping_algebra_and_bimodule_ext():
     assert verdict.status == "regular"
     assert (verdict.n, verdict.l) == (4, 4)
     dres, _ = bimodule_resolution(p, 5, 8)
-    h = hochschild_ext(dres.rs, dres)
+    h = hochschild_ext(dres)
     assert h.nonzero_levels() == [2]
     assert all(h.zero_certified[i] for i in range(5) if i != 2)
     dims = hilbert_function(complete(p, 8), 8)

@@ -5,10 +5,10 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from ncgraded import duality
-from ncgraded.exactla import QQ, FieldSpec, field_from_name
+from ncgraded.exactla import F32003, QQ, FieldSpec, field_from_name
 from ncgraded.freealg import enumerate_words
 from ncgraded.groebner import complete
 from ncgraded.hilbert import hilbert_function
@@ -26,9 +26,9 @@ from support import (bimodule_resolution, dual_composites_vanish, over_field,
 def two_sided(p, hbound, dbound):
     rs = complete(p, dbound)
     res = minimal_resolution(rs, hbound, dbound)
-    t_left = ext_k_A(rs, res)
+    t_left = ext_k_A(res)
     rs_r = complete(opposite(p), dbound)
-    t_right = ext_k_A(rs_r, minimal_resolution(rs_r, hbound, dbound))
+    t_right = ext_k_A(minimal_resolution(rs_r, hbound, dbound))
     return t_left, t_right, gldim_upto(res)
 
 
@@ -36,7 +36,7 @@ def test_line_algebra_ext():
     p = builtin("polynomial-1")
     rs = complete(p, 8)
     res = minimal_resolution(rs, 3, 8)
-    t = ext_k_A(rs, res)
+    t = ext_k_A(res)
     assert t.entries == {(1, -1): 1}
     assert t.certified[(1, -1)]
     assert all(t.zero_certified.values())
@@ -61,10 +61,10 @@ def test_skew_three_is_regular():
 
 def test_reference_algebra_fails_with_witness(sz_rs, sz_res):
     p = builtin("smith-zhang")
-    t_left = ext_k_A(sz_rs, sz_res)
+    t_left = ext_k_A(sz_res)
     assert sorted(t_left.nonzero_levels()) == [2, 3, 4]
     rs_r = complete(opposite(p), 8)
-    t_right = ext_k_A(rs_r, minimal_resolution(rs_r, 5, 8))
+    t_right = ext_k_A(minimal_resolution(rs_r, 5, 8))
     v = as_check(t_left, t_right, gldim=gldim_upto(sz_res))
     assert v.status == "fails"
     assert v.witness is not None
@@ -86,14 +86,9 @@ def test_narrow_window_is_inconclusive():
     assert v.status == "inconclusive"
 
 
-def test_window_validation(qp_rs, qp_res):
+def test_window_validation(qp_res):
     with pytest.raises(ResolutionError):
-        ext_k_A(qp_rs, qp_res, window=(-2, 100))
-
-
-def test_table_requires_matching_system(qp_res, sz_rs):
-    with pytest.raises(ResolutionError):
-        ext_k_A(sz_rs, qp_res)
+        ext_k_A(qp_res, window=(-2, 100))
 
 
 # -- bimodule side ------------------------------------------------------------
@@ -101,7 +96,7 @@ def test_table_requires_matching_system(qp_res, sz_rs):
 def test_line_algebra_bimodule_ext_is_shifted_line():
     dres, dtab = bimodule_resolution(builtin("polynomial-1"), 5, 8)
     assert dtab.entries == {(0, 0): 1, (1, 1): 1}
-    h = hochschild_ext(dres.rs, dres)
+    h = hochschild_ext(dres)
     assert h.nonzero_levels() == [1]
     assert h.level_entries(1) == {j: 1 for j in range(1, 10)}
     assert all(h.zero_certified.values())
@@ -112,7 +107,7 @@ def test_quantum_plane_bimodule_concentration(qp_rs):
     p = builtin("quantum-plane-2")
     dres, dtab = bimodule_resolution(p, 5, 8)
     assert dtab.entries == {(0, 0): 1, (1, 1): 2, (2, 2): 1}
-    h = hochschild_ext(dres.rs, dres)
+    h = hochschild_ext(dres)
     assert h.nonzero_levels() == [2]
     dims = hilbert_function(qp_rs, 8)
     lv = h.level_entries(2)
@@ -124,8 +119,8 @@ def test_quantum_plane_bimodule_concentration(qp_rs):
 def test_quantum_plane_twist(qp_rs):
     p = builtin("quantum-plane-2")
     dres, _ = bimodule_resolution(p, 5, 8)
-    h = hochschild_ext(dres.rs, dres)
-    rig = rigidity_check(h, hilbert_function(qp_rs, 8))
+    h = hochschild_ext(dres)
+    rig = rigidity_check(p, dres, h, hilbert_function(qp_rs, 8))
     assert rig.concentrated_at == 2
     assert rig.graded_match
     twist = {k: v.format(p.names()) for k, v in rig.twist_on_generators.items()}
@@ -137,7 +132,8 @@ def test_quantum_plane_twist_small_field():
     p = builtin("quantum-plane-2", field=f3)
     dres, _ = bimodule_resolution(p, 5, 8)
     rs = complete(p, 8)
-    rig = rigidity_check(hochschild_ext(dres.rs, dres), hilbert_function(rs, 8))
+    rig = rigidity_check(p, dres, hochschild_ext(dres),
+                         hilbert_function(rs, 8))
     twist = {k: v.format(p.names()) for k, v in rig.twist_on_generators.items()}
     assert twist == {"x": "(2)*x", "y": "(2)*y"}
 
@@ -145,10 +141,64 @@ def test_quantum_plane_twist_small_field():
 def test_commutative_plane_twist_is_identity(poly2_rs):
     p = builtin("polynomial-2")
     dres, _ = bimodule_resolution(p, 5, 8)
-    rig = rigidity_check(hochschild_ext(dres.rs, dres),
+    rig = rigidity_check(p, dres, hochschild_ext(dres),
                          hilbert_function(poly2_rs, 8))
     twist = {k: v.format(p.names()) for k, v in rig.twist_on_generators.items()}
     assert twist == {"x1": "(1)*x1", "x2": "(1)*x2"}
+
+
+def test_twist_builds_only_the_dual_differentials_it_reads(qp_rs):
+    # a representative at (i0, mu0) needs d* out of i0 - 1 and out of i0
+    # there; solving for the twist at mu0 + 1 needs only the image of d*
+    # out of i0 - 1
+    p = builtin("quantum-plane-2")
+    dres, _ = bimodule_resolution(p, 5, 8)
+    h = hochschild_ext(dres)
+    with mock.patch.object(duality, "_dual_matrix",
+                           side_effect=_dual_matrix) as built:
+        rig = rigidity_check(p, dres, h, hilbert_function(qp_rs, 8))
+    assert rig.twist_on_generators is not None
+    assert sorted(c.args[1:] for c in built.call_args_list) == \
+        [(1, -2), (1, -1), (2, -2)]
+
+
+def rational_scalars():
+    """Nonzero rationals a/b, built through QQ so that integral ones are
+    ints."""
+    return st.builds(lambda a, b: QQ.mul(QQ.from_int(a),
+                                         QQ.inv(QQ.from_int(b))),
+                     st.integers(-5, 5).filter(bool), st.integers(1, 5))
+
+
+@st.composite
+def skew_rings(draw):
+    """(skew polynomial ring on n = 2 or 3 generators, its q_ij for i < j),
+    over Q or F32003."""
+    f = draw(st.sampled_from((QQ, F32003)))
+    n = draw(st.integers(2, 3))
+    scalar = rational_scalars() if f is QQ else st.integers(1, f.p - 1)
+    q = {(i, j): draw(scalar) for i in range(n) for j in range(i + 1, n)}
+    return skew_polynomial(n, q, f), q
+
+
+@given(case=skew_rings())
+def test_skew_polynomial_twist_matches_the_oracle(case):
+    # over xj*xi = q_ij * xi*xj the twist is xi -> (prod_j q_ij) * xi, with
+    # q_ji = 1 / q_ij.  Coefficients are compared by value, as a Fraction of
+    # denominator 1 may stand for an integral one
+    p, q = case
+    f, n = p.field, len(p.generators)
+    dres, _ = bimodule_resolution(p, n + 1, n + 1)
+    rig = rigidity_check(p, dres, hochschild_ext(dres),
+                         hilbert_function(complete(p, n + 1), n + 1))
+    assert rig.concentrated_at == n and rig.graded_match
+    assert "twist respects the defining relations" in rig.notes
+    for i, name in enumerate(p.names()):
+        scale = f.one()
+        for j in range(n):
+            if j != i:
+                scale = f.mul(scale, q[(i, j)] if i < j else f.inv(q[(j, i)]))
+        assert rig.twist_on_generators[name].terms == {(i,): scale}, name
 
 
 def test_reference_bimodule_window_is_honest(sz_res):
@@ -164,8 +214,7 @@ def test_dual_differential_squares_to_zero():
     rs = complete(builtin("polynomial-3"), 8)
     res = minimal_resolution(rs, 4, 8)
     dres, _ = bimodule_resolution(builtin("quantum-plane-2"), 4, 6)
-    for t in (ext_k_A(rs, res), hochschild_ext(dres.rs, dres)):
-        r = t.resolution
+    for r, t in ((res, ext_k_A(res)), (dres, hochschild_ext(dres))):
         assert dual_composites_vanish(r, t.window)
         # the maps are not all zero, so the check above has content
         assert any(any(_dual_matrix(r, i, mu).columns)
@@ -191,9 +240,9 @@ def test_invariants_on_regular_algebra():
 
 def test_invariants_on_failing_algebra(sz_rs, sz_res):
     p = builtin("smith-zhang")
-    t_left = ext_k_A(sz_rs, sz_res)
+    t_left = ext_k_A(sz_res)
     rs_r = complete(opposite(p), 8)
-    t_right = ext_k_A(rs_r, minimal_resolution(rs_r, 5, 8))
+    t_right = ext_k_A(minimal_resolution(rs_r, 5, 8))
     from ncgraded.hilbert import gk_estimate
     v = as_check(t_left, t_right, gldim=gldim_upto(sz_res))
     inv = invariant_report(v, None,
@@ -233,10 +282,10 @@ def test_integral_rational_run_holds_no_fraction():
         return built[-1]
 
     with mock.patch.object(duality, "_dual_matrix", side_effect=record):
-        ext_k_A(rs, res)
-        ext_k_A(rs_r, res_r)
-        dres, _ = diagonal_bimodule_resolution(p, rs, rs_r, 5, 6, tab)
-        hochschild_ext(dres.rs, dres)
+        ext_k_A(res)
+        ext_k_A(res_r)
+        dres, _ = diagonal_bimodule_resolution(rs, rs_r, 5, 6, tab)
+        hochschild_ext(dres)
     scalars = {
         "tails": rule_scalars(rs) + rule_scalars(rs_r) + rule_scalars(dres.rs),
         "left": column_scalars(res),
@@ -284,8 +333,8 @@ def rational_pipeline(p, hbound, dbound):
     tab = betti(res)
     return ({r.lead: r.tail.terms for r in rs.alive_rules()},
             rs.complete_below, stage_columns(res), tab,
-            ext_k_A(rs, res),
-            ext_k_A(rs_r, minimal_resolution(rs_r, hbound, dbound, tab)))
+            ext_k_A(res),
+            ext_k_A(minimal_resolution(rs_r, hbound, dbound, tab)))
 
 
 @given(case=random_presentations(fields=(QQ,)))

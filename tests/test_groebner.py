@@ -187,14 +187,21 @@ def test_add_rule_and_retire_update_the_index():
     rs = _system_with_leads([(1, 0)])
     assert rs.nf((1, 1, 0)) == {}
     assert rs.nf((1, 1, 1)) == {(1, 1, 1): f.one()}
+    words = normal_words(rs, 3)
+    assert words == [(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1)]
+    assert normal_words(rs, 3) is words      # listed once, then memoized
     rule = RewriteRule((1, 1, 1), rs.monomial((0, 0, 0)), 3)
     rs.add_rule(rule)
     assert rs.nf((1, 1, 1)) == {(0, 0, 0): f.one()}
     assert rs.site((0, 1, 1, 1)) == (1, rule)
+    assert normal_words(rs, 3) == [(0, 0, 0), (0, 0, 1), (0, 1, 1)]
     rs.retire(rs.rules[0])
     assert not rs.rules[0].alive
     assert rs.nf((1, 1, 0)) == {(1, 1, 0): f.one()}
     assert rs.leads() == [(1, 1, 1)]
+    # every word but the lead (1, 1, 1), the last in tuple order
+    words = list(itertools.product((0, 1), repeat=3))
+    assert normal_words(rs, 3) == words[:-1]
 
 
 @pytest.mark.parametrize("system", SYSTEMS, ids=SYSTEM_IDS)
@@ -293,8 +300,8 @@ def assert_enveloping_system_matches_completion(p, bound, words):
                               env.basis_index(basis))
             assert {basis[k][1]: c for k, c in got.items()} == \
                 env.nf(left + right), (left, right)
-    dres, _ = diagonal_bimodule_resolution(p, rs, rs_op, 3, bound)
-    assert dual_composites_vanish(dres, hochschild_ext(dres.rs, dres).window)
+    dres, _ = diagonal_bimodule_resolution(rs, rs_op, 3, bound)
+    assert dual_composites_vanish(dres, hochschild_ext(dres).window)
 
 
 @settings(max_examples=25)
