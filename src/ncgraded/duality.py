@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactla import SparseMatrix, RowSpan, kernel_basis, rref, solve_columns
+from .exactla import SparseMatrix, RowSpan, kernel_basis, rank, solve_columns
 from .freealg import FreeElement
 from .groebner import (RewriteSystem, enveloping_system, normal_form,
                        normal_words)
@@ -101,20 +101,20 @@ def _ext_table(res: Resolution, side: str, window: tuple | None) -> ExtTable:
     cert = dict(stage_certificates(res))
     cert[0] = True
     top_level = res.hbound - 1
-    rank: dict = {}       # (i, mu) -> rank of d* out of level i
+    ranks: dict = {}      # (i, mu) -> rank of d* out of level i
     nullity: dict = {}
     for i in range(0, top_level + 1):
         for mu in range(lo, hi + 1):
             d = _dual_matrix(res, i, mu)
-            rk = rref(d).rank if d.rows and d.cols else 0
-            rank[(i, mu)], nullity[(i, mu)] = rk, d.cols - rk
+            rk = rank(d)
+            ranks[(i, mu)], nullity[(i, mu)] = rk, d.cols - rk
     entries: dict = {}
     certified: dict = {}
     zero_cert: dict = {}
     for i in range(0, top_level + 1):
         zero_cert[i] = bool(cert.get(i, False))
         for mu in range(lo, hi + 1):
-            h = nullity[(i, mu)] - rank.get((i - 1, mu), 0)
+            h = nullity[(i, mu)] - ranks.get((i - 1, mu), 0)
             if h:
                 entries[(i, mu)] = h
                 certified[(i, mu)] = bool(cert.get(i - 1, False)
@@ -404,7 +404,7 @@ def rigidity_check(p: Presentation, res: Resolution, t: ExtTable,
         twist[names[g]] = FreeElement(f, gdegs, terms)
     # invertibility of the substitution matrix
     mm = SparseMatrix(n, [{g: rows[g][k] for g in range(n)} for k in range(n)], f)
-    if rref(mm).rank != n:
+    if rank(mm) != n:
         notes.append("substitution matrix is singular")
     # endomorphism property on the defining relations, reduced by the
     # system of the algebra that the enveloping system carries

@@ -27,6 +27,18 @@ row echelon form on the same structure.  The reduced row echelon form of a
 matrix or of a subspace is unique, so the pivot choice changes the work and
 the fill, never the result, and kernels are read off it.
 
+`rank` is for callers that need the rank alone, as the Ext tables do.  It
+reduces nothing above a pivot.  Free pivots go first: a column with one
+nonzero row, or a row with one nonzero entry, is a pivot whose elimination
+fills nothing, and dropping its row and column can free the next one, so
+chains of them are taken without arithmetic (Faugere and Lachartre, PASCO
+2010, split such pivots off before eliminating).  On the dual differentials
+of smith-zhang FULL they carry 67 % of the rank at degree bound 6 and 50 %
+at 10.  The columns left are taken left to right on their shortest row;
+each pivot column is cleared from the rows not yet taken only, and each
+pivot row is dropped at once, so the fill of the rows already taken is
+never stored.
+
 `same_row_spans` compares the row spans of a batch of small matrix pairs
 over F_p at once, for the normal-element scan: one numpy operation acts on
 every pair of the batch.  Its elimination is fraction free: a row r is
@@ -102,6 +114,8 @@ class FieldSpec:
             if a == 0:
                 raise ZeroDivisionError("inverse of zero")
             return pow(a, self.p - 2, self.p)
+        if type(a) is int and (a == 1 or a == -1):
+            return a
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return _rational(1 / Fraction(a))
@@ -217,14 +231,12 @@ class RrefResult:
     rows: list    # the echelon rows, dicts col -> scalar, in row order
 
 
-def rref(m: SparseMatrix) -> RrefResult:
-    """Reduced row echelon form.  Exact over both field kinds.
-
-    Columns are taken left to right.  A column's pivot is the shortest row
-    that is nonzero there and not yet a pivot, the lowest row on a tie."""
+def _load(m: SparseMatrix) -> tuple[dict, dict]:
+    """The nonzero entries of m as dict rows, over F_p reduced mod p, and
+    the map from each column to the rows nonzero there."""
     p = m.field.p
-    work = _Rows(m.field)
-    rows, at = work.rows, work.at
+    rows: dict[int, dict] = {}
+    at: dict[int, set] = {}
     for c, col in enumerate(m.columns):
         for r, v in col.items():
             if p:
@@ -232,6 +244,17 @@ def rref(m: SparseMatrix) -> RrefResult:
             if v:
                 rows.setdefault(r, {})[c] = v
                 at.setdefault(c, set()).add(r)
+    return rows, at
+
+
+def rref(m: SparseMatrix) -> RrefResult:
+    """Reduced row echelon form.  Exact over both field kinds.
+
+    Columns are taken left to right.  A column's pivot is the shortest row
+    that is nonzero there and not yet a pivot, the lowest row on a tie."""
+    rows, at = _load(m)
+    work = _Rows(m.field)
+    work.rows, work.at = rows, at
     done: list[int] = []        # pivot rows, in order
     taken: set[int] = set()
     piv_cols: list[int] = []
@@ -245,6 +268,67 @@ def rref(m: SparseMatrix) -> RrefResult:
         taken.add(i)
         piv_cols.append(c)
     return RrefResult(piv_cols, len(piv_cols), [rows[i] for i in done])
+
+
+def rank(m: SparseMatrix) -> int:
+    """The rank, from an echelon form that is never reduced.
+
+    Free pivots are taken first: a column with one nonzero row, or a row
+    with one nonzero entry, pivots with no fill, and dropping its row and
+    column may free others.  The columns left are then taken left to right,
+    each on its shortest row (the lowest on a tie); the pivot column is
+    cleared from the rows not yet taken, and the pivot row is dropped."""
+    p = m.field.p
+    rows, at = _load(m)
+    rk = 0
+    free = [(True, c) for c, s in at.items() if len(s) == 1]
+    free += [(False, i) for i, row in rows.items() if len(row) == 1]
+    while free:
+        is_col, k = free.pop()
+        if is_col:                  # column k is nonzero in one row only
+            if len(at.get(k, ())) != 1:
+                continue
+            (i,) = at.pop(k)
+            for c in rows.pop(i):
+                if c != k:
+                    s = at[c]
+                    s.discard(i)
+                    if len(s) == 1:
+                        free.append((True, c))
+                    elif not s:
+                        del at[c]
+        else:                       # row k is nonzero in one column only
+            row = rows.get(k)
+            if row is None or len(row) != 1:
+                continue
+            del rows[k]
+            (c,) = row
+            for j in at.pop(c):
+                if j != k:
+                    other = rows[j]
+                    del other[c]
+                    if len(other) == 1:
+                        free.append((False, j))
+                    elif not other:
+                        del rows[j]
+        rk += 1
+    inv = m.field.inv
+    for c in sorted(at):
+        cand = at[c]
+        if not cand:
+            continue
+        i = min(cand, key=lambda i: (len(rows[i]), i))
+        piv = rows.pop(i)
+        for k in piv:
+            at[k].discard(i)
+        scale = inv(piv[c])
+        for j in list(cand):
+            other = rows[j]
+            coef = other[c] * scale
+            _sub(other, coef % p if p else coef, piv, p, at, j)
+        del at[c]
+        rk += 1
+    return rk
 
 
 def kernel_basis(m: SparseMatrix) -> list[dict]:

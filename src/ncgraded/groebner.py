@@ -30,6 +30,18 @@ every differential, dual differential and action map built from the system.
 Callers hand `combine` each factor as `factor` writes it and index the
 basis through `basis_index`, so one caller serves every system.
 
+`nf` builds the normal form of a word by left multiplication: the word's
+letters multiply the normal form of the empty word one at a time, last
+letter first, each product memoized under its word.  For g * u with u
+normal, a lead can only start at g, so finding the rewrite costs one lookup
+per lead length instead of `site`'s scan of every position; the terms are
+sorted into the order `normal_form` writes them.  The order of the rewrites
+does not matter only where the system is confluent: everywhere when it is
+`globally_complete`, else in degrees up to `complete_below`.  Above that
+`nf` rewrites the whole word through `normal_form`.  The words a normal
+form waits on are kept on an explicit stack, so no recursion grows with
+the length of a word.
+
 The enveloping algebra A (x) A^op is not completed: `enveloping_system`
 builds its rewrite system from completed systems of A and A^op.  Its rules
 are A's rules, A^op's rules on the opposite letters n..2n-1, and the
@@ -208,12 +220,41 @@ class RewriteSystem:
 
     def nf(self, word: Word) -> dict:
         """Normal form of a word as a dict normal word -> scalar, computed
-        once per word for the rule set as it stands."""
-        terms = self._nf.get(word)
-        if terms is None:
-            terms = self._nf[word] = normal_form(
-                self, self.monomial(word)).terms
-        return terms
+        once per word for the rule set as it stands: by left multiplication
+        in a degree where the system is confluent, by `normal_form` above
+        it."""
+        memo = self._nf
+        terms = memo.get(word)
+        if terms is not None:
+            return terms
+        if not (self.globally_complete or word_degree(word, self.degrees)
+                <= self.complete_below):
+            terms = memo[word] = normal_form(self, self.monomial(word)).terms
+            return terms
+        p = self.field.p
+        todo = [word]       # a stack of the words whose normal forms it needs
+        while todo:
+            w = todo[-1]
+            if w in memo:
+                todo.pop()
+                continue
+            if w and w[1:] not in memo:
+                todo.append(w[1:])
+                continue
+            parts = self._left_step(w)
+            if parts is None:
+                memo[w] = {w: 1}
+                continue
+            missing = [u for _, u in parts if u not in memo]
+            if missing:
+                todo += missing
+                continue
+            acc: dict = {}
+            for c, u in parts:
+                for v, cv in memo[u].items():
+                    acc[v] = acc.get(v, 0) + c * cv
+            memo[w] = dict(sorted(_reduced(acc, p).items(), reverse=True))
+        return memo[word]
 
     def combine(self, products, index: dict) -> dict:
         """Coordinates of  sum coef * NF(left * right)  over
@@ -231,6 +272,25 @@ class RewriteSystem:
                 r = index[(slot, u)]
                 acc[r] = acc.get(r, 0) + coef * cu
         return _reduced(acc, self.field.p)
+
+    def _left_step(self, w: Word):
+        """One step of the left multiplication w = g * s, with NF(s)
+        memoized: NF(w) as a list of (scalar, word) whose normal forms sum
+        to it, or None when w is normal.  With s normal only a lead that
+        starts at g can apply; else g multiplies each term of NF(s)."""
+        s = w[1:]
+        inner = self._nf[s] if s else {s: 1}
+        if s not in inner:
+            g = w[:1]
+            return [(cu, g + u) for u, cu in inner.items()]
+        for m in self._lengths:
+            if m > len(w):
+                break
+            rule = self._leads.get(w[:m])
+            if rule is not None:
+                rest = w[m:]
+                return [(tc, tw + rest) for tw, tc in rule.tail.terms.items()]
+        return None
 
 
 def _reduced(acc: dict, p) -> dict:

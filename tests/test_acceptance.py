@@ -14,7 +14,6 @@ import time
 
 import ncgraded
 from ncgraded.exactla import F32003, QQ, SparseMatrix, field_from_name, kernel_basis, rref
-from ncgraded.freealg import FreeElement
 from ncgraded.groebner import complete, normal_word_counts
 from ncgraded.hilbert import gk_estimate, hilbert_function
 from ncgraded.presentation import (builtin, enveloping, group_algebra_oracle,

@@ -7,12 +7,12 @@ from unittest import mock
 import pytest
 from hypothesis import given, strategies as st
 
-from ncgraded import duality
+from ncgraded import duality, exactla
 from ncgraded.exactla import F32003, QQ, FieldSpec, field_from_name
 from ncgraded.freealg import enumerate_words
 from ncgraded.groebner import complete
 from ncgraded.hilbert import hilbert_function
-from ncgraded.presentation import builtin, enveloping, opposite, skew_polynomial
+from ncgraded.presentation import builtin, opposite, skew_polynomial
 from ncgraded.resolution import ResolutionError, betti, gldim_upto, minimal_resolution
 from ncgraded.duality import (_dual_matrix, as_check, ext_k_A,
                               diagonal_bimodule_resolution, hochschild_ext,
@@ -160,6 +160,22 @@ def test_twist_builds_only_the_dual_differentials_it_reads(qp_rs):
     assert rig.twist_on_generators is not None
     assert sorted(c.args[1:] for c in built.call_args_list) == \
         [(1, -2), (1, -1), (2, -2)]
+
+
+def test_ext_tables_take_ranks_without_rref(qp_res):
+    # an Ext entry is a nullity minus a rank, so no d* is brought to its
+    # reduced row echelon form
+    dres, _ = bimodule_resolution(builtin("quantum-plane-2"), 4, 6)
+    with mock.patch.object(exactla, "rref",
+                           side_effect=AssertionError("rref called")), \
+            mock.patch.object(duality, "rank",
+                              side_effect=exactla.rank) as ranked:
+        left = ext_k_A(qp_res)
+        calls = ranked.call_count
+        both = hochschild_ext(dres)
+    assert calls and ranked.call_count > calls
+    assert left.entries == {(2, -2): 1}
+    assert both.entries == {(2, j): j - 1 for j in range(2, 9)}
 
 
 def rational_scalars():

@@ -5,12 +5,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ncgraded import resolution
 from ncgraded.exactla import (F32003, F46337, QQ, FieldSpec, RowSpan,
                               SparseMatrix, field_from_name, kernel_basis,
-                              rref, same_row_spans, solve_columns)
+                              rank, rref, same_row_spans, solve_columns)
 from ncgraded.groebner import complete
 from ncgraded.presentation import parse
 from ncgraded.resolution import minimal_resolution
@@ -159,6 +159,57 @@ def test_rref_matches_deleted_eliminations(f, data):
     assert res.pivots == piv_cols
     assert res.rank == len(piv_cols)
     assert res.rows == ref_rows
+
+
+@st.composite
+def rank_cases(draw, f):
+    """A matrix built from the pieces the free pivots of `rank` meet:
+    singleton rows, staircases of two-entry rows (which free one column
+    after another), copies of earlier rows, dense rows, and columns that
+    stay zero; transposed half the time, so that singleton rows become
+    singleton columns.  Matrices with no rows or no columns occur.  Over
+    F_p some entries are unreduced or multiples of p, over Q they are ints
+    and Fractions."""
+    if f.kind == "Fp":
+        entry = st.one_of(st.integers(1, f.p - 1),
+                          st.integers(-2 * f.p, 2 * f.p))
+    else:
+        entry = st.one_of(st.integers(-4, 4),
+                          st.fractions(-4, 4, max_denominator=5))
+    ncols = draw(st.integers(0, 9))
+    rows: list = []
+    for _ in range(draw(st.integers(0, 9))):
+        if not ncols:
+            rows.append({})
+            continue
+        kind = draw(st.sampled_from(["single", "staircase", "copy", "dense"]))
+        c = draw(st.integers(0, ncols - 1))
+        if kind == "single":
+            rows.append({c: draw(entry)})
+        elif kind == "staircase":
+            for k in range(c, min(c + draw(st.integers(1, 4)), ncols)):
+                rows.append({k: draw(entry), min(k + 1, ncols - 1): draw(entry)})
+        elif kind == "copy" and rows:
+            rows.append(dict(draw(st.sampled_from(rows))))
+        else:
+            cols = draw(st.sets(st.integers(0, ncols - 1)))
+            rows.append({k: draw(entry) for k in sorted(cols)})
+    if draw(st.booleans()):             # the rows as the columns
+        return SparseMatrix(ncols, rows, f)
+    columns = [{} for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for k, v in row.items():
+            columns[k][i] = v
+    return SparseMatrix(len(rows), columns, f)
+
+
+@pytest.mark.parametrize("f", [FieldSpec("Fp", 2), F32003,
+                               FieldSpec("Fp", 2 ** 31 - 1), QQ])
+@settings(max_examples=150)
+@given(data=st.data())
+def test_rank_matches_rref(f, data):
+    m = data.draw(rank_cases(f))
+    assert rank(m) == rref(m).rank
 
 
 @given(case=random_presentations())

@@ -1,14 +1,17 @@
 """Overlap completion, normal forms, and normal-word counting."""
 
 import functools
+import inspect
 import itertools
+import random
+import sys
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncgraded import groebner
-from ncgraded.exactla import F32003, QQ, field_from_name
+from ncgraded.exactla import F32003, QQ
 from ncgraded.freealg import FreeElement, deglex_key, word_degree
 from ncgraded.duality import diagonal_bimodule_resolution, hochschild_ext
 from ncgraded.groebner import (RewriteRule, RewriteSystem, complete,
@@ -320,3 +323,138 @@ def test_enveloping_system_with_a_degree_2_generator():
     p = parse(WEIGHTED)
     words = [w for n in range(5) for w in itertools.product(range(4), repeat=n)]
     assert_enveloping_system_matches_completion(p, 6, words)
+
+
+# ---------------------------------------------------------------------------
+# products in `combine`: normal forms multiplied from the left
+
+def _fresh(rs, complete_below=None):
+    """rs with empty memos, so that `combine` computes every product; with
+    complete_below, a copy that claims confluence up to that degree."""
+    if complete_below is None:
+        complete_below = rs.complete_below
+    return RewriteSystem(rs.field, rs.degrees, rs.names, rs.degree_bound,
+                         rules=rs.rules, complete_below=complete_below,
+                         globally_complete=rs.globally_complete)
+
+
+def assert_products_match_scan(rs, pairs):
+    """`combine` reduces left * right as the rule scan does, and the normal
+    form it memoizes lists the scan's terms in the scan's order."""
+    for left, right in pairs:
+        w = left + right
+        basis = [(0, u) for u in normal_words(rs, word_degree(w, rs.degrees))]
+        got = rs.combine([(0, left, right, 1)], rs.basis_index(basis))
+        want = rule_scan_normal_form(rs, rs.monomial(w)).terms
+        assert {basis[k][1]: c for k, c in got.items()} == want, (left, right)
+        assert list(rs.nf(w).items()) == list(want.items()), (left, right)
+
+
+def _words(rs, top):
+    """Every word of degree at most top."""
+    gens = range(len(rs.degrees))
+    return [w for k in range(top + 1) for w in itertools.product(gens, repeat=k)
+            if word_degree(w, rs.degrees) <= top]
+
+
+COMPLETE_SYSTEMS = [s for s in SYSTEMS if s[2] == 6 and "enveloping" not in s[0]]
+
+
+@pytest.mark.parametrize("system", COMPLETE_SYSTEMS,
+                         ids=[f"{n}-{f}-d{d}" for n, f, d in COMPLETE_SYSTEMS])
+def test_products_on_complete_systems_match_the_rule_scan(system):
+    rs = _fresh(completed_system(*system))
+    assert rs.globally_complete
+    pairs = [(left, right) for left in _words(rs, 2) for right in _words(rs, 3)]
+    # a complete system multiplies without rewriting whole words
+    with mock.patch.object(groebner, "normal_form",
+                           side_effect=AssertionError("rewrote a product")):
+        assert_products_match_scan(rs, pairs)
+
+
+@pytest.mark.parametrize("system", [("weyl-homogenized", "F32003", 2),
+                                    ("weyl-homogenized", "Q", 2),
+                                    ("smith-zhang-enveloping", "F32003", 6)],
+                         ids=lambda s: f"{s[0]}-{s[1]}-d{s[2]}")
+def test_products_above_complete_below_match_the_rule_scan(system):
+    """Above `complete_below` a word's normal form depends on the order of
+    the rewrites, and `combine` rewrites as `normal_form` does there."""
+    rs = completed_system(*system)
+    assert not rs.globally_complete
+    top = rs.complete_below + 3
+    if len(rs.degrees) <= 3:
+        pairs = [(left, right) for left in _words(rs, 2)
+                 for right in _words(rs, top) if len(left + right) <= top]
+    else:                       # 8 letters: a sample across complete_below
+        rng = random.Random(0)
+        letters = range(len(rs.degrees))
+        pairs = [(tuple(rng.choices(letters, k=rng.randint(1, 2))),
+                  tuple(rng.choices(letters, k=rng.randint(3, top - 2))))
+                 for _ in range(400)]
+    assert_products_match_scan(_fresh(rs), pairs)
+    # multiplying normal forms from the left gives other normal forms there
+    if system[0] == "weyl-homogenized":
+        folded = _fresh(rs, complete_below=top)
+        assert any(folded.nf(left + right) !=
+                   rule_scan_normal_form(rs, rs.monomial(left + right)).terms
+                   for left, right in pairs)
+
+
+def test_nf_of_a_long_word_takes_no_recursion_per_letter():
+    # the words a normal form waits on are kept on a stack, not in the
+    # recursion: y^100 * x^100 folds within 50 frames of this test's depth
+    rs = complete(builtin("polynomial-2"), 6)
+    assert rs.globally_complete
+    w = (1,) * 100 + (0,) * 100
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 50)
+    try:
+        terms = rs.nf(w)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert terms == {(0,) * 100 + (1,) * 100: 1}
+    assert terms == groebner.normal_form(rs, rs.monomial(w)).terms
+
+
+LETTER_LEAD = """
+algebra lettered over F32003
+deg x = 1, y = 2, z = 1
+rel y - x*z
+rel z*x - x*z
+"""
+
+# the normal forms of z*x*x's two rewrites interleave, so the terms of a
+# product come in the order of `normal_form` only once they are sorted
+INTERLEAVED = """
+algebra interleaved over F32003
+deg x = 1, y = 1, z = 1
+rel z*x - 2*x*z + x*y
+"""
+
+
+@pytest.mark.parametrize("text", [WEIGHTED, LETTER_LEAD, INTERLEAVED],
+                         ids=["degree-2-x", "lead-letter-y", "interleaved"])
+def test_products_on_small_presentations_match_the_rule_scan(text):
+    # in lettered the degree-2 letter y is itself a lead, so a right factor
+    # need not be normal
+    rs = complete(parse(text), 6)
+    assert rs.complete_below == 6
+    pairs = [(left, right) for left in _words(rs, 3) for right in _words(rs, 3)]
+    with mock.patch.object(groebner, "normal_form",
+                           side_effect=AssertionError("rewrote a product")):
+        assert_products_match_scan(rs, pairs)
+
+
+@settings(max_examples=60)
+@given(case=random_presentations(), data=st.data())
+def test_products_on_random_presentations_match_the_rule_scan(case, data):
+    """About half of these systems are truncated, so products on both sides
+    of `complete_below` occur."""
+    p, bound = case
+    rs = complete(p, bound)
+    letters = st.sampled_from(range(len(rs.degrees)))
+    words = data.draw(st.lists(st.lists(letters, max_size=bound + 1)
+                               .map(tuple), min_size=1, max_size=12))
+    pairs = [(w[:k], w[k:]) for w in words
+             for k in (data.draw(st.integers(0, len(w))),)]
+    assert_products_match_scan(rs, pairs)

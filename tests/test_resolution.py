@@ -1,6 +1,5 @@
 """Minimal graded resolutions: Betti tables, certificates, Koszulity."""
 
-import math
 from unittest import mock
 
 import pytest
