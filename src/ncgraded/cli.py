@@ -9,8 +9,10 @@ The normal-element scan lives here rather than next to the certified
 invariants: its answer depends on the chosen finite field and on an
 enumeration cutoff, so it is evidence, not a theorem, and the report says so.
 It runs over any prime field, one block of candidates per numpy operation
-(`exactla.same_row_spans`); a degree whose p**dim candidates exceed
-SCAN_GUARD = 2**22 is listed under `skipped` instead.
+(`exactla.same_row_spans`, in the narrowest integer type that holds
+(p-1)**2), and writes each normal element from a table of its terms; a
+degree whose p**dim candidates exceed SCAN_GUARD = 2**22 is listed under
+`skipped` instead.
 
 Exit codes of `main`: 0 success, 1 a `--claim` mismatch, 2 a usage error,
 3 a failed resolution, 4 any other internal error, reported on one line.
@@ -103,10 +105,12 @@ def normal_element_scan(rs: RewriteSystem, dmax: int) -> dict:
             continue
         scannable = True
         found = _scan_degree(rs, d, basis, p)
-        # as FreeElement.format writes them: terms in descending deglex order
-        labels = ["*".join(rs.names[g] for g in w) for w in reversed(basis)]
-        reps = [" + ".join(f"({c})*{label}"
-                           for c, label in zip(reversed(coords), labels) if c)
+        # as FreeElement.format writes them: terms in descending deglex order,
+        # from a table of every term (p <= 2**11 once n > 1; a lone
+        # coordinate is the pivot 1)
+        terms = [[f"({c})*{'*'.join(rs.names[g] for g in w)}"
+                  for c in range(p if n > 1 else 2)] for w in reversed(basis)]
+        reps = [" + ".join([t[c] for t, c in zip(terms, reversed(coords)) if c])
                 for coords in found]
         findings["degrees"][d] = {
             "tested": (p ** n - 1) // (p - 1),
@@ -129,7 +133,9 @@ def _scan_degree(rs: RewriteSystem, d: int, basis: list, p: int) -> list:
     dim A_e) hold NF(x_g*basis[i]) and NF(basis[i]*x_g), so one product mod
     p gives every x_g*v and v*x_g of a block of candidates.  The product runs
     in float64: p**n <= SCAN_GUARD = 2**22 keeps its sums of n products of
-    residues below 2**53, so it is exact."""
+    residues below 2**53, so it is exact.  `same_row_spans` compares the
+    spans in the narrowest integer type that holds (p-1)**2, by rank and one
+    containment."""
     n = len(basis)
     parts = []
     for e in sorted({d + k for k in rs.degrees}):

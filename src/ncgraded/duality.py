@@ -46,9 +46,6 @@ class ExtTable:
     def nonzero_levels(self) -> list:
         return sorted({i for (i, _) in self.entries})
 
-    def level_entries(self, i: int) -> dict:
-        return {j: n for (ii, j), n in sorted(self.entries.items()) if ii == i}
-
 
 def _functional_basis(res: Resolution, i: int, mu: int) -> list:
     out = []

@@ -41,12 +41,15 @@ never stored.
 
 `same_row_spans` compares the row spans of a batch of small matrix pairs
 over F_p at once, for the normal-element scan: one numpy operation acts on
-every pair of the batch.  Its elimination is fraction free: a row r is
+every pair of the batch.  Two spans are equal when they have the same rank
+and one contains the other, so each side is echelonized once and only one
+containment is tested.  The elimination is fraction free: a row r is
 cleared at the pivot column c of a pivot row with value pv there, as
-r*pv - row*r[c], with no inverse.  `FieldSpec` only accepts p < 2**31, so
-every residue is below 2**31, both products stay below 2**62 and their
-difference within +-2**62 in int64; the result is reduced mod p before the
-next step.
+r*pv - row*r[c], with no inverse.  Both products lie in [0, (p-1)**2] and
+their difference within +-(p-1)**2, and the result is reduced mod p before
+the next step, so it runs in the narrowest signed integer type that holds
+(p-1)**2: int8 up to p = 11, int16 up to 181, int32 up to 46337 and int64
+above, where `FieldSpec`'s p < 2**31 keeps it below 2**62.
 """
 
 from __future__ import annotations
@@ -417,50 +420,57 @@ class RowSpan:
 
 def same_row_spans(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """Mask over a batch of matrix pairs: True where the rows of a[j] and of
-    b[j] span the same subspace of F_p^m.  a and b are int64 arrays of shape
-    (batch, k, m) with values in [0, p).
+    b[j] span the same subspace of F_p^m.  a and b are integer arrays of
+    shape (batch, k, m) with values in [0, p).
 
-    The spans are equal when each contains the rows of the other.  For one
-    containment, y[j] is echelonized row by row: row r gets the pivot column
-    cols[:, r] and the pivot value vals[:, r], and the later rows are cleared
-    there.  A row of x lies in the span of y exactly when clearing it at
-    those pivots in order leaves zero; a pair drops out at the first row
-    that does not."""
+    b[j] is echelonized row by row: row r gets the pivot column cols[:, r]
+    and the pivot value vals[:, r], and the later rows are cleared there.
+    A row of a lies in the span of b exactly when clearing it at those
+    pivots in order leaves zero; a pair drops out at the first row that
+    does not.  The pairs left have equal spans when their ranks, the
+    nonzero rows of each echelon form, agree."""
     if a.shape[2] == 0:                 # both spans are zero
         return np.ones(a.shape[0], dtype=bool)
-    keep = np.arange(a.shape[0])
-    for x, y in ((a, b), (b, a)):
-        y = y[keep]
-        batch, k = y.shape[:2]
-        at = np.arange(batch)
-        cols = np.empty((batch, k), dtype=np.int64)
-        vals = np.empty((batch, k), dtype=np.int64)
-        for r in range(k):
-            piv = y[:, r]
-            c = (piv != 0).argmax(axis=1)       # 0 for a zero row
-            pv = piv[at, c]
-            pv[pv == 0] = 1                     # a zero row clears nothing
-            coef = y[at, r + 1:, c]
-            y[:, r + 1:] = mod_p(y[:, r + 1:] * pv[:, None, None]
-                                 - coef[:, :, None] * piv[:, None, :], p)
-            cols[:, r], vals[:, r] = c, pv
-        alive = at
-        for i in range(x.shape[1]):
-            row = x[keep[alive], i]
-            on = np.arange(alive.size)
-            for r in range(k):
-                c, pv = cols[alive, r], vals[alive, r]
-                row = mod_p(row * pv[:, None]
-                            - row[on, c][:, None] * y[alive, r], p)
-            alive = alive[~row.any(axis=1)]
-        keep = keep[alive]
+    dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64)
+                 if (p - 1) ** 2 <= np.iinfo(t).max)
+    a, (y, cols, vals) = a.astype(dtype), _echelon(b.astype(dtype), p)
+    alive = np.arange(a.shape[0])
+    for i in range(a.shape[1]):
+        row = a[alive, i]
+        on = np.arange(alive.size)
+        for r in range(y.shape[1]):
+            c, pv = cols[alive, r], vals[alive, r]
+            row = mod_p(row * pv[:, None]
+                        - row[on, c][:, None] * y[alive, r], p)
+        alive = alive[~row.any(axis=1)]
+    rank_a = _echelon(a[alive], p)[0].any(axis=2).sum(axis=1)
     mask = np.zeros(a.shape[0], dtype=bool)
-    mask[keep] = True
+    mask[alive[rank_a == y[alive].any(axis=2).sum(axis=1)]] = True
     return mask
 
 
+def _echelon(y: np.ndarray, p: int) -> tuple:
+    """Echelonize a batch y in place; return it with the pivot column and
+    pivot value of each row (column 0 and value 1 for a zero row, which
+    clears nothing)."""
+    batch, k = y.shape[:2]
+    at = np.arange(batch)
+    cols = np.empty((batch, k), dtype=np.intp)
+    vals = np.empty((batch, k), dtype=y.dtype)
+    for r in range(k):
+        piv = y[:, r]
+        c = (piv != 0).argmax(axis=1)       # 0 for a zero row
+        pv = piv[at, c]
+        pv[pv == 0] = 1
+        coef = y[at, r + 1:, c]
+        y[:, r + 1:] = mod_p(y[:, r + 1:] * pv[:, None, None]
+                             - coef[:, :, None] * piv[:, None, :], p)
+        cols[:, r], vals[:, r] = c, pv
+    return y, cols, vals
+
+
 def mod_p(x: np.ndarray, p: int) -> np.ndarray:
-    """x % p for an int64 array.  numpy divides an int64 array by a scalar
-    through libdivide but has no such path for the remainder, so this is
-    several times faster than `x % p`."""
+    """x % p for a signed integer array.  numpy divides an integer array by
+    a scalar through libdivide but has no such path for the remainder, so
+    this is several times faster than `x % p`."""
     return x - x // p * p

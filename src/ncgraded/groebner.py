@@ -192,21 +192,18 @@ class RewriteSystem:
                     return False
             return True
 
-        def extend(word: Word, deg: int) -> None:
+        # depth first, the smallest letter popped first: the words come out
+        # in tuple order, with no recursion however long they are
+        letters = list(enumerate(self.degrees))[::-1]
+        stack = [(EMPTY_WORD, 0)] if degree >= 0 else []
+        while stack:
+            word, deg = stack.pop()
             if deg == degree:
                 out.append(word)
-                return
-            for g in range(len(self.degrees)):
-                d = deg + self.degrees[g]
-                if d > degree:
-                    continue
-                w = word + (g,)
-                if ok(w):
-                    extend(w, d)
-
-        if degree < 0:
-            return []
-        extend(EMPTY_WORD, 0)
+                continue
+            for g, k in letters:
+                if deg + k <= degree and ok(w := word + (g,)):
+                    stack.append((w, deg + k))
         return out
 
     def factor(self, w: Word):

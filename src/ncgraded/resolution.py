@@ -347,9 +347,6 @@ class BettiTable:
     certified_homological: int
     stage_complete: dict        # stage -> bool (complete beyond the window too)
 
-    def graded_dims(self, i: int) -> dict:
-        return {j: n for (ii, j), n in sorted(self.entries.items()) if ii == i}
-
     def total(self, i: int) -> int:
         return sum(n for (ii, _), n in self.entries.items() if ii == i)
 

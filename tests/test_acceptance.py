@@ -49,7 +49,8 @@ def test_criterion_1_reference_algebra_certificates():
     res = minimal_resolution(rs, 5, 8)
     tab = betti(res)
     assert [tab.total(i) for i in range(5)] == [1, 4, 6, 4, 1]
-    assert all(tab.graded_dims(i) == {i: tab.total(i)} for i in range(5))
+    assert all({j: n for (ii, j), n in tab.entries.items() if ii == i}
+               == {i: tab.total(i)} for i in range(5))
     assert len(res.stages[5].gens) == 0
     gl = gldim_upto(res, tab)
     assert gl.value == 4 and gl.certified
@@ -131,7 +132,7 @@ def test_criterion_5_enveloping_algebra_and_bimodule_ext():
     assert h.nonzero_levels() == [2]
     assert all(h.zero_certified[i] for i in range(5) if i != 2)
     dims = hilbert_function(complete(p, 8), 8)
-    lv = h.level_entries(2)
+    lv = {j: n for (i, j), n in h.entries.items() if i == 2}
     assert lv and min(lv) == 2
     for j, n in lv.items():
         assert n == dims.dim(j - 2)

@@ -293,6 +293,7 @@ def _scan_system(name, field):
     ("quantum-plane-2", "F5", 3, None),
     ("weyl-homogenized", "F3", 2, None),
     ("polynomial-3", "F2", 3, 1000),
+    ("quantum-plane-2", "F13", 3, None),    # the spans in int16
 ])
 def test_scan_matches_one_by_one_reference(name, field, dmax, cells,
                                            monkeypatch):
@@ -303,6 +304,14 @@ def test_scan_matches_one_by_one_reference(name, field, dmax, cells,
     assert findings["degrees"]
     for d, data in findings["degrees"].items():
         assert data["normal"] == normal_elements_one_by_one(rs, d)
+
+
+def test_scan_finds_every_element_of_a_commutative_algebra_normal():
+    # over F7 the spans run in int8, and every candidate must pass
+    findings = normal_element_scan(_scan_system("polynomial-2", "F7"), 4)
+    assert list(findings["degrees"]) == [1, 2, 3, 4]
+    for data in findings["degrees"].values():
+        assert data["found"] == data["tested"] == len(data["normal"])
 
 
 def test_runconfig_validation():

@@ -376,7 +376,9 @@ def test_rowspan_reduction_stays_exact_at_largest_prime():
 
 @given(data=st.data())
 def test_same_row_spans_matches_rowspan(data):
-    for p in (2, 3, 2 ** 31 - 1):
+    # the elimination runs in int8 up to p = 11, int16 up to 181, int32 up
+    # to 46337 and int64 above: a prime on each side of every boundary
+    for p in (2, 3, 11, 13, 181, 191, 46337, 46349, 2 ** 31 - 1):
         _check_same_row_spans(FieldSpec("Fp", p), data)
 
 

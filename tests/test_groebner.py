@@ -416,6 +416,43 @@ def test_nf_of_a_long_word_takes_no_recursion_per_letter():
     assert terms == groebner.normal_form(rs, rs.monomial(w)).terms
 
 
+def test_normal_words_of_a_long_degree_take_no_recursion_per_letter():
+    # the listing keeps its partial words on a stack: x^1200 is well past
+    # the default recursion limit of 1000
+    rs = complete(builtin("polynomial-1"), 4)
+    assert normal_words(rs, 1200) == [(0,) * 1200]
+
+
+def _normal_words_by_recursion(rs, degree):
+    """The normal words of a degree as a recursive search lists them: extend
+    each normal word by every letter in turn, smallest first, and keep the
+    extensions that end in no lead."""
+    out = []
+
+    def extend(word, deg):
+        if deg == degree:
+            out.append(word)
+            return
+        for g, k in enumerate(rs.degrees):
+            w = word + (g,)
+            if deg + k <= degree and not any(w[-len(lead):] == lead
+                                             for lead in rs.leads()):
+                extend(w, deg + k)
+
+    extend((), 0)
+    return out
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_normal_words_keep_the_order_of_the_recursive_listing(name):
+    p = builtin(name)
+    if isinstance(p, FilteredPresentation):
+        p = homogenize(p)
+    rs = complete(p, 7)
+    for d in range(8):
+        assert normal_words(rs, d) == _normal_words_by_recursion(rs, d), d
+
+
 LETTER_LEAD = """
 algebra lettered over F32003
 deg x = 1, y = 2, z = 1
