@@ -8,11 +8,15 @@ add_help=False and help lives on --help.
 The normal-element scan lives here rather than next to the certified
 invariants: its answer depends on the chosen finite field and on an
 enumeration cutoff, so it is evidence, not a theorem, and the report says so.
-It runs over any prime field, one block of candidates per numpy operation
-(`exactla.same_row_spans`, in the narrowest integer type that holds
-(p-1)**2), and writes each normal element from a table of its terms; a
-degree whose p**dim candidates exceed SCAN_GUARD = 2**22 is listed under
-`skipped` instead.
+It runs over any prime field, one block of candidates per numpy operation.
+A candidate that commutes with every generator is normal at once; only the
+others get a span test (`exactla.same_row_spans`, in the narrowest integer
+type that holds (p-1)**2), and a target degree whose generators commute
+with every element forms no products at all.  Each normal element is kept
+as its base-p code and written from two tables, one for the low and one for
+the high half of its digits.  A degree whose p**dim candidates exceed
+SCAN_GUARD = 2**22 is listed under `skipped` instead, and a degree bound at
+or below the top generator degree leaves no degree to scan.
 
 Exit codes of `main`: 0 success, 1 a `--claim` mismatch, 2 a usage error,
 3 a failed resolution, 4 any other internal error, reported on one line.
@@ -104,38 +108,76 @@ def normal_element_scan(rs: RewriteSystem, dmax: int) -> dict:
             findings["skipped"].append(d)
             continue
         scannable = True
-        found = _scan_degree(rs, d, basis, p)
-        # as FreeElement.format writes them: terms in descending deglex order,
-        # from a table of every term (p <= 2**11 once n > 1; a lone
-        # coordinate is the pivot 1)
-        terms = [[f"({c})*{'*'.join(rs.names[g] for g in w)}"
-                  for c in range(p if n > 1 else 2)] for w in reversed(basis)]
-        reps = [" + ".join([t[c] for t, c in zip(terms, reversed(coords)) if c])
-                for coords in found]
+        reps = _written(rs.names, basis, _scan_degree(rs, d, basis, p), p)
         findings["degrees"][d] = {
             "tested": (p ** n - 1) // (p - 1),
             "normal": reps,
-            "found": len(found),
+            "found": len(reps),
         }
+    if not scannable and not findings["skipped"]:
+        raise UsageError(f"the algebra is zero in degrees 1 to {dmax}: "
+                         "no element to scan")
     if not scannable:
         raise UsageError(f"no degree up to {dmax} fits the enumeration guard "
                          f"{p}^dim <= 2^22")
     return findings
 
 
-def _scan_degree(rs: RewriteSystem, d: int, basis: list, p: int) -> list:
-    """Normal elements of degree d as coefficient tuples over the given
-    normal-word basis, first nonzero coordinate fixed to 1, in the order of
-    the pivot position and then the remaining digits, last digit fastest.
+def _written(names: tuple, basis: list, codes: np.ndarray, p: int) -> list:
+    """The elements of the given base-p codes over `basis`, as
+    FreeElement.format writes them: terms in descending deglex order, so the
+    low digits of a code come first.  Its low m and high n - m digits index
+    two tables of their sums of terms, of at most p**ceil(n/2) strings each.
+    The codes come in the scan's order, so those whose pivot is a high digit
+    come first: each is its two halves joined, and each of the rest is its
+    low half alone."""
+    n = len(basis)
+    m = n // 2
+    q = p if n > 1 else 2               # a lone coordinate is the pivot 1
+    low = _term_table(names, basis[n - m:], q)
+    low_sep = np.array([s and s + " + " for s in low], dtype=object)
+    high = np.array(_term_table(names, basis[:n - m], q), dtype=object)
+    his, los = np.divmod(codes, p ** m)
+    k = np.count_nonzero(his)
+    return ((low_sep[los[:k]] + high[his[:k]]).tolist()
+            + np.array(low, dtype=object)[los[k:]].tolist())
+
+
+def _term_table(names: tuple, words: list, q: int) -> list:
+    """The sum of terms c_i*words[i] for every base-p code over the digits
+    c_i in range(q), the last word's digit least significant (q = p, or
+    q = 2 for a lone word), in descending deglex order."""
+    table = [""]
+    for w in words:
+        word = "*".join(names[g] for g in w)
+        terms = [""] + [f"({c})*{word}" for c in range(1, q)]
+        table = [f"{t} + {s}" if t and s else t or s
+                 for s in table for t in terms]
+    return table
+
+
+def _scan_degree(rs: RewriteSystem, d: int, basis: list, p: int
+                 ) -> np.ndarray:
+    """Normal elements of degree d as base-p codes over the given
+    normal-word basis (coordinate i is the digit of p**(n-1-i)), first
+    nonzero coordinate fixed to 1, in the order of the pivot position and
+    then the remaining digits, last digit fastest.
 
     v is normal when span{x_g*v} = span{v*x_g} over the generators g of each
     degree.  For each target degree e, `left` and `right` (n x generators x
     dim A_e) hold NF(x_g*basis[i]) and NF(basis[i]*x_g), so one product mod
     p gives every x_g*v and v*x_g of a block of candidates.  The product runs
     in float64: p**n <= SCAN_GUARD = 2**22 keeps its sums of n products of
-    residues below 2**53, so it is exact.  `same_row_spans` compares the
-    spans in the narrowest integer type that holds (p-1)**2, by rank and one
-    containment."""
+    residues below 2**53, so it is exact.  Its sums are reduced mod p in
+    int32, as are the codes, since numpy divides int32 by a scalar many
+    times faster than int64: each sum is below p at n = 1, where the only
+    candidate is the pivot 1, and below n*p**2 <= 2**23 at n >= 2.
+
+    A candidate with x_g*v = v*x_g for every g has equal spans; only the
+    others go to `same_row_spans`, which compares the spans in the narrowest
+    integer type that holds (p-1)**2, by rank and one containment.  Where
+    left == right every generator of degree e - d commutes with all of A_d,
+    and that target degree forms no products."""
     n = len(basis)
     parts = []
     for e in sorted({d + k for k in rs.degrees}):
@@ -149,24 +191,28 @@ def _scan_degree(rs: RewriteSystem, d: int, basis: list, p: int) -> list:
                     left[i, j, index[u]] = c
                 for u, c in rs.nf(w + (g,)).items():
                     right[i, j, index[u]] = c
-        parts.append((left, right))
+        if not np.array_equal(left, right):
+            parts.append((left, right))
 
     found = []
-    step = max(1, _SCAN_CELLS // max(max(a[0].size for a, _ in parts), 1))
+    place = p ** np.arange(n - 1, -1, -1, dtype=np.int32)
+    cells = max((left[0].size for left, _ in parts), default=1)
+    step = max(1, _SCAN_CELLS // cells)
     for piv in range(n):
-        tail = n - piv - 1
-        place = p ** np.arange(tail - 1, -1, -1, dtype=np.int64)
-        for lo in range(0, p ** tail, step):
-            counter = np.arange(lo, min(lo + step, p ** tail), dtype=np.int64)
-            v = np.zeros((counter.size, n), dtype=np.int64)
-            v[:, piv] = 1
-            v[:, piv + 1:] = mod_p(counter[:, None] // place, p)
+        first, stop = p ** (n - piv - 1), 2 * p ** (n - piv - 1)
+        for lo in range(first, stop, step):
+            code = np.arange(lo, min(lo + step, stop), dtype=np.int32)
             for left, right in parts:
-                lv, rv = (mod_p(np.tensordot(v, side, 1).astype(np.int64), p)
+                v = mod_p(code[:, None] // place, p)
+                lv, rv = (mod_p(np.tensordot(v, side, 1).astype(np.int32), p)
                           for side in (left, right))
-                v = v[same_row_spans(lv, rv, p)]
-            found.extend(map(tuple, v.tolist()))
-    return found
+                keep = (lv == rv).all(axis=(1, 2))
+                # copy out the others only when some candidate commutes
+                rest = ~keep if keep.any() else slice(None)
+                keep[rest] = same_row_spans(lv[rest], rv[rest], p)
+                code = code[keep]
+            found.append(code)
+    return np.concatenate(found)
 
 
 def confluence_probe(p: Presentation, degree_bound: int, seed: int) -> dict:
@@ -257,6 +303,11 @@ def run(cfg: RunConfig) -> tuple[dict, int]:
     if cfg.degree_bound < maxrel:
         raise UsageError(f"degree bound {cfg.degree_bound} is below the "
                          f"highest relation degree {maxrel}")
+    top = max(p.degree_vector(), default=0)
+    if "normal-elements" in cfg.checks and cfg.degree_bound <= top:
+        raise UsageError(f"normal-element scan needs a degree bound above the "
+                         f"top generator degree {top}: -d {cfg.degree_bound} "
+                         "leaves no degree to scan")
 
     rs = complete(p, degree_bound=cfg.degree_bound)
     report["groebner"] = {
@@ -371,7 +422,7 @@ def run(cfg: RunConfig) -> tuple[dict, int]:
 
     if "normal-elements" in cfg.checks:
         report["normal_elements"] = normal_element_scan(
-            rs, min(cfg.degree_bound - max(rs.degrees), 4))
+            rs, min(cfg.degree_bound - top, 4))
 
     return report, exit_code
 

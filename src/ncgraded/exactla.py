@@ -429,7 +429,7 @@ def same_row_spans(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     pivots in order leaves zero; a pair drops out at the first row that
     does not.  The pairs left have equal spans when their ranks, the
     nonzero rows of each echelon form, agree."""
-    if a.shape[2] == 0:                 # both spans are zero
+    if a.size == 0:                     # no pair, or both spans zero
         return np.ones(a.shape[0], dtype=bool)
     dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64)
                  if (p - 1) ** 2 <= np.iinfo(t).max)

@@ -316,6 +316,8 @@ class EnvelopingSystem(RewriteSystem):
     opposite: RewriteSystem | None = None
     _factors: dict = dc_field(init=False, default_factory=dict, repr=False,
                               compare=False)
+    _shifted: dict = dc_field(init=False, default_factory=dict, repr=False,
+                              compare=False)
 
     def factor(self, w: Word):
         """(original letters, opposite letters shifted back to 0..n-1)."""
@@ -365,16 +367,20 @@ class EnvelopingSystem(RewriteSystem):
         """The words u + v' over the pairs of a normal word u of A of
         degree a and v' one of A^op of degree degree - a, shifted to the
         opposite letters, sorted in tuple order as the search over all 2n
-        letters lists them.  u and v come from the memos of A and A^op."""
+        letters lists them.  u and v come from the memos of A and A^op, and
+        the pairs (v, v') of each degree are built once."""
         n = len(self.algebra.degrees)
         out: list = []
-        factors = self._factors
+        factors, shifted = self._factors, self._shifted
         for a in range(degree + 1):
             us = self.algebra.normal_words(a)
             if not us:
                 continue
-            vs = [(v, tuple(g + n for g in v))
-                  for v in self.opposite.normal_words(degree - a)]
+            vs = shifted.get(degree - a)
+            if vs is None:
+                vs = shifted[degree - a] = [
+                    (v, tuple(g + n for g in v))
+                    for v in self.opposite.normal_words(degree - a)]
             for u in us:
                 for v, v_op in vs:
                     w = u + v_op

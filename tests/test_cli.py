@@ -8,7 +8,7 @@ import pytest
 
 import ncgraded
 from ncgraded import cli
-from ncgraded.exactla import F32003, field_from_name
+from ncgraded.exactla import F32003, field_from_name, same_row_spans
 from ncgraded.groebner import complete
 from ncgraded.presentation import builtin, parse
 from ncgraded.resolution import ResolutionError
@@ -273,6 +273,8 @@ SCAN_INPUTS = {
     # x*y = 0 makes the spans unequal in both directions: x*(x, y) has
     # y*x outside (x, y)*x, and (y, x)*y has y*x outside y*(y, x)
     "one_sided": "deg x = 1, y = 1\nrel x*y\n",
+    # x alone spans degree 1, and y*x is outside span{x*y}
+    "free_weighted": "deg x = 1, y = 2\n",
 }
 
 
@@ -291,9 +293,14 @@ def _scan_system(name, field):
     ("weighted", "F3", 4, None),
     ("one_sided", "F3", 2, None),
     ("quantum-plane-2", "F5", 3, None),
+    # t^2 = x*y - y*x commutes with x, y and t, the other 80 candidates of
+    # its block do not
     ("weyl-homogenized", "F3", 2, None),
     ("polynomial-3", "F2", 3, 1000),
     ("quantum-plane-2", "F13", 3, None),    # the spans in int16
+    # p above 2**16 at n = 1: the products are reduced in int32, the spans
+    # compared in int64
+    ("free_weighted", "F65537", 1, None),
 ])
 def test_scan_matches_one_by_one_reference(name, field, dmax, cells,
                                            monkeypatch):
@@ -306,12 +313,56 @@ def test_scan_matches_one_by_one_reference(name, field, dmax, cells,
         assert data["normal"] == normal_elements_one_by_one(rs, d)
 
 
-def test_scan_finds_every_element_of_a_commutative_algebra_normal():
-    # over F7 the spans run in int8, and every candidate must pass
+def test_scan_finds_every_element_of_a_commutative_algebra_normal(
+        monkeypatch):
+    # every generator commutes with every element, so no candidate needs a
+    # span test, and every candidate must pass
+    def no_span_test(a, b, p):
+        raise AssertionError("span test of a commuting candidate")
+
+    monkeypatch.setattr(cli, "same_row_spans", no_span_test)
     findings = normal_element_scan(_scan_system("polynomial-2", "F7"), 4)
     assert list(findings["degrees"]) == [1, 2, 3, 4]
     for data in findings["degrees"].values():
         assert data["found"] == data["tested"] == len(data["normal"])
+
+
+def test_scan_span_tests_only_the_candidates_that_do_not_commute(
+        monkeypatch):
+    # in weyl-homogenized over F3 t is central and x, y are not: the
+    # degree-1 blocks by pivot x, y and t send 9 of 9, 3 of 3 and 0 of 1
+    # candidates to the span test.  In degree 2 (basis x*x, x*y, x*t, y*x,
+    # y*y, y*t) only t^2 = x*y - y*x commutes, and the block of pivot x*y
+    # sends 80 of its 81
+    rows = []
+
+    def counted(a, b, p):
+        rows.append(a.shape[0])
+        return same_row_spans(a, b, p)
+
+    monkeypatch.setattr(cli, "same_row_spans", counted)
+    normal_element_scan(_scan_system("weyl-homogenized", "F3"), 2)
+    assert rows == [9, 3, 0, 243, 80, 27, 9, 3, 1]
+
+
+def test_scan_without_a_degree_to_scan_names_the_degree_bound(tmp_path,
+                                                              capsys):
+    src = tmp_path / "w.alg"
+    src.write_text("algebra w over F3\ndeg x = 3, y = 1\nrel y*y\n")
+    code = main(["--input", str(src), "-d", "3", "--check",
+                 "normal-elements"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "top generator degree 3" in err and "-d 3" in err
+    # one degree above the top generator degree scans degree 1
+    assert main(["--input", str(src), "-d", "4", "--check",
+                 "normal-elements"]) == 0
+    capsys.readouterr()
+    # a lone generator of degree 3 leaves degrees 1 and 2 zero at -d 5
+    src.write_text("algebra w over F3\ndeg x = 3\n")
+    assert main(["--input", str(src), "-d", "5", "--check",
+                 "normal-elements"]) == 2
+    assert "zero in degrees 1 to 2" in capsys.readouterr().err
 
 
 def test_runconfig_validation():

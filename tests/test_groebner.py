@@ -325,6 +325,20 @@ def test_enveloping_system_with_a_degree_2_generator():
     assert_enveloping_system_matches_completion(p, 6, words)
 
 
+@pytest.mark.parametrize("name", builtin_names())
+def test_enveloping_listing_is_the_search_over_all_letters(name):
+    """The enveloping listing pairs one-sided normal words, shifting each
+    A^op word once for all degrees; every degree, asked for in any order,
+    still lists as the search over all 2n letters does."""
+    p = builtin(name)
+    if isinstance(p, FilteredPresentation):
+        p = homogenize(p)
+    env = enveloping_system(complete(p, 5), complete(opposite(p), 5))
+    for d in (5, 2, 0, 4, 1, 3):
+        assert normal_words(env, d) == \
+            RewriteSystem._list_normal_words(env, d), d
+
+
 # ---------------------------------------------------------------------------
 # products in `combine`: normal forms multiplied from the left
 
