@@ -165,8 +165,9 @@ def _scan_degree(rs: RewriteSystem, d: int, basis: list, p: int
 
     v is normal when span{x_g*v} = span{v*x_g} over the generators g of each
     degree.  For each target degree e, `left` and `right` (n x generators x
-    dim A_e) hold NF(x_g*basis[i]) and NF(basis[i]*x_g), so one product mod
-    p gives every x_g*v and v*x_g of a block of candidates.  The product runs
+    dim A_e) hold NF(x_g*basis[i]) and NF(basis[i]*x_g), the rows of the
+    left and right multiplication tables of x_g, so one product mod p gives
+    every x_g*v and v*x_g of a block of candidates.  The product runs
     in float64: p**n <= SCAN_GUARD = 2**22 keeps its sums of n products of
     residues below 2**53, so it is exact.  Its sums are reduced mod p in
     int32, as are the codes, since numpy divides int32 by a scalar many
@@ -182,15 +183,13 @@ def _scan_degree(rs: RewriteSystem, d: int, basis: list, p: int
     parts = []
     for e in sorted({d + k for k in rs.degrees}):
         gens = [g for g, k in enumerate(rs.degrees) if d + k == e]
-        index = {w: j for j, w in enumerate(normal_words(rs, e))}
-        left = np.zeros((n, len(gens), len(index)))
+        left = np.zeros((n, len(gens), rs.dim(e)))
         right = np.zeros_like(left)
-        for i, w in enumerate(basis):
-            for j, g in enumerate(gens):
-                for u, c in rs.nf((g,) + w).items():
-                    left[i, j, index[u]] = c
-                for u, c in rs.nf(w + (g,)).items():
-                    right[i, j, index[u]] = c
+        for j, g in enumerate(gens):
+            for side, on_left in ((left, True), (right, False)):
+                for i, row in enumerate(rs.table((g,), d, on_left)):
+                    for k, c in row:
+                        side[i, j, k] = c
         if not np.array_equal(left, right):
             parts.append((left, right))
 
@@ -367,7 +366,7 @@ def run(cfg: RunConfig) -> tuple[dict, int]:
     if {"asregular", "hochschild", "rigidity"} & set(cfg.checks):
         rs_r = complete(opposite(p), degree_bound=cfg.degree_bound)
 
-    asv = None
+    asv = t_left = None
     if "asregular" in cfg.checks:
         t_left = ext_k_A(res)
         res_r = minimal_resolution(rs_r, cfg.homological_bound,
@@ -388,7 +387,10 @@ def run(cfg: RunConfig) -> tuple[dict, int]:
         dres, dtab = diagonal_bimodule_resolution(rs, rs_r,
                                                   cfg.homological_bound,
                                                   cfg.degree_bound, tab)
-        hoch = hochschild_ext(dres)
+        # the left table proves levels of the bimodule table zero
+        if t_left is None:
+            t_left = ext_k_A(res)
+        hoch = hochschild_ext(dres, one_sided=(t_left, tab))
         if "hochschild" in cfg.checks:
             report["hochschild"] = _ext_json(hoch)
             report["hochschild"]["bimodule_betti"] = {

@@ -16,20 +16,40 @@ the true one, so computed zeros are proven zeros; the computed value is
 exact when stages i-1, i, i+1 are all complete.  Entries at levels whose
 stage list is not certified complete are reported but flagged, and no
 verdict treats them as facts.
+
+Levels the one-sided table proves zero.  Let F = Hom_(A^e)(P, A^e) for the
+minimal bimodule resolution P.  The dual differentials multiply the
+functional values on the left, so F is a complex of free right modules over
+1 (x) A^op, and modulo the positive part of A^op it is Hom_A(P (x) k, A),
+where P (x) k, which kills the opposite letters, is the minimal resolution
+of k as a left A-module.  Its cohomology is the left one-sided table E, and
+filtering F by the degree in A^op gives dim H^i(F)_mu <= sum_nu E^i_nu *
+dim A_(mu - nu).  So where E has no entry at level i and is certified zero
+there, H^i(F) vanishes in the window.  Given E and the left Betti table,
+`hochschild_ext` uses this at a level i when also the one-sided stages
+i-1, i and i+1 are complete: the bimodule Betti numbers are the one-sided
+ones (Tor is balanced), so the computed bimodule complex is the true one at
+those levels.  Then the rank of d* out of level i is dim C^i_mu minus the
+rank of d* into it, and that d* is never built.  Counting from level 0 up,
+this decides every level of a table concentrated in one level (the
+polynomial rings, the quantum plane, the Weyl algebras, the free
+algebras), where the one level left has no stage above it.  The flags are
+those of the computed route, which stays the reference without E.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactla import SparseMatrix, RowSpan, kernel_basis, rank, solve_columns
+from .exactla import (SparseMatrix, RowSpan, combination, kernel_basis, rank,
+                      solve_columns)
 from .freealg import FreeElement
-from .groebner import (RewriteSystem, enveloping_system, normal_form,
-                       normal_words)
+from .groebner import RewriteSystem, enveloping_system, normal_form
 from .hilbert import GradedDims
 from .presentation import Presentation
 from .resolution import (Resolution, ResolutionError, betti, BettiTable,
-                         GlobalDimReport, resolve_cyclic, stage_certificates)
+                         GlobalDimReport, resolve_cyclic, stage_certificates,
+                         word_blocks)
 
 
 @dataclass
@@ -47,64 +67,76 @@ class ExtTable:
         return sorted({i for (i, _) in self.entries})
 
 
-def _functional_basis(res: Resolution, i: int, mu: int) -> list:
-    out = []
+def _blocks(res: Resolution, i: int, mu: int) -> tuple:
+    """`word_blocks` of C^i_mu, the functionals of degree mu on stage i: a
+    block of the normal words of degree deg g + mu per generator g."""
     if i >= len(res.stages):
-        return out
-    for gi, gen in enumerate(res.stages[i].gens):
-        j = gen.degree + mu
-        if 0 <= j <= res.dbound:
-            for w in normal_words(res.rs, j):
-                out.append((gi, w))
-    return out
+        return [], 0
+    return word_blocks(res.rs, [g.degree + mu for g in res.stages[i].gens],
+                       res.dbound)
 
 
 def _dual_matrix(res: Resolution, i: int, mu: int) -> SparseMatrix:
-    """d*: C^i_mu -> C^(i+1)_mu, one column per element (g, w) of
-    _functional_basis(res, i, mu): sum_h a_(h,g) * w  at slot h.  Each
-    product t * w goes to `combine` as its pair of factors, so over the
-    enveloping algebra it costs one product in A and one in A^op."""
-    dom = _functional_basis(res, i, mu)
-    cod = _functional_basis(res, i + 1, mu)
-    if not cod:
-        return SparseMatrix(0, [{} for _ in dom], res.rs.field)
+    """d*: C^i_mu -> C^(i+1)_mu, one column per functional of `_blocks`,
+    the one with value w at generator g mapped to  sum_h a_(h,g) * w  at
+    generator h.  Each block of columns is one call of the system's
+    `products`, so over the enveloping algebra a product is a row of A's
+    table times a row of A^op's."""
+    dom, size = _blocks(res, i, mu)
+    cod, height = _blocks(res, i + 1, mu)
     rs = res.rs
-    fac = rs.factor
-    cod_idx = rs.basis_index(cod)
+    if not height:
+        return SparseMatrix(0, [{} for _ in range(size)], rs.field)
+    at = {h: off for h, _, off in cod}
     gens = res.stages[i + 1].gens
-    entries = [[(h, fac(t), ct) for h, gen in enumerate(gens) if g in gen.column
-                for t, ct in gen.column[g].terms.items()]
-               for g in range(len(res.stages[i].gens))]
     cols = []
-    for g, w in dom:
-        fw = fac(w)
-        cols.append(rs.combine([(h, ft, fw, ct) for h, ft, ct in entries[g]],
-                               cod_idx))
-    return SparseMatrix(len(cod), cols, rs.field)
+    for g, m, _ in dom:
+        cols += rs.products([(at[h], t, c) for h, gen in enumerate(gens)
+                             if g in gen.column
+                             for t, c in gen.column[g].terms.items()], m)
+    return SparseMatrix(height, cols, rs.field)
 
 
-def _ext_table(res: Resolution, side: str, window: tuple | None) -> ExtTable:
+def _window(res: Resolution, window: tuple | None) -> tuple:
+    """The functional-degree window (lo, hi): all of it when `window` is
+    None, else `window` checked against the degree bound."""
     degrees_present = [g.degree for st in res.stages for g in st.gens]
     max_s = max(degrees_present) if degrees_present else 0
     lo_full, hi_full = -max_s, res.dbound - max_s
     if window is None:
-        lo, hi = lo_full, hi_full
-    else:
-        lo, hi = window
-        if hi > hi_full:
-            raise ResolutionError(
-                f"functional-degree window top {hi} exceeds certification "
-                f"{hi_full} (internal degree bound {res.dbound})")
+        return lo_full, hi_full
+    lo, hi = window
+    if hi > hi_full:
+        raise ResolutionError(
+            f"functional-degree window top {hi} exceeds certification "
+            f"{hi_full} (internal degree bound {res.dbound})")
+    return lo, hi
+
+
+def _ext_table(res: Resolution, side: str, window: tuple | None,
+               vanishing: frozenset = frozenset()) -> ExtTable:
+    """The table over the window.  At a level in `vanishing`, where the
+    caller has proven the cohomology zero, the rank of d* is the dimension
+    left by the rank into it, and no d* is built; nor is one without
+    rows."""
+    lo, hi = _window(res, window)
     cert = dict(stage_certificates(res))
     cert[0] = True
     top_level = res.hbound - 1
     ranks: dict = {}      # (i, mu) -> rank of d* out of level i
     nullity: dict = {}
-    for i in range(0, top_level + 1):
-        for mu in range(lo, hi + 1):
-            d = _dual_matrix(res, i, mu)
-            rk = rank(d)
-            ranks[(i, mu)], nullity[(i, mu)] = rk, d.cols - rk
+    for mu in range(lo, hi + 1):
+        size = _blocks(res, 0, mu)[1]
+        for i in range(0, top_level + 1):
+            above = _blocks(res, i + 1, mu)[1]
+            if i in vanishing:
+                rk = size - ranks.get((i - 1, mu), 0)
+            elif above:
+                rk = rank(_dual_matrix(res, i, mu))
+            else:
+                rk = 0
+            ranks[(i, mu)], nullity[(i, mu)] = rk, size - rk
+            size = above
     entries: dict = {}
     certified: dict = {}
     zero_cert: dict = {}
@@ -254,11 +286,19 @@ def diagonal_bimodule_resolution(rs: RewriteSystem, rs_op: RewriteSystem,
     return res, betti(res)
 
 
-def hochschild_ext(res: Resolution, window: tuple | None = None) -> ExtTable:
+def hochschild_ext(res: Resolution, window: tuple | None = None,
+                   one_sided: tuple | None = None) -> ExtTable:
     """Ext of the diagonal bimodule with values in the enveloping algebra,
     from its resolution over the enveloping system `res.rs`.  The dual
-    differentials multiply in A (x) A^op as pairs of one-sided products
-    (`_dual_matrix`), through the memos of the systems of A and A^op.
+    differentials multiply in A (x) A^op as pairs of one-sided table rows
+    (`_dual_matrix`).
+
+    `one_sided`, the pair (E, table) of the left one-sided Ext table
+    ext_k_A(res_A) and the Betti table of the same left resolution, lets
+    the levels it proves zero skip their d* (module docstring): a level i
+    where E has no entry, E is certified zero, the one-sided stages i-1, i
+    and i+1 are complete, and E's window reaches the top of this one.  The
+    result is the one computed without it.
 
     Raw functional degrees are relabeled per level: when stage i is
     concentrated in one internal degree s, entries are reported at
@@ -266,7 +306,20 @@ def hochschild_ext(res: Resolution, window: tuple | None = None) -> ExtTable:
     it matches (a shift by s for the module grading and another s for the
     functional grading).  Non-concentrated levels stay in raw degrees, with
     a note."""
-    t = _ext_table(res, "overAe", window)
+    lo, hi = _window(res, window)
+    vanishing = frozenset()
+    if one_sided is not None:
+        e, table = one_sided
+
+        def complete(k: int) -> bool:
+            return k <= 0 or table.stage_complete.get(k, False)
+
+        if e.window[1] >= hi:
+            zero = set(range(res.hbound)) - set(e.nonzero_levels())
+            vanishing = frozenset(
+                i for i in zero if e.zero_certified.get(i, False)
+                and complete(i - 1) and complete(i) and complete(i + 1))
+    t = _ext_table(res, "overAe", (lo, hi), vanishing)
     shifts = {}
     notes = []
     for i in range(t.levels[0], t.levels[1] + 1):
@@ -304,8 +357,8 @@ def _coboundaries(res: Resolution, i: int, mu: int) -> list:
 
 
 def _cohomology_rep(res: Resolution, i: int, mu: int) -> dict | None:
-    """A cocycle at (i, mu) outside the coboundaries, over
-    _functional_basis(res, i, mu), or None when H^i_mu = 0."""
+    """A cocycle at (i, mu) outside the coboundaries, over the functionals
+    of `_blocks(res, i, mu)`, or None when H^i_mu = 0."""
     f = res.rs.field
     d = _dual_matrix(res, i, mu)
     if d.rows:
@@ -370,23 +423,22 @@ def rigidity_check(p: Presentation, res: Resolution, t: ExtTable,
                                ("no representative found at the lowest degree",))
     n = len(p.generators)
 
-    dom0 = _functional_basis(res, i0, mu0)
-    dom1 = _functional_basis(res, i0, mu0 + 1)
     img_cols1 = _coboundaries(res, i0, mu0 + 1)
-    fac = rs.factor
-    dom1_idx = rs.basis_index(dom1)
+    blocks1, size1 = _blocks(res, i0, mu0 + 1)
+    at1 = {g: off for g, _, off in blocks1}
 
     def times_letter(letter: int) -> dict:
-        fl = fac((letter,))
-        return rs.combine([(dom0[k][0], fac(dom0[k][1]), fl, c)
-                           for k, c in rep.items()], dom1_idx)
+        """rep times the letter on the right, over C^i0_(mu0 + 1)."""
+        rows = []
+        for g, m, _ in _blocks(res, i0, mu0)[0]:
+            rows += rs.products([(at1[g], (letter,), 1)], m, left=False)
+        return combination(rows, rep, f.p)
 
     right_plain = [times_letter(g) for g in range(n)]
     right_op = [times_letter(n + g) for g in range(n)]
     rows = []
     for g in range(n):
-        sol = solve_columns(right_plain + img_cols1, right_op[g],
-                            len(dom1), f)
+        sol = solve_columns(right_plain + img_cols1, right_op[g], size1, f)
         if sol is None:
             return RigidityVerdict(i0, True, None, bounds,
                                    ("opposite action not expressible through "

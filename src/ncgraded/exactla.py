@@ -13,8 +13,12 @@ input with integer coefficients and pivots +-1 (every builtin but
 quantum-plane-2, with its q = 2) runs at about the cost of F_p.
 `FieldSpec` never returns a Fraction whose denominator is 1.  The hot loops
 multiply and add scalars with the raw operators, which keep ints ints; a
-Fraction enters only by the inverse of a non-unit, and whatever it touches
-may stay a Fraction of denominator 1, which equals and hashes as its int.
+Fraction enters only by the inverse of a non-unit.  What it touches may
+come out as a Fraction of denominator 1, which equals and hashes as its int
+but costs a gcd per operation, so every vector the products build (normal
+forms, multiplication tables, the columns of the differentials and dual
+differentials) is summed raw and closed by `reduce_vector`, which turns it
+back into an int.  Inside the elimination such a Fraction may stay.
 
 One sparse elimination serves both fields.  A row is a dict column ->
 nonzero scalar, and `_Rows` keeps beside the rows a map from each column to
@@ -133,6 +137,26 @@ class FieldSpec:
 def _rational(x: Scalar) -> Scalar:
     """A rational scalar as an int when it is integral."""
     return x.numerator if type(x) is Fraction and x.denominator == 1 else x
+
+
+def reduce_vector(acc: dict, p: int | None) -> dict:
+    """The nonzero entries of a coordinate vector whose scalars were summed
+    with the raw operators: over F_p reduced mod p, over Q (p is None) each
+    an int when it is integral."""
+    if p is None:
+        return {r: _rational(v) for r, v in acc.items() if v}
+    return {r: v % p for r, v in acc.items() if v % p}
+
+
+def combination(vectors: list, coefs: Mapping[int, Scalar],
+                p: int | None) -> dict:
+    """sum coefs[k] * vectors[k] over the k of `coefs`, as `reduce_vector`
+    writes it."""
+    acc: dict = {}
+    for k, c in coefs.items():
+        for r, v in vectors[k].items():
+            acc[r] = acc.get(r, 0) + c * v
+    return reduce_vector(acc, p)
 
 
 QQ = FieldSpec("Q")

@@ -22,13 +22,18 @@ position of a word, so the rewrite site is found by hash lookups of the
 subwords at each start position, shortest lead length first.  Completion
 updates the index through `add_rule` and `retire`.
 
-Downstream products in the algebra go through `nf` and `combine`: the
-system memoizes the normal form of each word for as long as its rule set
-stands, and writes sums of normal forms of products left * right into
-coordinate vectors over (slot, normal word) bases, which is the shape of
-every differential, dual differential and action map built from the system.
-Callers hand `combine` each factor as `factor` writes it and index the
-basis through `basis_index`, so one caller serves every system.
+Downstream products in the algebra go through `nf` and the
+multiplication tables.  The system memoizes the normal form of each word
+for as long as its rule set stands, and keeps one table per word t, degree
+m and side: for each normal word w of degree m, in order, NF(t * w) (or
+NF(w * t)) as (position, scalar) pairs over the normal words of degree
+m + deg t.  `products` reads a sum of such tables into the coordinate
+vectors of a block of normal words, one vector per word, each product
+placed in a block of its own degree at a given offset.  That is the shape
+of every differential, dual differential and action map built from the
+system, so its callers never hash a word: a column is block offsets plus
+table rows.  The tables and the memos are cleared together whenever the
+rules change.
 
 `nf` builds the normal form of a word by left multiplication: the word's
 letters multiply the normal form of the empty word one at a time, last
@@ -40,7 +45,8 @@ does not matter only where the system is confluent: everywhere when it is
 `globally_complete`, else in degrees up to `complete_below`.  Above that
 `nf` rewrites the whole word through `normal_form`.  The words a normal
 form waits on are kept on an explicit stack, so no recursion grows with
-the length of a word.
+the length of a word, and those above `degree_bound`, which no basis of
+the system reaches, in a dict that lives for one call only.
 
 The enveloping algebra A (x) A^op is not completed: `enveloping_system`
 builds its rewrite system from completed systems of A and A^op.  Its rules
@@ -50,20 +56,29 @@ letter h.  Overlaps of a commutator with another rule resolve at every
 degree, by commuting the other rule's tail past the letter, so together
 the rules form a Groebner basis as far as A's and A^op's do (the Groebner
 basis of a tensor product, Bergman 1978, Adv. Math. 29, the diamond lemma).
-A normal word of the enveloping algebra is a normal word of A followed by
-one of A^op, and the normal form of any word is the product of the normal
-forms of its original and of its opposite letters.  So `EnvelopingSystem`
-reduces a product as a pair of one-sided products through the two
-one-sided memos, and memoizes no normal form of a whole word.
+A normal word of the enveloping algebra is a normal word u of A followed by
+one v of A^op, and the normal form of any word is the product of the normal
+forms of its original and of its opposite letters.  The normal words of
+one degree come in tuple order, which groups them into one run per u: an
+opposite letter sorts after every original one, so the runs follow the
+order of the tuples u + (n,), and within a run the words follow v.  The
+position of u v is the start of u's run plus the index of v among the
+normal words of A^op.  So `EnvelopingSystem.products` multiplies by a pair
+(t_A, t_op) as a pair of rows, one of A's table for t_A and one of A^op's
+for t_op, and places each product by the run starts: no word of
+A (x) A^op is built, no normal form of a whole word is memoized, and no
+table is stored at that level.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
+from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field
 
-from .exactla import FieldSpec
+from .exactla import FieldSpec, reduce_vector
 from .freealg import EMPTY_WORD, FreeElement, Word, word_degree
 
 
@@ -101,8 +116,9 @@ class RewriteSystem:
     and lead length.  The index is built from `rules` (ValueError when the
     alive leads are not an antichain) and afterwards changes only through
     `add_rule` and `retire`, which also clear the memos that depend on the
-    rules: the normal forms that `nf` and `combine` read, and the normal
-    words of each degree that `normal_words` lists."""
+    rules: the normal forms that `nf` memoizes, the normal words of each
+    degree that `normal_words` lists with their positions, and the
+    multiplication tables."""
 
     field: FieldSpec
     degrees: tuple
@@ -116,6 +132,8 @@ class RewriteSystem:
     _lengths: list = dc_field(init=False, repr=False, compare=False)
     _nf: dict = dc_field(init=False, repr=False, compare=False)
     _nw: dict = dc_field(init=False, repr=False, compare=False)
+    _pos: dict = dc_field(init=False, repr=False, compare=False)
+    _tables: dict = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         alive = self.alive_rules()
@@ -131,6 +149,8 @@ class RewriteSystem:
         self._lengths = sorted({len(L) for L in self._leads})
         self._nf = {}
         self._nw = {}
+        self._pos = {}
+        self._tables = {}
 
     def add_rule(self, rule: RewriteRule) -> None:
         """Append and index a rule whose lead no alive lead divides or is
@@ -206,77 +226,122 @@ class RewriteSystem:
                     stack.append((w, deg + k))
         return out
 
-    def factor(self, w: Word):
-        """A word as `combine` takes it: the word itself here."""
-        return w
+    def dim(self, degree: int) -> int:
+        """The number of normal words of a degree."""
+        return len(self.normal_words(degree))
 
-    def basis_index(self, basis: list) -> dict:
-        """Position of each (slot, normal word) of `basis`, keyed as
-        `combine` looks it up."""
-        return {bw: k for k, bw in enumerate(basis)}
+    def position(self, w: Word) -> int:
+        """The index of a normal word among the normal words of its
+        degree."""
+        return self._index(word_degree(w, self.degrees))[w]
+
+    def word_at(self, degree: int, k: int) -> Word:
+        """The normal word at index k of a degree."""
+        return self.normal_words(degree)[k]
+
+    def _index(self, degree: int) -> dict:
+        index = self._pos.get(degree)
+        if index is None:
+            index = self._pos[degree] = {
+                w: k for k, w in enumerate(self.normal_words(degree))}
+        return index
+
+    def table(self, t: Word, degree: int, left: bool = True) -> tuple:
+        """The multiplication table of the word t on the normal words of a
+        degree: for each normal word w, in order, NF(t * w) (left) or
+        NF(w * t) as (position, scalar) pairs over the normal words of
+        degree + deg t.  Built once for the rule set as it stands."""
+        key = (t, degree, left)
+        rows = self._tables.get(key)
+        if rows is None:
+            target = degree + word_degree(t, self.degrees)
+            index, memo, out = self._index(target), self._nf, []
+            for w in self.normal_words(degree):
+                word = t + w if left else w + t
+                terms = memo.get(word)
+                if terms is None:
+                    terms = self._normal_form(word, target)
+                out.append(tuple([(index[u], c) for u, c in terms.items()]))
+            rows = self._tables[key] = tuple(out)
+        return rows
+
+    def products(self, terms, degree: int, left: bool = True) -> list:
+        """For each normal word w of a degree, in order, the coordinate
+        vector of  sum c * NF(t * w)  (left) or  sum c * NF(w * t)  over
+        (offset, t, c) in `terms`: the product with t is written into the
+        normal words of its own degree, from position `offset` on."""
+        p = self.field.p
+        tables = [(off, self.table(t, degree, left), c)
+                  for off, t, c in terms]
+        out = []
+        for k in range(self.dim(degree)):
+            acc: dict = {}
+            for off, rows, c in tables:
+                for pos, s in rows[k]:
+                    r = off + pos
+                    acc[r] = acc.get(r, 0) + c * s
+            out.append(reduce_vector(acc, p))
+        return out
 
     def nf(self, word: Word) -> dict:
-        """Normal form of a word as a dict normal word -> scalar, computed
-        once per word for the rule set as it stands: by left multiplication
-        in a degree where the system is confluent, by `normal_form` above
-        it."""
+        """Normal form of a word as a dict normal word -> scalar: by left
+        multiplication in a degree where the system is confluent, by
+        `normal_form` above it.  A word of degree up to `degree_bound` is
+        computed once for the rule set as it stands; the words above it
+        that a left multiplication passes through are kept for that call
+        only, so one long word cannot fill the memo."""
+        terms = self._nf.get(word)
+        if terms is None:
+            terms = self._normal_form(word, word_degree(word, self.degrees))
+        return terms
+
+    def _normal_form(self, word: Word, deg: int) -> dict:
+        """`nf` of a word of degree deg that is not memoized."""
         memo = self._nf
-        terms = memo.get(word)
-        if terms is not None:
+        p, degs, top = self.field.p, self.degrees, self.degree_bound
+        if not (self.globally_complete or deg <= self.complete_below):
+            terms = reduce_vector(normal_form(self, self.monomial(word)).terms,
+                                  p)
+            if deg <= top:
+                memo[word] = terms
             return terms
-        if not (self.globally_complete or word_degree(word, self.degrees)
-                <= self.complete_below):
-            terms = memo[word] = normal_form(self, self.monomial(word)).terms
-            return terms
-        p = self.field.p
-        todo = [word]       # a stack of the words whose normal forms it needs
+        scratch: dict = {}
+        todo = [(word, deg)]  # the words whose normal forms it waits on
         while todo:
-            w = todo[-1]
-            if w in memo:
+            w, d = todo[-1]
+            known = memo if d <= top else scratch
+            if w in known:
                 todo.pop()
                 continue
-            if w and w[1:] not in memo:
-                todo.append(w[1:])
-                continue
-            parts = self._left_step(w)
+            if w:
+                s, ds = w[1:], d - degs[w[0]]
+                inner = (memo if ds <= top else scratch).get(s)
+                if inner is None:
+                    todo.append((s, ds))
+                    continue
+            else:
+                s, inner = w, {w: 1}
+            parts = self._left_step(w, s, inner)
             if parts is None:
-                memo[w] = {w: 1}
+                known[w] = {w: 1}
                 continue
-            missing = [u for _, u in parts if u not in memo]
+            missing = [(u, d) for _, u in parts if u not in known]
             if missing:
                 todo += missing
                 continue
             acc: dict = {}
             for c, u in parts:
-                for v, cv in memo[u].items():
+                for v, cv in known[u].items():
                     acc[v] = acc.get(v, 0) + c * cv
-            memo[w] = dict(sorted(_reduced(acc, p).items(), reverse=True))
-        return memo[word]
+            known[w] = dict(sorted(reduce_vector(acc, p).items(),
+                                   reverse=True))
+        return (memo if deg <= top else scratch)[word]
 
-    def combine(self, products, index: dict) -> dict:
-        """Coordinates of  sum coef * NF(left * right)  over
-        (slot, left, right, coef) in `products`, each factor as `factor`
-        writes it; the normal words of slot sit where `basis_index` put
-        them."""
-        cache = self._nf
-        acc: dict = {}
-        for slot, left, right, coef in products:
-            word = left + right
-            terms = cache.get(word)
-            if terms is None:
-                terms = self.nf(word)
-            for u, cu in terms.items():
-                r = index[(slot, u)]
-                acc[r] = acc.get(r, 0) + coef * cu
-        return _reduced(acc, self.field.p)
-
-    def _left_step(self, w: Word):
-        """One step of the left multiplication w = g * s, with NF(s)
-        memoized: NF(w) as a list of (scalar, word) whose normal forms sum
-        to it, or None when w is normal.  With s normal only a lead that
-        starts at g can apply; else g multiplies each term of NF(s)."""
-        s = w[1:]
-        inner = self._nf[s] if s else {s: 1}
+    def _left_step(self, w: Word, s: Word, inner: dict):
+        """One step of the left multiplication w = g * s, given NF(s):
+        NF(w) as a list of (scalar, word) whose normal forms sum to it, or
+        None when w is normal.  With s normal only a lead that starts at g
+        can apply; else g multiplies each term of NF(s)."""
         if s not in inner:
             g = w[:1]
             return [(cu, g + u) for u, cu in inner.items()]
@@ -290,103 +355,129 @@ class RewriteSystem:
         return None
 
 
-def _reduced(acc: dict, p) -> dict:
-    """The nonzero entries of a coordinate vector, over F_p reduced mod p
-    (p is None over Q)."""
-    if p is None:
-        return {r: v for r, v in acc.items() if v}
-    return {r: v % p for r, v in acc.items() if v % p}
-
-
 @dataclass
 class EnvelopingSystem(RewriteSystem):
     """The rewrite system of A (x) A^op, built by `enveloping_system` from
     the completed systems `algebra` of A and `opposite` of A^op.
 
     Its rules and lead index are those of the module docstring, and
-    `normal_form` and `site` rewrite with them.  `nf`, `combine` and
-    `normal_words` take the split instead: a word factors into its original
-    letters and its opposite letters (shifted back to 0..n-1), and its
-    normal form is NF_A(original) (x) NF_A^op(opposite).  No normal form of
-    a whole word is memoized; only the factors of each normal word that
-    `normal_words` lists are kept, since the bases are factored over and
-    over."""
+    `normal_form` and `site` rewrite with them.  `nf`, `dim`, `position`,
+    `word_at`, `products` and `normal_words` take the split instead: a word
+    factors into its original letters and its opposite letters (shifted
+    back to 0..n-1), its normal form is NF_A(original) (x) NF_A^op(opposite),
+    and its position follows from the runs of the module docstring.  Only
+    the run starts of each degree are kept here; the normal forms and the
+    tables are those of A and A^op."""
 
     algebra: RewriteSystem | None = None
     opposite: RewriteSystem | None = None
-    _factors: dict = dc_field(init=False, default_factory=dict, repr=False,
-                              compare=False)
-    _shifted: dict = dc_field(init=False, default_factory=dict, repr=False,
-                              compare=False)
+    _runs: dict = dc_field(init=False, repr=False, compare=False)
+    _dims: dict = dc_field(init=False, repr=False, compare=False)
 
-    def factor(self, w: Word):
+    def _reindexed(self) -> None:
+        super()._reindexed()
+        self._runs = {}
+        self._dims = {}
+
+    def _split(self, w: Word) -> tuple:
         """(original letters, opposite letters shifted back to 0..n-1)."""
-        pair = self._factors.get(w)
-        if pair is None:
-            n = len(self.algebra.degrees)
-            pair = (tuple(g for g in w if g < n),
-                    tuple(g - n for g in w if g >= n))
-        return pair
+        n = len(self.algebra.degrees)
+        return (tuple(g for g in w if g < n), tuple(g - n for g in w if g >= n))
 
-    def basis_index(self, basis: list) -> dict:
-        fac = self.factor
-        return {(slot,) + fac(w): k for k, (slot, w) in enumerate(basis)}
+    def _layout(self, degree: int) -> tuple:
+        """(runs, starts) of the normal words of a degree.  `runs` lists
+        (start, a, i, degree - a) for the i-th normal word u of A_a, in the
+        order of the tuples u + (n,), when A^op has normal words of degree
+        degree - a; starts[a][i] is where the run of that u starts (or would
+        start, when it is empty)."""
+        layout = self._runs.get(degree)
+        if layout is None:
+            a_rs, o_rs = self.algebra, self.opposite
+            n = len(a_rs.degrees)
+            order = sorted((u + (n,), a, i) for a in range(degree + 1)
+                           for i, u in enumerate(a_rs.normal_words(a)))
+            runs: list = []
+            starts = {a: [0] * a_rs.dim(a) for a in range(degree + 1)}
+            at = 0
+            for _, a, i in order:
+                starts[a][i] = at
+                size = o_rs.dim(degree - a)
+                if size:
+                    runs.append((at, a, i, degree - a))
+                    at += size
+            layout = self._runs[degree] = (runs, starts)
+        return layout
+
+    def dim(self, degree: int) -> int:
+        size = self._dims.get(degree)
+        if size is None:
+            a_rs, o_rs = self.algebra, self.opposite
+            size = self._dims[degree] = sum(a_rs.dim(a) * o_rs.dim(degree - a)
+                                            for a in range(degree + 1))
+        return size
+
+    def position(self, w: Word) -> int:
+        u, v = self._split(w)
+        a = word_degree(u, self.algebra.degrees)
+        starts = self._layout(a + word_degree(v, self.opposite.degrees))[1]
+        return starts[a][self.algebra.position(u)] + self.opposite.position(v)
+
+    def word_at(self, degree: int, k: int) -> Word:
+        runs = self._layout(degree)[0]
+        start, a, i, b = runs[bisect_right(runs, (k, math.inf)) - 1]
+        n = len(self.algebra.degrees)
+        return (self.algebra.word_at(a, i)
+                + tuple(g + n for g in self.opposite.word_at(b, k - start)))
+
+    def _list_normal_words(self, degree: int) -> list:
+        """Run by run, as the search over all 2n letters lists them."""
+        a_rs, o_rs = self.algebra, self.opposite
+        n = len(a_rs.degrees)
+        return [a_rs.word_at(a, i) + tuple(g + n for g in v)
+                for _, a, i, b in self._layout(degree)[0]
+                for v in o_rs.normal_words(b)]
 
     def nf(self, word: Word) -> dict:
-        a, o = self.factor(word)
+        a, o = self._split(word)
         n, mul = len(self.algebra.degrees), self.field.mul
         vs = [(tuple(g + n for g in v), cv)
               for v, cv in self.opposite.nf(o).items()]
         return {u + v: mul(cu, cv)
                 for u, cu in self.algebra.nf(a).items() for v, cv in vs}
 
-    def combine(self, products, index: dict) -> dict:
-        """As `RewriteSystem.combine`, each factor a pair (original,
-        opposite) and each basis word keyed (slot, u, v): two one-sided
-        memo lookups per product, and no word of A (x) A^op is built."""
-        a_rs, o_rs = self.algebra, self.opposite
-        a_cache, o_cache = a_rs._nf, o_rs._nf
-        acc: dict = {}
-        for slot, (la, lo), (ra, ro), coef in products:
-            word = la + ra
-            a_terms = a_cache.get(word)
-            if a_terms is None:
-                a_terms = a_rs.nf(word)
-            word = lo + ro
-            o_terms = o_cache.get(word)
-            if o_terms is None:
-                o_terms = o_rs.nf(word)
-            for u, cu in a_terms.items():
-                cu *= coef
-                for v, cv in o_terms.items():
-                    r = index[(slot, u, v)]
-                    acc[r] = acc.get(r, 0) + cu * cv
-        return _reduced(acc, self.field.p)
-
-    def _list_normal_words(self, degree: int) -> list:
-        """The words u + v' over the pairs of a normal word u of A of
-        degree a and v' one of A^op of degree degree - a, shifted to the
-        opposite letters, sorted in tuple order as the search over all 2n
-        letters lists them.  u and v come from the memos of A and A^op, and
-        the pairs (v, v') of each degree are built once."""
-        n = len(self.algebra.degrees)
+    def products(self, terms, degree: int, left: bool = True) -> list:
+        """As `RewriteSystem.products`, each t a pair (t_A, t_op): for each
+        run of a normal word u of A, a row of A's table for t_A times each
+        row of A^op's table for t_op.  The tables and the run starts of the
+        products are looked up once per degree of u, the A row once per
+        run and the A^op rows once per word."""
+        a_rs, o_rs, p = self.algebra, self.opposite, self.field.p
+        split = []
+        for off, t, c in terms:
+            ta, to = self._split(t)
+            split.append((off, ta, to, word_degree(ta, a_rs.degrees),
+                          word_degree(to, o_rs.degrees), c))
         out: list = []
-        factors, shifted = self._factors, self._shifted
-        for a in range(degree + 1):
-            us = self.algebra.normal_words(a)
-            if not us:
-                continue
-            vs = shifted.get(degree - a)
-            if vs is None:
-                vs = shifted[degree - a] = [
-                    (v, tuple(g + n for g in v))
-                    for v in self.opposite.normal_words(degree - a)]
-            for u in us:
-                for v, v_op in vs:
-                    w = u + v_op
-                    factors[w] = (u, v)
-                    out.append(w)
-        out.sort()
+        by_split: dict = {}     # a -> per term: A table, A^op table, starts
+        for _, a, i, b in self._layout(degree)[0]:
+            tables = by_split.get(a)
+            if tables is None:
+                tables = by_split[a] = [
+                    (off, c, a_rs.table(ta, a, left), o_rs.table(to, b, left),
+                     self._layout(degree + da + do)[1][a + da])
+                    for off, ta, to, da, do, c in split]
+            parts = [([(off + starts[pa], c * sa) for pa, sa in a_rows[i]],
+                      o_rows)
+                     for off, c, a_rows, o_rows, starts in tables if a_rows[i]]
+            for k in range(o_rs.dim(b)):
+                acc: dict = {}
+                for heads, rows in parts:
+                    tail = rows[k]
+                    for base, cs in heads:
+                        for po, so in tail:
+                            r = base + po
+                            acc[r] = acc.get(r, 0) + cs * so
+                out.append(reduce_vector(acc, p))
         return out
 
 

@@ -9,8 +9,12 @@ inside S_j, where S is the ideal J for stage 1 (candidates: the module
 relations) and the kernel K of the previous differential after it
 (candidates: a kernel basis).  The resolution is therefore minimal by
 construction (differentials land in the augmentation ideal, which is
-asserted).  Products go through the system's memoized `combine`, as pairs of
-factors; over the enveloping algebra each is a pair of one-sided products.
+asserted).  A degree piece of a free module is laid out in blocks, one per
+generator, each the normal words of one degree (`word_blocks`), and every
+product is read from the system's multiplication tables (`products`): the
+kernel columns multiply on the right by the differential's entries, the
+sieve on the left by a generator.  Over the enveloping algebra each product
+is a pair of one-sided table rows.
 
 Two rules end the sieve early without changing what it finds:
 
@@ -48,12 +52,13 @@ of further generators is a theorem rather than an observation.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 
-from .exactla import RowSpan, SparseMatrix, kernel_basis
+from .exactla import RowSpan, SparseMatrix, combination, kernel_basis
 from .freealg import EMPTY_WORD, FreeElement, word_degree
-from .groebner import RewriteSystem, normal_form, normal_words
+from .groebner import RewriteSystem, normal_form
 
 
 class ResolutionError(RuntimeError):
@@ -80,13 +85,10 @@ class Resolution:
     dbound: int
     module_relations: tuple
 
-    def stage_basis(self, i: int, j: int) -> list:
-        """Ordered basis of stage i at internal degree j: (gen index, word)."""
-        out = []
-        for gi, gen in enumerate(self.stages[i].gens):
-            for w in normal_words(self.rs, j - gen.degree):
-                out.append((gi, w))
-        return out
+    def blocks(self, i: int, j: int) -> tuple:
+        """`word_blocks` of stage i at internal degree j."""
+        return word_blocks(self.rs, [j - g.degree for g in self.stages[i].gens],
+                           self.dbound)
 
     def top_nonzero_stage(self) -> int:
         top = 0
@@ -123,7 +125,7 @@ def resolve_cyclic(rs: RewriteSystem, module_relations, hbound: int,
             f"{guide.source} certified to stage {guide.hbound} and degree "
             f"{guide.dbound} cannot guide a resolution to stage {hbound} "
             f"and degree {dbound}")
-    f, fac = rs.field, rs.factor
+    f = rs.field
     res = Resolution(rs, [ResolutionStage(0, [StageGen(0, {})])], hbound, dbound,
                      tuple(module_relations))
 
@@ -159,42 +161,38 @@ def resolve_cyclic(rs: RewriteSystem, module_relations, hbound: int,
         else:
             top = dbound
         sub: dict[int, list] = {}      # j -> echelon basis of S_j
-        # the entries of each differential column, factored for `combine`
-        entries = [[(tgt, fac(tw), tc) for tgt, a in gen.column.items()
+        # the entries of each differential column
+        entries = [[(tgt, tw, tc) for tgt, a in gen.column.items()
                     for tw, tc in a.terms.items()] for gen in prev.gens]
         min_deg = min(g.degree for g in prev.gens)
         for j in range(min_deg, min(top, dbound) + 1):
-            dom = res.stage_basis(i - 1, j)
-            if not dom and i > 1:     # stage 1 records J_j = 0 all the same
+            dom, size = res.blocks(i - 1, j)
+            if not size and i > 1:    # stage 1 records J_j = 0 all the same
                 continue
-            dom_idx = rs.basis_index(dom)
             if i == 1:
-                pos = {w: k for k, (_, w) in enumerate(dom)}
-                cands = [{pos[w]: c for w, c in r.terms.items()}
+                cands = [{rs.position(w): c for w, c in r.terms.items()}
                          for r in rels if r.degree() == j]
             elif guide is not None and (i, j) not in guide.cells:
                 cands = []     # K_j is the span below, by the theorem
             else:
-                cod = res.stage_basis(i - 2, j)
-                cod_idx = rs.basis_index(cod)
+                cod, height = res.blocks(i - 2, j)
+                cod_at = {gi: off for gi, _, off in cod}
                 cols = []
-                for gi, w in dom:
-                    fw = fac(w)
-                    cols.append(rs.combine(
-                        [(tgt, fw, ft, tc) for tgt, ft, tc in entries[gi]],
-                        cod_idx))
-                cands = kernel_basis(SparseMatrix(len(cod), cols, f))
+                for gi, m, _ in dom:
+                    cols += rs.products([(cod_at[tgt], tw, tc)
+                                         for tgt, tw, tc in entries[gi]],
+                                        m, left=False)
+                cands = kernel_basis(SparseMatrix(height, cols, f))
             span = RowSpan(f)
+            dom_at = {gi: off for gi, _, off in dom}
             for g, dg in enumerate(rs.degrees):
                 if not sub.get(j - dg):
                     continue
-                fg = fac((g,))
-                src = [(slot, fac(w))
-                       for slot, w in res.stage_basis(i - 1, j - dg)]
+                rows = []
+                for gi, m, _ in res.blocks(i - 1, j - dg)[0]:
+                    rows += rs.products([(dom_at[gi], (g,), 1)], m)
                 for v in sub[j - dg]:
-                    span.add(rs.combine(
-                        [(src[k][0], fg, src[k][1], c) for k, c in v.items()],
-                        dom_idx))
+                    span.add(combination(rows, v, f.p))
             for v in cands:
                 if span.add(v):
                     stage.gens.append(StageGen(j, _vector_to_column(rs, v, dom)))
@@ -202,16 +200,32 @@ def resolve_cyclic(rs: RewriteSystem, module_relations, hbound: int,
     return res
 
 
-def _vector_to_column(rs: RewriteSystem, vec: dict, basis: list) -> dict:
+def _vector_to_column(rs: RewriteSystem, vec: dict, blocks: list) -> dict:
     col: dict[int, dict] = {}
+    starts = [off for _, _, off in blocks]
     for pos, c in vec.items():
-        gi, w = basis[pos]
+        gi, m, off = blocks[bisect_right(starts, pos) - 1]
+        w = rs.word_at(m, pos - off)
         if w == EMPTY_WORD:
             raise ResolutionError(
                 "unit coefficient in a syzygy: previous stage was not minimal")
         col.setdefault(gi, {})[w] = c
     return {gi: FreeElement(rs.field, rs.degrees, terms)
             for gi, terms in col.items()}
+
+
+def word_blocks(rs: RewriteSystem, degrees: list, top: int) -> tuple:
+    """The layout of a degree piece of a free module over rs, whose
+    generator gi contributes the normal words of degree degrees[gi]: a
+    block (gi, degree, offset) for each degree in 0..top, in generator
+    order, and the dimension of the piece.  Each block holds rs's normal
+    words of its degree in order; only their number is read here."""
+    blocks, size = [], 0
+    for gi, m in enumerate(degrees):
+        if 0 <= m <= top:
+            blocks.append((gi, m, size))
+            size += rs.dim(m)
+    return blocks, size
 
 
 def minimal_resolution(rs: RewriteSystem, hbound: int, dbound: int,

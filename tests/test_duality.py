@@ -5,14 +5,15 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from ncgraded import duality, exactla
+from ncgraded import cli, duality, exactla
 from ncgraded.exactla import F32003, QQ, FieldSpec, field_from_name
 from ncgraded.freealg import enumerate_words
-from ncgraded.groebner import complete
+from ncgraded.groebner import EnvelopingSystem, complete
 from ncgraded.hilbert import hilbert_function
-from ncgraded.presentation import builtin, opposite, skew_polynomial
+from ncgraded.presentation import (builtin, homogenize, opposite, parse,
+                                   skew_polynomial)
 from ncgraded.resolution import ResolutionError, betti, gldim_upto, minimal_resolution
 from ncgraded.duality import (_dual_matrix, as_check, ext_k_A,
                               diagonal_bimodule_resolution, hochschild_ext,
@@ -241,6 +242,170 @@ def test_dual_differential_squares_to_zero():
             for w in enumerate_words(r.rs.degrees, d):
                 assert (r.rs.nf(w)
                         == rule_scan_normal_form(r.rs, r.rs.monomial(w)).terms)
+
+
+# -- levels the one-sided table proves zero -----------------------------------
+
+def derived_and_computed(p, hbound, dbound):
+    """The Hochschild table of p with the left one-sided table and without
+    it, and the (level, functional degree) of each d* that each route
+    builds over the enveloping system."""
+    rs, rs_r = complete(p, dbound), complete(opposite(p), dbound)
+    res = minimal_resolution(rs, hbound, dbound)
+    tab = betti(res)
+    e = ext_k_A(res)
+    dres, _ = diagonal_bimodule_resolution(rs, rs_r, hbound, dbound, tab)
+    tables, built = [], []
+    for one_sided in ((e, tab), None):
+        with mock.patch.object(duality, "_dual_matrix",
+                               side_effect=_dual_matrix) as spy:
+            tables.append(hochschild_ext(dres, one_sided=one_sided))
+        built.append([c.args[1:] for c in spy.call_args_list])
+    return tables, built
+
+
+def assert_derived_is_computed(derived, computed):
+    for name in ("entries", "certified", "zero_certified", "level_shift",
+                 "notes"):
+        assert getattr(derived, name) == getattr(computed, name), name
+    assert derived == computed
+
+
+@pytest.mark.parametrize("name", ["free-2", "free-3", "polynomial-1",
+                                  "polynomial-2", "polynomial-3",
+                                  "quantum-plane-2", "smith-zhang",
+                                  "weyl-filtered", "weyl-homogenized"])
+def test_derived_levels_give_the_computed_table(name):
+    p = builtin(name)
+    if name == "weyl-filtered":
+        p = homogenize(p)
+    (derived, computed), (fewer, every) = derived_and_computed(p, 4, 5)
+    assert_derived_is_computed(derived, computed)
+    assert len(fewer) < len(every) or not every
+    if name != "smith-zhang":
+        # concentrated: every level is decided without a d*
+        assert fewer == []
+    else:
+        # E vanishes at levels 0 and 1 only
+        assert {i for i, _ in fewer} == {2, 3}
+
+
+@given(case=random_presentations())
+@settings(max_examples=25)
+def test_derived_levels_give_the_computed_table_on_random_presentations(case):
+    p, bound = case
+    (derived, computed), _ = derived_and_computed(p, 3, bound)
+    assert_derived_is_computed(derived, computed)
+
+
+CUBE = """
+algebra cube over F32003
+deg x = 1
+rel x^3
+"""
+
+
+@pytest.mark.parametrize("text, dbound, hbound, derived", [
+    # truncated: no stage is certified complete, so no level is derived
+    # although E is zero at levels 0, 1 and 2
+    (None, 3, 3, set()),
+    # x^3 = 0 at -d 4: E is certified zero at levels 0, 1 and 2, but stage
+    # 3 has a chain above the window, so level 2 is computed
+    (CUBE, 4, 4, {0, 1}),
+], ids=["weyl-homogenized", "cube"])
+def test_levels_the_one_sided_table_does_not_certify_are_computed(
+        text, dbound, hbound, derived):
+    p = builtin("weyl-homogenized") if text is None else parse(text)
+    (table, computed), (fewer, every) = derived_and_computed(p, hbound,
+                                                             dbound)
+    assert_derived_is_computed(table, computed)
+    levels = {i for i, _ in every}
+    assert derived <= levels
+    assert {i for i, _ in fewer} == levels - derived
+
+
+LEFT_RIGHT = """
+algebra left_right over F32003
+deg x = 1, y = 1
+rel x*x
+rel x*y
+"""
+
+
+def test_derived_levels_come_from_the_left_table():
+    """Over x^2 = xy = 0 the left table is zero at level 0 and the right
+    one is not, so the bimodule d* out of level 0 is built only when the
+    right table would be read."""
+    p = parse(LEFT_RIGHT)
+    rs = complete(p, 5)
+    tab = betti(minimal_resolution(rs, 4, 5))
+    left = ext_k_A(minimal_resolution(rs, 4, 5))
+    right = ext_k_A(minimal_resolution(complete(opposite(p), 5), 4, 5, tab))
+    assert left.nonzero_levels() == [1, 2, 3]
+    assert right.nonzero_levels() == [0, 1, 2, 3]
+    (derived, computed), (fewer, every) = derived_and_computed(p, 4, 5)
+    assert_derived_is_computed(derived, computed)
+    assert computed.nonzero_levels() == [1, 2, 3]
+    assert not [c for c in fewer if c[0] == 0]
+    assert [c for c in every if c[0] == 0]
+
+
+def test_report_hands_the_left_table_to_the_bimodule_side(tmp_path):
+    path = tmp_path / "left_right.alg"
+    path.write_text(LEFT_RIGHT)
+    p = parse(LEFT_RIGHT)
+    left = ext_k_A(minimal_resolution(complete(p, 5), 4, 5))
+    for checks in (("hochschild",), ("asregular", "hochschild")):
+        with mock.patch.object(cli, "hochschild_ext",
+                               side_effect=hochschild_ext) as spy:
+            cli.run(cli.RunConfig(str(path), is_path=True, degree_bound=5,
+                                  homological_bound=4, checks=checks))
+        (call,) = spy.call_args_list
+        e, table = call.kwargs["one_sided"]
+        assert e == left
+        assert table.stage_complete
+
+
+def test_concentrated_report_builds_only_the_twist_cells():
+    # polynomial-3 FULL: its Hochschild table comes from the left table, so
+    # the only d* over the enveloping system are rigidity's three cells
+    built = []
+
+    def record(res, i, mu):
+        if isinstance(res.rs, EnvelopingSystem):
+            built.append((i, mu))
+        return _dual_matrix(res, i, mu)
+
+    with mock.patch.object(duality, "_dual_matrix", side_effect=record):
+        report, code = cli.run(cli.RunConfig(
+            "polynomial-3", degree_bound=7, homological_bound=5,
+            checks=("hilbert", "betti", "koszul", "asregular", "hochschild",
+                    "rigidity")))
+    assert code == 0
+    assert report["rigidity"]["concentrated_at"] == 3
+    assert sorted(built) == [(2, -3), (2, -2), (3, -3)]
+
+
+def test_rational_dual_differentials_hold_no_integral_fraction():
+    # quantum-plane-2 divides by q = 2, so Fractions occur; a d* entry that
+    # is integral is an int, the one representation the elimination skips
+    # the gcd for
+    entries = []
+
+    def record(*args):
+        m = _dual_matrix(*args)
+        entries.extend(v for col in m.columns for v in col.values())
+        return m
+
+    with mock.patch.object(duality, "_dual_matrix", side_effect=record):
+        _, code = cli.run(cli.RunConfig(
+            "quantum-plane-2", field=QQ, degree_bound=8, homological_bound=4,
+            checks=("hilbert", "betti", "koszul", "asregular", "hochschild",
+                    "rigidity")))
+    assert code == 0
+    fractions = [v for v in entries if isinstance(v, Fraction)]
+    assert fractions
+    assert not [v for v in fractions if v.denominator == 1]
 
 
 # -- derived invariants -------------------------------------------------------

@@ -5,6 +5,7 @@ import inspect
 import itertools
 import random
 import sys
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -291,18 +292,25 @@ def assert_enveloping_system_matches_completion(p, bound, words):
                for r in rules):
         assert env.globally_complete == ref.globally_complete
     for d in range(bound + 1):
-        assert normal_words(env, d) == normal_words(ref, d), d
+        listed = normal_words(env, d)
+        assert listed == normal_words(ref, d), d
+        # positions from the runs of A's words, without the listing
+        assert env.dim(d) == len(listed)
+        assert [env.position(w) for w in listed] == list(range(len(listed)))
+        assert [env.word_at(d, k) for k in range(len(listed))] == listed
     for w in words:
         assert env.nf(w) == rule_scan_normal_form(env, env.monomial(w)).terms, w
-    # a product of two words as `combine` reduces it, as a pair of pairs
-    for left, right in zip(words, words[1:]):
-        d = word_degree(left + right, env.degrees)
-        if d <= bound:
-            basis = [(0, u) for u in normal_words(env, d)]
-            got = env.combine([(0, env.factor(left), env.factor(right), 1)],
-                              env.basis_index(basis))
-            assert {basis[k][1]: c for k, c in got.items()} == \
-                env.nf(left + right), (left, right)
+    # a word times the normal words of a degree, on either side, as
+    # `products` reads it from a row of A's table and one of A^op's
+    for t in words:
+        for m in range(min(2, bound - word_degree(t, env.degrees)) + 1):
+            basis = normal_words(env, m + word_degree(t, env.degrees))
+            for left in (True, False):
+                cols = env.products([(0, t, 1)], m, left)
+                assert len(cols) == env.dim(m)
+                for u, col in zip(normal_words(env, m), cols):
+                    assert {basis[k]: c for k, c in col.items()} == \
+                        env.nf(t + u if left else u + t), (t, u, left)
     dres, _ = diagonal_bimodule_resolution(rs, rs_op, 3, bound)
     assert dual_composites_vanish(dres, hochschild_ext(dres).window)
 
@@ -340,11 +348,12 @@ def test_enveloping_listing_is_the_search_over_all_letters(name):
 
 
 # ---------------------------------------------------------------------------
-# products in `combine`: normal forms multiplied from the left
+# products through `nf` and the multiplication tables: normal forms
+# multiplied from the left
 
 def _fresh(rs, complete_below=None):
-    """rs with empty memos, so that `combine` computes every product; with
-    complete_below, a copy that claims confluence up to that degree."""
+    """rs with empty memos and tables, so that every product is computed;
+    with complete_below, a copy that claims confluence up to that degree."""
     if complete_below is None:
         complete_below = rs.complete_below
     return RewriteSystem(rs.field, rs.degrees, rs.names, rs.degree_bound,
@@ -353,15 +362,20 @@ def _fresh(rs, complete_below=None):
 
 
 def assert_products_match_scan(rs, pairs):
-    """`combine` reduces left * right as the rule scan does, and the normal
-    form it memoizes lists the scan's terms in the scan's order."""
+    """`nf` reduces left * right as the rule scan does and lists the scan's
+    terms in the scan's order, and where one factor is a normal word the
+    multiplication table of the other, on its side, has that normal form in
+    the row of the normal word."""
+    degs = rs.degrees
     for left, right in pairs:
         w = left + right
-        basis = [(0, u) for u in normal_words(rs, word_degree(w, rs.degrees))]
-        got = rs.combine([(0, left, right, 1)], rs.basis_index(basis))
         want = rule_scan_normal_form(rs, rs.monomial(w)).terms
-        assert {basis[k][1]: c for k, c in got.items()} == want, (left, right)
         assert list(rs.nf(w).items()) == list(want.items()), (left, right)
+        basis = normal_words(rs, word_degree(w, degs))
+        for t, u, on_left in ((left, right, True), (right, left, False)):
+            if rs.is_normal_word(u):
+                row = rs.table(t, word_degree(u, degs), on_left)[rs.position(u)]
+                assert {basis[k]: c for k, c in row} == want, (left, right)
 
 
 def _words(rs, top):
@@ -392,7 +406,8 @@ def test_products_on_complete_systems_match_the_rule_scan(system):
                          ids=lambda s: f"{s[0]}-{s[1]}-d{s[2]}")
 def test_products_above_complete_below_match_the_rule_scan(system):
     """Above `complete_below` a word's normal form depends on the order of
-    the rewrites, and `combine` rewrites as `normal_form` does there."""
+    the rewrites, and `nf` and the tables rewrite as `normal_form` does
+    there."""
     rs = completed_system(*system)
     assert not rs.globally_complete
     top = rs.complete_below + 3
@@ -428,6 +443,41 @@ def test_nf_of_a_long_word_takes_no_recursion_per_letter():
         sys.setrecursionlimit(limit)
     assert terms == {(0,) * 100 + (1,) * 100: 1}
     assert terms == groebner.normal_form(rs, rs.monomial(w)).terms
+
+
+def test_nf_memoizes_no_word_above_the_degree_bound():
+    # the 3n^2 intermediate words of y^n * x^n lie above the bound, so they
+    # live only as long as the call
+    rs = complete(builtin("polynomial-2"), 6)
+    w = (1,) * 100 + (0,) * 100
+    assert rs.nf(w) == groebner.normal_form(rs, rs.monomial(w)).terms
+    assert rs.nf((1, 0)) == {(0, 1): 1}
+    assert max(word_degree(u, rs.degrees) for u in rs._nf) <= rs.degree_bound
+
+
+@pytest.mark.parametrize("name", builtin_names())
+@pytest.mark.parametrize("field", [F32003, QQ], ids=["F32003", "Q"])
+def test_multiplication_tables_match_normal_form(name, field):
+    """Every row of the left and right tables of the words t of degree at
+    most 2 is the normal form of its product, through degree 5; over Q its
+    scalars are ints wherever they are integral."""
+    p = builtin(name, field)
+    if isinstance(p, FilteredPresentation):
+        p = homogenize(p)
+    rs = complete(p, 5)
+    for t in _words(rs, 2):
+        e = word_degree(t, rs.degrees)
+        for m in range(5 - e + 1):
+            basis = normal_words(rs, m + e)
+            for left in (True, False):
+                rows = rs.table(t, m, left)
+                assert len(rows) == rs.dim(m)
+                for w, row in zip(normal_words(rs, m), rows):
+                    want = normal_form(rs, rs.monomial(t + w if left else
+                                                       w + t)).terms
+                    assert {basis[k]: c for k, c in row} == want, (t, w)
+                    assert not [c for _, c in row if isinstance(c, Fraction)
+                                and c.denominator == 1], (t, w)
 
 
 def test_normal_words_of_a_long_degree_take_no_recursion_per_letter():
