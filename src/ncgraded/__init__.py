@@ -12,7 +12,7 @@ from .presentation import (FilteredPresentation, Presentation,
                            group_algebra_relations, homogenize, opposite,
                            ore_extension, parse, skew_polynomial)
 from .groebner import (RewriteRule, RewriteSystem, complete, normal_form,
-                       normal_word_counts, normal_words)
+                       normal_word_counts)
 from .hilbert import (ClaimSyntaxError, GKEstimate, GradedDims, RationalCheck,
                       gk_estimate, hilbert_function, series_coefficients,
                       verify_rational)

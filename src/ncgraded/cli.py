@@ -38,7 +38,7 @@ from .exactla import (F32003, FieldSpec, field_from_name, mod_p,
 from .presentation import (FilteredPresentation, Presentation,
                            PresentationError, builtin, builtin_names,
                            homogenize, opposite, parse)
-from .groebner import RewriteSystem, complete, normal_words
+from .groebner import RewriteSystem, complete
 from .hilbert import (ClaimSyntaxError, gk_estimate, hilbert_function,
                       verify_rational)
 from .resolution import (ResolutionError, betti, gldim_upto, koszul_check,
@@ -100,7 +100,7 @@ def normal_element_scan(rs: RewriteSystem, dmax: int) -> dict:
                       "degrees": {}, "skipped": []}
     scannable = False
     for d in range(1, dmax + 1):
-        basis = normal_words(rs, d)
+        basis = rs.normal_words(d)
         n = len(basis)
         if n == 0:
             continue

@@ -14,39 +14,42 @@ every tail is in normal form.  A closing verification pass re-checks all
 ambiguities among the surviving rules, so the certificate does not depend on
 the bookkeeping of the main loop.
 
-Every rewrite, during completion and after it, goes through the system's
-own lead index.  Because the alive leads are an antichain under the subword
-relation (a new lead is reduced against the alive leads, and inserting it
-retires every lead that contains it), at most one lead starts at any
-position of a word, so the rewrite site is found by hash lookups of the
-subwords at each start position, shortest lead length first.  Completion
-updates the index through `add_rule` and `retire`.
+Every rewrite, during completion and after it, goes through `nf`, which
+builds the normal form of a word by left multiplication: the word's letters
+multiply the normal form of the empty word one at a time, last letter
+first, each product memoized under its word.  The alive leads are an
+antichain under the subword relation (a new lead is reduced against the
+alive leads, and inserting it retires every lead that contains it), so at
+most one lead starts at any position of a word, and for g * u with u normal
+only a lead that starts at g can apply: finding the rewrite costs one hash
+lookup per lead length.  The terms are sorted into descending tuple order,
+which within one degree is descending deglex.  The words a normal form
+waits on are kept on an explicit stack, so no recursion grows with the
+length of a word, and those above `degree_bound`, which no basis of the
+system reaches, in a dict that lives for one call only.  `normal_form` is
+the linear extension of `nf` to elements.
 
-Downstream products in the algebra go through `nf` and the
-multiplication tables.  The system memoizes the normal form of each word
-for as long as its rule set stands, and keeps one table per word t, degree
-m and side: for each normal word w of degree m, in order, NF(t * w) (or
-NF(w * t)) as (position, scalar) pairs over the normal words of degree
-m + deg t.  `products` reads a sum of such tables into the coordinate
-vectors of a block of normal words, one vector per word, each product
-placed in a block of its own degree at a given offset.  That is the shape
-of every differential, dual differential and action map built from the
-system, so its callers never hash a word: a column is block offsets plus
-table rows.  The tables and the memos are cleared together whenever the
-rules change.
+Any full reduction yields an irreducible element congruent to the word, and
+where the system is confluent (everywhere when it is `globally_complete`,
+else in degrees up to `complete_below`) that element is the normal form,
+whatever the order of the rewrites (Bergman 1978, Adv. Math. 29, the
+diamond lemma).  Completion needs no more than that, so it reduces through
+`nf` as well.  A word's normal form reads only rules of degree up to its
+own, so `add_rule` and `retire` drop the memoized normal forms from the
+rule's degree up and keep those below: as completion works degree by
+degree, the words of the degrees it has closed stay memoized, and the
+closing `verify` pass reads them back.
 
-`nf` builds the normal form of a word by left multiplication: the word's
-letters multiply the normal form of the empty word one at a time, last
-letter first, each product memoized under its word.  For g * u with u
-normal, a lead can only start at g, so finding the rewrite costs one lookup
-per lead length instead of `site`'s scan of every position; the terms are
-sorted into the order `normal_form` writes them.  The order of the rewrites
-does not matter only where the system is confluent: everywhere when it is
-`globally_complete`, else in degrees up to `complete_below`.  Above that
-`nf` rewrites the whole word through `normal_form`.  The words a normal
-form waits on are kept on an explicit stack, so no recursion grows with
-the length of a word, and those above `degree_bound`, which no basis of
-the system reaches, in a dict that lives for one call only.
+Downstream products in the algebra go through the multiplication tables.
+The system keeps one table per word t, degree m and side: for each normal
+word w of degree m, in order, NF(t * w) (or NF(w * t)) as (position,
+scalar) pairs over the normal words of degree m + deg t.  `products` reads
+a sum of such tables into the coordinate vectors of a block of normal
+words, one vector per word, each product placed in a block of its own
+degree at a given offset.  That is the shape of every differential, dual
+differential and action map built from the system, so its callers never
+hash a word: a column is block offsets plus table rows.  The tables and the
+normal-word listings are cleared whole whenever the rules change.
 
 The enveloping algebra A (x) A^op is not completed: `enveloping_system`
 builds its rewrite system from completed systems of A and A^op.  Its rules
@@ -109,15 +112,14 @@ class RewriteRule:
 
 @dataclass
 class RewriteSystem:
-    """A rule set and the one path that rewrites with it.
+    """A rule set and the one path that rewrites with it, `nf`.
 
     The alive rules are indexed by lead word, together with the sorted lead
-    lengths; `site` finds a rewrite with one hash lookup per start position
-    and lead length.  The index is built from `rules` (ValueError when the
-    alive leads are not an antichain) and afterwards changes only through
-    `add_rule` and `retire`, which also clear the memos that depend on the
-    rules: the normal forms that `nf` memoizes, the normal words of each
-    degree that `normal_words` lists with their positions, and the
+    lengths.  The index is built from `rules` (ValueError when the alive
+    leads are not an antichain) and afterwards changes only through
+    `add_rule` and `retire`.  These drop the normal forms that `nf` memoizes
+    (per degree) from the rule's degree up, and clear the normal words of
+    each degree that `normal_words` lists with their positions and the
     multiplication tables."""
 
     field: FieldSpec
@@ -131,6 +133,7 @@ class RewriteSystem:
     _leads: dict = dc_field(init=False, repr=False, compare=False)
     _lengths: list = dc_field(init=False, repr=False, compare=False)
     _nf: dict = dc_field(init=False, repr=False, compare=False)
+    _nf_at: dict = dc_field(init=False, repr=False, compare=False)
     _nw: dict = dc_field(init=False, repr=False, compare=False)
     _pos: dict = dc_field(init=False, repr=False, compare=False)
     _tables: dict = dc_field(init=False, repr=False, compare=False)
@@ -143,11 +146,18 @@ class RewriteSystem:
                     raise ValueError(f"alive lead {a.lead} is a subword of "
                                      f"alive lead {b.lead}")
         self._leads = {r.lead: r for r in alive}
-        self._reindexed()
+        self._nf = {}           # word -> normal form
+        self._nf_at = {}        # degree -> the words of _nf of that degree
+        self._reindexed(0)
 
-    def _reindexed(self) -> None:
+    def _reindexed(self, degree: int) -> None:
+        """After a change to the rules of a degree: a word's normal form
+        reads only rules of degree up to its own, so the memoized normal
+        forms below that degree stay."""
         self._lengths = sorted({len(L) for L in self._leads})
-        self._nf = {}
+        for d in [d for d in self._nf_at if d >= degree]:
+            for w in self._nf_at.pop(d):
+                del self._nf[w]
         self._nw = {}
         self._pos = {}
         self._tables = {}
@@ -157,12 +167,12 @@ class RewriteSystem:
         divided by (completion retires those first)."""
         self.rules.append(rule)
         self._leads[rule.lead] = rule
-        self._reindexed()
+        self._reindexed(rule.degree)
 
     def retire(self, rule: RewriteRule) -> None:
         rule.alive = False
         del self._leads[rule.lead]
-        self._reindexed()
+        self._reindexed(rule.degree)
 
     def alive_rules(self) -> list:
         return [r for r in self.rules if r.alive]
@@ -170,30 +180,14 @@ class RewriteSystem:
     def leads(self) -> list:
         return [r.lead for r in self.rules if r.alive]
 
-    def site(self, w: Word):
-        """(position, rule) of the leftmost reducible spot of w, or None
-        when w is normal.  On an antichain of leads at most one lead starts
-        at any position, so the first hit is the only candidate there."""
-        leads, n = self._leads, len(w)
-        for i in range(n):
-            for m in self._lengths:
-                if i + m > n:
-                    break
-                rule = leads.get(w[i:i + m])
-                if rule is not None:
-                    return i, rule
-        return None
-
-    def is_normal_word(self, w: Word) -> bool:
-        return self.site(w) is None
-
     def monomial(self, w: Word, coeff=None) -> FreeElement:
         return FreeElement.monomial(self.field, self.degrees, w, coeff)
 
     def normal_words(self, degree: int) -> list:
-        """See the module function `normal_words`.  Listed once per degree
-        for the rule set as it stands; callers share the list and must not
-        change it."""
+        """The words of a degree that contain no lead, in deglex order:
+        valid in every degree when globally complete, else up to
+        `complete_below`.  Listed once per degree for the rule set as it
+        stands; callers share the list and must not change it."""
         words = self._nw.get(degree)
         if words is None:
             words = self._nw[degree] = self._list_normal_words(degree)
@@ -284,12 +278,12 @@ class RewriteSystem:
         return out
 
     def nf(self, word: Word) -> dict:
-        """Normal form of a word as a dict normal word -> scalar: by left
-        multiplication in a degree where the system is confluent, by
-        `normal_form` above it.  A word of degree up to `degree_bound` is
-        computed once for the rule set as it stands; the words above it
-        that a left multiplication passes through are kept for that call
-        only, so one long word cannot fill the memo."""
+        """Normal form of a word as a dict normal word -> scalar, by left
+        multiplication (module docstring).  A word of degree up to
+        `degree_bound` is computed once for the rules of its degree as they
+        stand; the words above it that a left multiplication passes through
+        are kept for that call only, so one long word cannot fill the
+        memo."""
         terms = self._nf.get(word)
         if terms is None:
             terms = self._normal_form(word, word_degree(word, self.degrees))
@@ -297,15 +291,8 @@ class RewriteSystem:
 
     def _normal_form(self, word: Word, deg: int) -> dict:
         """`nf` of a word of degree deg that is not memoized."""
-        memo = self._nf
+        memo, at, scratch = self._nf, self._nf_at, {}
         p, degs, top = self.field.p, self.degrees, self.degree_bound
-        if not (self.globally_complete or deg <= self.complete_below):
-            terms = reduce_vector(normal_form(self, self.monomial(word)).terms,
-                                  p)
-            if deg <= top:
-                memo[word] = terms
-            return terms
-        scratch: dict = {}
         todo = [(word, deg)]  # the words whose normal forms it waits on
         while todo:
             w, d = todo[-1]
@@ -323,18 +310,21 @@ class RewriteSystem:
                 s, inner = w, {w: 1}
             parts = self._left_step(w, s, inner)
             if parts is None:
-                known[w] = {w: 1}
-                continue
-            missing = [(u, d) for _, u in parts if u not in known]
-            if missing:
-                todo += missing
-                continue
-            acc: dict = {}
-            for c, u in parts:
-                for v, cv in known[u].items():
-                    acc[v] = acc.get(v, 0) + c * cv
-            known[w] = dict(sorted(reduce_vector(acc, p).items(),
-                                   reverse=True))
+                terms = {w: 1}
+            else:
+                missing = [(u, d) for _, u in parts if u not in known]
+                if missing:
+                    todo += missing
+                    continue
+                acc: dict = {}
+                for c, u in parts:
+                    for v, cv in known[u].items():
+                        acc[v] = acc.get(v, 0) + c * cv
+                terms = dict(sorted(reduce_vector(acc, p).items(),
+                                    reverse=True))
+            known[w] = terms
+            if known is memo:
+                at.setdefault(d, []).append(w)
         return (memo if deg <= top else scratch)[word]
 
     def _left_step(self, w: Word, s: Word, inner: dict):
@@ -360,22 +350,21 @@ class EnvelopingSystem(RewriteSystem):
     """The rewrite system of A (x) A^op, built by `enveloping_system` from
     the completed systems `algebra` of A and `opposite` of A^op.
 
-    Its rules and lead index are those of the module docstring, and
-    `normal_form` and `site` rewrite with them.  `nf`, `dim`, `position`,
-    `word_at`, `products` and `normal_words` take the split instead: a word
-    factors into its original letters and its opposite letters (shifted
-    back to 0..n-1), its normal form is NF_A(original) (x) NF_A^op(opposite),
-    and its position follows from the runs of the module docstring.  Only
-    the run starts of each degree are kept here; the normal forms and the
-    tables are those of A and A^op."""
+    Its rules and lead index are those of the module docstring.  `nf`,
+    `dim`, `position`, `word_at`, `products` and `normal_words` take the
+    split: a word factors into its original letters and its opposite
+    letters (shifted back to 0..n-1), its normal form is
+    NF_A(original) (x) NF_A^op(opposite), and its position follows from the
+    runs of the module docstring.  Only the run starts of each degree are
+    kept here; the normal forms and the tables are those of A and A^op."""
 
     algebra: RewriteSystem | None = None
     opposite: RewriteSystem | None = None
     _runs: dict = dc_field(init=False, repr=False, compare=False)
     _dims: dict = dc_field(init=False, repr=False, compare=False)
 
-    def _reindexed(self) -> None:
-        super()._reindexed()
+    def _reindexed(self, degree: int) -> None:
+        super()._reindexed(degree)
         self._runs = {}
         self._dims = {}
 
@@ -514,35 +503,15 @@ def enveloping_system(rs: RewriteSystem,
 
 
 def normal_form(rs: RewriteSystem, elem: FreeElement) -> FreeElement:
-    """Fully reduce an element.  A rewrite replaces a word with words of the
-    same degree that are deglex-smaller, and inside one degree deglex is
-    tuple order.  So taking the largest pending word in tuple order never
-    meets a word twice: a normal word goes straight into the result."""
-    p = rs.field.p          # None over Q
-    if p:
-        work = {w: c % p for w, c in elem.terms.items() if c % p}
-    else:
-        work = {w: c for w, c in elem.terms.items() if c}
-    out: dict = {}
-    while work:
-        w = max(work)
-        c = work.pop(w)
-        occ = rs.site(w)
-        if occ is None:
-            out[w] = c
-            continue
-        pos, rule = occ
-        pre, post = w[:pos], w[pos + len(rule.lead):]
-        for tw, tc in rule.tail.terms.items():
-            w2 = pre + tw + post
-            s = work.get(w2, 0) + c * tc
-            if p:
-                s %= p
-            if s:
-                work[w2] = s
-            else:
-                work.pop(w2, None)
-    return FreeElement(rs.field, rs.degrees, out)
+    """Fully reduce an element: the sum of c * `rs.nf`(w) over its terms,
+    written in descending tuple order."""
+    acc: dict = {}
+    for w, c in elem.terms.items():
+        for v, cv in rs.nf(w).items():
+            acc[v] = acc.get(v, 0) + c * cv
+    return FreeElement(rs.field, rs.degrees,
+                       dict(sorted(reduce_vector(acc, rs.field.p).items(),
+                                   reverse=True)))
 
 
 def _overlaps(u: Word, v: Word):
@@ -558,10 +527,6 @@ def _resolves_everywhere(ri: RewriteRule, rj: RewriteRule) -> bool:
     its S-polynomial is 0 - 0.  Tails are only ever reduced, so a zero tail
     stays zero."""
     return ri.tail.is_zero() and rj.tail.is_zero()
-
-
-def _tail_reducible(rs: RewriteSystem, rule: RewriteRule) -> bool:
-    return any(not rs.is_normal_word(w) for w in rule.tail.terms)
 
 
 class _Completion:
@@ -615,10 +580,12 @@ class _Completion:
                 rs.retire(r)
                 self.push_poly(r.as_element())
         rs.add_rule(RewriteRule(lead, tail, word_degree(lead, rs.degrees)))
-        # keep tails reduced; nothing has read the memo since add_rule
-        # cleared it, so rewriting tails in place leaves it valid
+        # keep tails reduced: they were, so only the new lead can sit in
+        # one.  A memoized normal form stays irreducible and congruent when
+        # a tail it read is rewritten, so the memo stays valid
         for r in rs.rules[:new_idx]:
-            if r.alive and _tail_reducible(rs, r):
+            if r.alive and any(find_subword(w, lead) >= 0
+                               for w in r.tail.terms):
                 r.tail = normal_form(rs, r.tail)
         for i, r in enumerate(rs.rules):
             if not r.alive and i != new_idx:
@@ -692,17 +659,6 @@ def complete(p, degree_bound: int) -> RewriteSystem:
     comp.stats["rules"] = len(rs.alive_rules())
     rs.stats = dict(comp.stats)
     return rs
-
-
-# ---------------------------------------------------------------------------
-# normal words
-
-
-def normal_words(rs: RewriteSystem, degree: int) -> list:
-    """Irreducible words of the given total degree, in deglex order.
-    Valid in every degree when globally_complete, else for
-    degree <= complete_below."""
-    return rs.normal_words(degree)
 
 
 class NormalWordDFA:

@@ -11,7 +11,7 @@ from ncgraded import complete, normal_form, opposite
 from ncgraded.duality import _dual_matrix, diagonal_bimodule_resolution
 from ncgraded.exactla import F32003, QQ, RowSpan
 from ncgraded.freealg import FreeElement, deglex_key, enumerate_words
-from ncgraded.groebner import find_subword, normal_words
+from ncgraded.groebner import find_subword
 from ncgraded.presentation import Presentation
 
 
@@ -96,11 +96,11 @@ def normal_elements_one_by_one(rs, d) -> list:
     of the v*x_g and every v*x_g in the span of the x_g*v.  Formatted as the
     scan reports them."""
     f, degs = rs.field, rs.degrees
-    basis = normal_words(rs, d)
+    basis = rs.normal_words(d)
     gens_of: dict = {}          # target degree -> generators
     for g, dg in enumerate(degs):
         gens_of.setdefault(d + dg, []).append(g)
-    index = {u: i for e in gens_of for i, u in enumerate(normal_words(rs, e))}
+    index = {u: i for e in gens_of for i, u in enumerate(rs.normal_words(e))}
     nf = functools.lru_cache(None)(
         lambda w: normal_form(rs, rs.monomial(w)).terms)
 
@@ -210,8 +210,8 @@ def anick_chain_counts(leads, degrees, max_level, cap) -> dict:
 
 
 # -- reference normal form ---------------------------------------------------
-# The rule scan that `RewriteSystem.site` replaced, kept verbatim for the
-# differential tests of the lead index.
+# A rule scan, the reference of the differential tests of `RewriteSystem.nf`
+# and of completion.
 
 def _leftmost_occurrence(rs, w):
     """(position, rule) of the leftmost reducible spot, found by scanning
@@ -232,6 +232,11 @@ def _leftmost_occurrence(rs, w):
     if best is None:
         return None
     return best[1], best[2]
+
+
+def is_normal_word(rs, w) -> bool:
+    """No alive lead is a subword of w."""
+    return _leftmost_occurrence(rs, w) is None
 
 
 def rule_scan_normal_form(rs, elem):
