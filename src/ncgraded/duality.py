@@ -42,9 +42,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exactla import (SparseMatrix, RowSpan, combination, kernel_basis, rank,
-                      solve_columns)
+                      reduce_vector, solve_columns)
 from .freealg import FreeElement
-from .groebner import RewriteSystem, enveloping_system, normal_form
+from .groebner import RewriteSystem, enveloping_system
 from .hilbert import GradedDims
 from .presentation import Presentation
 from .resolution import (Resolution, ResolutionError, betti, BettiTable,
@@ -383,8 +383,10 @@ def rigidity_check(p: Presentation, res: Resolution, t: ExtTable,
     The two module actions on a class [c] (right multiplication of the
     functional values by a generator, and by its opposite-copy partner) agree
     up to a linear substitution on generators; solving for it in the basis of
-    H at the next degree yields the twist, which is then checked against the
-    defining relations by normal-form substitution."""
+    H at the next degree yields the twist.  The twist is then checked on the
+    defining relations: each relation, with the twist substituted and
+    multiplied out one letter at a time through `nf` of the algebra's
+    system, must vanish."""
     if t.side != "overAe":
         return RigidityVerdict(None, False, None, "",
                                ("table is not over the enveloping algebra",))
@@ -445,29 +447,32 @@ def rigidity_check(p: Presentation, res: Resolution, t: ExtTable,
                                     "the plain action in the window",))
         rows.append([sol.get(k, f.zero()) for k in range(n)])
     names = [g.name for g in p.generators]
-    gdegs = tuple(g.degree for g in p.generators)
-    twist = {}
-    for g in range(n):
-        terms = {(k,): rows[g][k] for k in range(n)
-                 if not f.is_zero(rows[g][k])}
-        twist[names[g]] = FreeElement(f, gdegs, terms)
+    images = [{(k,): c for k, c in enumerate(row) if not f.is_zero(c)}
+              for row in rows]
+    twist = {names[g]: FreeElement(f, rs.algebra.degrees, images[g])
+             for g in range(n)}
     # invertibility of the substitution matrix
     mm = SparseMatrix(n, [{g: rows[g][k] for g in range(n)} for k in range(n)], f)
     if rank(mm) != n:
         notes.append("substitution matrix is singular")
-    # endomorphism property on the defining relations, reduced by the
+    # endomorphism property on the defining relations: each term's image,
+    # multiplied out letter by letter through the normal forms of the
     # system of the algebra that the enveloping system carries
-    ok = True
+    nf, ok = rs.algebra.nf, True
     for r in p.relations:
-        acc = FreeElement.zero(f, gdegs)
+        acc: dict = {}
         for w, c in r.terms.items():
-            part = FreeElement(f, gdegs, {(): c})
+            part = {(): c}
             for letter in w:
-                part = part * twist[names[letter]]
-            acc = acc + part
-        if not normal_form(rs.algebra, acc).is_zero():
-            ok = False
-            break
+                step: dict = {}
+                for u, cu in part.items():
+                    for x, cx in images[letter].items():
+                        for v, cv in nf(u + x).items():
+                            step[v] = step.get(v, 0) + cu * cx * cv
+                part = reduce_vector(step, f.p)
+            for v, cv in part.items():
+                acc[v] = acc.get(v, 0) + cv
+        ok = ok and not reduce_vector(acc, f.p)
     notes.append("twist respects the defining relations" if ok else
                  "twist fails on a defining relation")
     return RigidityVerdict(i0, True, twist, bounds, tuple(notes))

@@ -89,9 +89,6 @@ class FreeElement:
             raise ValueError("zero element has no lead word")
         return max(self.terms, key=lambda w: deglex_key(w, self.degrees))
 
-    def lead_coeff(self) -> Scalar:
-        return self.terms[self.lead_word()]
-
     def degree(self) -> int:
         """Degree of a homogeneous element (checked)."""
         degs = {word_degree(w, self.degrees) for w in self.terms}
@@ -154,10 +151,6 @@ class FreeElement:
                 else:
                     out[w] = s
         return FreeElement(f, self.degrees, out)
-
-    def monic(self) -> "FreeElement":
-        """Divide by the lead coefficient."""
-        return self.scaled(self.field.inv(self.lead_coeff()))
 
     # -- misc ----------------------------------------------------------------
 

@@ -33,12 +33,13 @@ Any full reduction yields an irreducible element congruent to the word, and
 where the system is confluent (everywhere when it is `globally_complete`,
 else in degrees up to `complete_below`) that element is the normal form,
 whatever the order of the rewrites (Bergman 1978, Adv. Math. 29, the
-diamond lemma).  Completion needs no more than that, so it reduces through
-`nf` as well.  A word's normal form reads only rules of degree up to its
-own, so `add_rule` and `retire` drop the memoized normal forms from the
-rule's degree up and keep those below: as completion works degree by
-degree, the words of the degrees it has closed stay memoized, and the
-closing `verify` pass reads them back.
+diamond lemma).  So completion reduces through `nf` too: its S-polynomials
+are terms dicts, summed from memoized normal forms.  A word's normal form
+reads only rules of degree up to its own, so `add_rule` and `retire` drop
+the memoized normal forms from the rule's degree up and keep those below,
+and the words of the degrees completion has closed stay memoized.  A sound
+memo leaves no alive lead in a reduced lead, so completion raises
+RuntimeError on one instead of inserting it forever.
 
 Downstream products in the algebra go through the multiplication tables.
 The system keeps one table per word t, degree m and side: for each normal
@@ -82,7 +83,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field
 
 from .exactla import FieldSpec, reduce_vector
-from .freealg import EMPTY_WORD, FreeElement, Word, word_degree
+from .freealg import EMPTY_WORD, FreeElement, Word, deglex_key, word_degree
 
 
 def find_subword(word: Word, sub: Word) -> int:
@@ -103,11 +104,6 @@ class RewriteRule:
     tail: FreeElement      # lead rewrites to tail; every tail word < lead
     degree: int
     alive: bool = True
-
-    def as_element(self) -> FreeElement:
-        f = self.tail.field
-        lead_elem = FreeElement.monomial(f, self.tail.degrees, self.lead)
-        return lead_elem - self.tail
 
 
 @dataclass
@@ -351,12 +347,12 @@ class EnvelopingSystem(RewriteSystem):
     the completed systems `algebra` of A and `opposite` of A^op.
 
     Its rules and lead index are those of the module docstring.  `nf`,
-    `dim`, `position`, `word_at`, `products` and `normal_words` take the
-    split: a word factors into its original letters and its opposite
-    letters (shifted back to 0..n-1), its normal form is
-    NF_A(original) (x) NF_A^op(opposite), and its position follows from the
-    runs of the module docstring.  Only the run starts of each degree are
-    kept here; the normal forms and the tables are those of A and A^op."""
+    `dim`, `position`, `word_at` and `products` take the split: a word
+    factors into its original letters and its opposite letters (shifted
+    back to 0..n-1), its normal form is NF_A(original) (x) NF_A^op(opposite),
+    and its position follows from the runs of the module docstring.  Only
+    the run starts of each degree are kept here; the normal forms and the
+    tables are those of A and A^op."""
 
     algebra: RewriteSystem | None = None
     opposite: RewriteSystem | None = None
@@ -417,14 +413,6 @@ class EnvelopingSystem(RewriteSystem):
         n = len(self.algebra.degrees)
         return (self.algebra.word_at(a, i)
                 + tuple(g + n for g in self.opposite.word_at(b, k - start)))
-
-    def _list_normal_words(self, degree: int) -> list:
-        """Run by run, as the search over all 2n letters lists them."""
-        a_rs, o_rs = self.algebra, self.opposite
-        n = len(a_rs.degrees)
-        return [a_rs.word_at(a, i) + tuple(g + n for g in v)
-                for _, a, i, b in self._layout(degree)[0]
-                for v in o_rs.normal_words(b)]
 
     def nf(self, word: Word) -> dict:
         a, o = self._split(word)
@@ -505,13 +493,17 @@ def enveloping_system(rs: RewriteSystem,
 def normal_form(rs: RewriteSystem, elem: FreeElement) -> FreeElement:
     """Fully reduce an element: the sum of c * `rs.nf`(w) over its terms,
     written in descending tuple order."""
+    return FreeElement(rs.field, rs.degrees, _reduce(rs, elem.terms))
+
+
+def _reduce(rs: RewriteSystem, terms: dict) -> dict:
+    """`normal_form` of the terms dict word -> scalar, as a dict; the
+    scalars may be summed with the raw operators."""
     acc: dict = {}
-    for w, c in elem.terms.items():
+    for w, c in terms.items():
         for v, cv in rs.nf(w).items():
             acc[v] = acc.get(v, 0) + c * cv
-    return FreeElement(rs.field, rs.degrees,
-                       dict(sorted(reduce_vector(acc, rs.field.p).items(),
-                                   reverse=True)))
+    return dict(sorted(reduce_vector(acc, rs.field.p).items(), reverse=True))
 
 
 def _overlaps(u: Word, v: Word):
@@ -538,12 +530,12 @@ class _Completion:
         self.stats = {"polys_processed": 0, "pairs_processed": 0,
                       "pairs_skipped_degree": 0}
 
-    def push_poly(self, elem: FreeElement) -> None:
-        deg = max(word_degree(w, self.rs.degrees) for w in elem.terms)
+    def push_poly(self, terms: dict) -> None:
+        deg = max(word_degree(w, self.rs.degrees) for w in terms)
         if deg > self.rs.degree_bound:
             self.skipped = True
             return
-        heapq.heappush(self.heap, (deg, next(self.counter), "poly", elem))
+        heapq.heappush(self.heap, (deg, next(self.counter), "poly", terms))
 
     def push_pair(self, i: int, j: int, k: int, word: Word) -> None:
         deg = word_degree(word, self.rs.degrees)
@@ -554,31 +546,39 @@ class _Completion:
             return
         heapq.heappush(self.heap, (deg, next(self.counter), "pair", (i, j, k)))
 
-    def spoly(self, i: int, j: int, k: int) -> FreeElement:
-        rs = self.rs
-        ri, rj = rs.rules[i], rs.rules[j]
-        u, v = ri.lead, rj.lead
-        # ambiguity word u + v[k:], reduced via ri at 0 and via rj at len(u)-k
-        suffix = rs.monomial(v[k:]) if len(v) > k else rs.monomial(EMPTY_WORD)
-        prefix = rs.monomial(u[:len(u) - k]) if len(u) > k else rs.monomial(EMPTY_WORD)
-        return ri.tail * suffix - prefix * rj.tail
+    def spoly(self, i: int, j: int, k: int) -> dict:
+        """The raw terms of  tail_i * v[k:] - u[:len(u) - k] * tail_j  for
+        the ambiguity u + v[k:] of the leads u of rule i and v of rule j."""
+        ri, rj = self.rs.rules[i], self.rs.rules[j]
+        suffix, prefix = rj.lead[k:], ri.lead[:len(ri.lead) - k]
+        acc = {w + suffix: c for w, c in ri.tail.terms.items()}
+        for w, c in rj.tail.terms.items():
+            acc[prefix + w] = acc.get(prefix + w, 0) - c
+        return acc
 
-    def insert(self, elem: FreeElement) -> None:
-        rs = self.rs
-        nf = normal_form(rs, elem)
-        if nf.is_zero():
+    def insert(self, terms: dict) -> None:
+        rs, f = self.rs, self.rs.field
+        terms = _reduce(rs, terms)
+        if not terms:
             return
-        nf = nf.monic()
-        lead = nf.lead_word()
-        f = rs.field
-        tail = FreeElement(f, rs.degrees,
-                           {w: f.neg(c) for w, c in nf.terms.items() if w != lead})
+        lead = max(terms, key=lambda w: deglex_key(w, rs.degrees))
+        # a sound memo reduces every word, so an alive lead in the new lead
+        # is a fault, and inserting it would go on forever
+        if any(lead[a:a + m] in rs._leads for m in rs._lengths
+               for a in range(len(lead) - m + 1)):
+            raise RuntimeError(f"completion reduced an element to the lead "
+                               f"{lead}, which contains an alive lead")
+        inv = f.inv(terms[lead])
+        tail = FreeElement(f, rs.degrees, {w: f.neg(f.mul(inv, c))
+                                           for w, c in terms.items()
+                                           if w != lead})
         new_idx = len(rs.rules)
         # retire rules whose lead the new lead divides; requeue their content
         for r in rs.rules:
             if r.alive and find_subword(r.lead, lead) >= 0:
                 rs.retire(r)
-                self.push_poly(r.as_element())
+                self.push_poly({r.lead: 1, **{w: -c for w, c
+                                              in r.tail.terms.items()}})
         rs.add_rule(RewriteRule(lead, tail, word_degree(lead, rs.degrees)))
         # keep tails reduced: they were, so only the new lead can sit in
         # one.  A memoized normal form stays irreducible and congruent when
@@ -612,7 +612,8 @@ class _Completion:
 
     def verify(self) -> None:
         """Re-check every ambiguity among surviving rules; resolve stragglers.
-        On exit the complete_below certificate holds by direct inspection."""
+        On exit the complete_below certificate holds by direct inspection.
+        Its S-polynomials are formed and reduced as in `drain`."""
         while True:
             alive = [i for i, r in enumerate(self.rs.rules) if r.alive]
             dirty = False
@@ -627,8 +628,8 @@ class _Completion:
                             if not _resolves_everywhere(ri, rj):
                                 self.skipped = True
                             continue
-                        s = normal_form(self.rs, self.spoly(i, j, k))
-                        if not s.is_zero():
+                        s = _reduce(self.rs, self.spoly(i, j, k))
+                        if s:
                             dirty = True
                             self.insert(s)
                 if dirty:
@@ -651,7 +652,7 @@ def complete(p, degree_bound: int) -> RewriteSystem:
     rs = RewriteSystem(p.field, p.degree_vector(), p.names(), degree_bound)
     comp = _Completion(rs)
     for r in p.relations:
-        comp.push_poly(r)
+        comp.push_poly(r.terms)
     comp.drain()
     comp.verify()
     rs.complete_below = degree_bound

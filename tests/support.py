@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from ncgraded import complete, normal_form, opposite
 from ncgraded.duality import _dual_matrix, diagonal_bimodule_resolution
 from ncgraded.exactla import F32003, QQ, RowSpan
-from ncgraded.freealg import FreeElement, deglex_key, enumerate_words
+from ncgraded.freealg import EMPTY_WORD, FreeElement, deglex_key, enumerate_words
 from ncgraded.groebner import find_subword
 from ncgraded.presentation import Presentation
 
@@ -211,7 +211,7 @@ def anick_chain_counts(leads, degrees, max_level, cap) -> dict:
 
 # -- reference normal form ---------------------------------------------------
 # A rule scan, the reference of the differential tests of `RewriteSystem.nf`
-# and of completion.
+# and of completion, and the S-polynomial as FreeElement products.
 
 def _leftmost_occurrence(rs, w):
     """(position, rule) of the leftmost reducible spot, found by scanning
@@ -232,6 +232,18 @@ def _leftmost_occurrence(rs, w):
     if best is None:
         return None
     return best[1], best[2]
+
+
+def freeelement_spoly(rs, i, j, k):
+    """The S-polynomial of the ambiguity u + v[k:] of the leads u of rule i
+    and v of rule j, as FreeElement products:
+    tail_i * v[k:] - u[:len(u) - k] * tail_j."""
+    ri, rj = rs.rules[i], rs.rules[j]
+    u, v = ri.lead, rj.lead
+    suffix = rs.monomial(v[k:]) if len(v) > k else rs.monomial(EMPTY_WORD)
+    prefix = (rs.monomial(u[:len(u) - k]) if len(u) > k
+              else rs.monomial(EMPTY_WORD))
+    return ri.tail * suffix - prefix * rj.tail
 
 
 def is_normal_word(rs, w) -> bool:

@@ -149,6 +149,21 @@ def test_commutative_plane_twist_is_identity(poly2_rs):
     assert twist == {"x1": "(1)*x1", "x2": "(1)*x2"}
 
 
+def test_twist_that_breaks_a_relation_is_reported(qp_rs):
+    # the swap x -> y, y -> x takes y*x - 2*x*y to x*y - 2*y*x, which
+    # reduces to -3*x*y
+    p = builtin("quantum-plane-2")
+    dres, _ = bimodule_resolution(p, 5, 8)
+    swap = iter([{1: 1}, {0: 1}])
+    with mock.patch.object(duality, "solve_columns",
+                           side_effect=lambda *args: next(swap)):
+        rig = rigidity_check(p, dres, hochschild_ext(dres),
+                             hilbert_function(qp_rs, 8))
+    twist = {k: v.format(p.names()) for k, v in rig.twist_on_generators.items()}
+    assert twist == {"x": "(1)*y", "y": "(1)*x"}
+    assert rig.notes == ("twist fails on a defining relation",)
+
+
 def test_twist_builds_only_the_dual_differentials_it_reads(qp_rs):
     # a representative at (i0, mu0) needs d* out of i0 - 1 and out of i0
     # there; solving for the twist at mu0 + 1 needs only the image of d*

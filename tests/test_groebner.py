@@ -4,6 +4,7 @@ import functools
 import inspect
 import itertools
 import random
+import signal
 import sys
 from fractions import Fraction
 from unittest import mock
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncgraded import groebner
-from ncgraded.exactla import F32003, QQ
+from ncgraded.exactla import F32003, QQ, reduce_vector
 from ncgraded.freealg import FreeElement, deglex_key, word_degree
 from ncgraded.duality import diagonal_bimodule_resolution, hochschild_ext
 from ncgraded.groebner import (RewriteRule, RewriteSystem, complete,
@@ -23,7 +24,7 @@ from ncgraded.presentation import (FilteredPresentation, builtin,
                                    opposite, parse)
 from ncgraded.cli import confluence_probe
 
-from support import (dual_composites_vanish, is_normal_word,
+from support import (dual_composites_vanish, freeelement_spoly, is_normal_word,
                      random_presentations, rule_scan_normal_form)
 
 
@@ -164,9 +165,15 @@ def completed_system(name, fname, dbound):
     return complete(system_presentation(name, fname), dbound)
 
 
+def rule_scan_reduce(rs, terms):
+    """`groebner._reduce` by the rule scan."""
+    elem = FreeElement(rs.field, rs.degrees, terms)
+    return rule_scan_normal_form(rs, elem).terms
+
+
 def rule_scan_completion(p, dbound):
     """Completion whose normal forms scan the rules."""
-    with mock.patch.object(groebner, "normal_form", rule_scan_normal_form):
+    with mock.patch.object(groebner, "_reduce", rule_scan_reduce):
         return complete(p, dbound)
 
 
@@ -326,6 +333,54 @@ def test_random_presentations_rewrite_as_the_rule_scan(case, data):
         assert_nf_matches_scan(rs, w)
 
 
+def assert_spolys_are_the_freeelement_spolys(rs):
+    """For every overlap of two alive leads, at any degree, completion's
+    S-polynomial has the terms of the FreeElement products, and its
+    reduction is `normal_form` of them."""
+    comp = groebner._Completion(rs)
+    alive = [(i, r) for i, r in enumerate(rs.rules) if r.alive]
+    for i, ri in alive:
+        for j, rj in alive:
+            for k, _ in groebner._overlaps(ri.lead, rj.lead):
+                ref = freeelement_spoly(rs, i, j, k)
+                raw = comp.spoly(i, j, k)
+                assert reduce_vector(raw, rs.field.p) == ref.terms
+                assert list(groebner._reduce(rs, raw).items()) == \
+                    list(normal_form(rs, ref).terms.items())
+
+
+@settings(max_examples=50)
+@given(case=random_presentations())
+def test_spolys_of_random_presentations_are_the_freeelement_spolys(case):
+    assert_spolys_are_the_freeelement_spolys(complete(*case))
+
+
+def test_spolys_of_the_cyclic_input_are_the_freeelement_spolys():
+    assert_spolys_are_the_freeelement_spolys(
+        completed_system("cyclic", "F32003", 8))
+
+
+def test_a_stale_memo_makes_completion_fail_instead_of_looping(monkeypatch):
+    """A memo that keeps the normal forms of a new rule's own degree
+    reduces with rules that no longer stand, so completion meets a lead
+    that an alive lead divides.  It raises instead of inserting forever."""
+    reindexed = RewriteSystem._reindexed
+    monkeypatch.setattr(RewriteSystem, "_reindexed",
+                        lambda self, degree: reindexed(self, degree + 1))
+
+    def timeout(signum, frame):
+        raise TimeoutError("completion did not stop within 10 s")
+
+    handler = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(10)
+    try:
+        with pytest.raises(RuntimeError, match="alive lead"):
+            complete(builtin("polynomial-3"), 6)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, handler)
+
+
 # ---------------------------------------------------------------------------
 # the enveloping system built from A and A^op against the completed
 # enveloping presentation
@@ -359,12 +414,11 @@ def assert_enveloping_system_matches_completion(p, bound, words):
                for r in rules):
         assert env.globally_complete == ref.globally_complete
     for d in range(bound + 1):
-        listed = env.normal_words(d)
+        # words and positions from the runs of A's words
+        listed = [env.word_at(d, k) for k in range(env.dim(d))]
         assert listed == ref.normal_words(d), d
-        # positions from the runs of A's words, without the listing
-        assert env.dim(d) == len(listed)
+        assert listed == RewriteSystem._list_normal_words(env, d), d
         assert [env.position(w) for w in listed] == list(range(len(listed)))
-        assert [env.word_at(d, k) for k in range(len(listed))] == listed
     for w in words:
         assert env.nf(w) == rule_scan_normal_form(env, env.monomial(w)).terms, w
     # a word times the normal words of a degree, on either side, as
@@ -402,15 +456,15 @@ def test_enveloping_system_with_a_degree_2_generator():
 
 @pytest.mark.parametrize("name", builtin_names())
 def test_enveloping_listing_is_the_search_over_all_letters(name):
-    """The enveloping listing pairs one-sided normal words, shifting each
-    A^op word once for all degrees; every degree, asked for in any order,
-    still lists as the search over all 2n letters does."""
+    """The enveloping normal words, read by `word_at` from the runs of
+    one-sided normal words, are those the search over all 2n letters
+    lists, for every degree asked for in any order."""
     p = builtin(name)
     if isinstance(p, FilteredPresentation):
         p = homogenize(p)
     env = enveloping_system(complete(p, 5), complete(opposite(p), 5))
     for d in (5, 2, 0, 4, 1, 3):
-        assert env.normal_words(d) == \
+        assert [env.word_at(d, k) for k in range(env.dim(d))] == \
             RewriteSystem._list_normal_words(env, d), d
 
 
