@@ -42,9 +42,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exactla import (SparseMatrix, RowSpan, combination, kernel_basis, rank,
-                      reduce_vector, solve_columns)
+                      solve_columns)
 from .freealg import FreeElement
-from .groebner import RewriteSystem, enveloping_system
+from .groebner import EnvelopingSystem, RewriteSystem, substitute
 from .hilbert import GradedDims
 from .presentation import Presentation
 from .resolution import (Resolution, ResolutionError, betti, BettiTable,
@@ -270,12 +270,13 @@ def diagonal_bimodule_resolution(rs: RewriteSystem, rs_op: RewriteSystem,
     killing the differences x_i - x_i_op.  Returns (Resolution, BettiTable).
 
     `rs` and `rs_op` are completed systems of A and of its opposite; the
-    enveloping system is built from them (`groebner.enveloping_system`),
-    not completed, and reduces every product as a pair of one-sided
-    products.  `table`, the one-sided Betti table of A, guides
-    `resolve_cyclic` by its support: the minimal bimodule resolution has
-    the one-sided Betti numbers."""
-    env = enveloping_system(rs, rs_op)
+    enveloping system is a view of the two (`groebner.EnvelopingSystem`),
+    not completed and with no rules of its own: it reduces every product
+    as a pair of one-sided products, and its leads are theirs and the
+    commutators of a letter of each side that is no lead.  `table`, the
+    one-sided Betti table of A, guides `resolve_cyclic` by its support:
+    the minimal bimodule resolution has the one-sided Betti numbers."""
+    env = EnvelopingSystem(rs, rs_op)
     n = len(rs.degrees)
     f = env.field
     deltas = [FreeElement(f, env.degrees, {(i,): f.one(),
@@ -289,9 +290,10 @@ def diagonal_bimodule_resolution(rs: RewriteSystem, rs_op: RewriteSystem,
 def hochschild_ext(res: Resolution, window: tuple | None = None,
                    one_sided: tuple | None = None) -> ExtTable:
     """Ext of the diagonal bimodule with values in the enveloping algebra,
-    from its resolution over the enveloping system `res.rs`.  The dual
-    differentials multiply in A (x) A^op as pairs of one-sided table rows
-    (`_dual_matrix`).
+    from its resolution over the enveloping system `res.rs`, the view of
+    the systems of A and A^op.  The dual differentials multiply in
+    A (x) A^op as pairs of rows, one of A's multiplication table and one
+    of A^op's (`_dual_matrix`).
 
     `one_sided`, the pair (E, table) of the left one-sided Ext table
     ext_k_A(res_A) and the Betti table of the same left resolution, lets
@@ -455,24 +457,10 @@ def rigidity_check(p: Presentation, res: Resolution, t: ExtTable,
     mm = SparseMatrix(n, [{g: rows[g][k] for g in range(n)} for k in range(n)], f)
     if rank(mm) != n:
         notes.append("substitution matrix is singular")
-    # endomorphism property on the defining relations: each term's image,
-    # multiplied out letter by letter through the normal forms of the
-    # system of the algebra that the enveloping system carries
-    nf, ok = rs.algebra.nf, True
-    for r in p.relations:
-        acc: dict = {}
-        for w, c in r.terms.items():
-            part = {(): c}
-            for letter in w:
-                step: dict = {}
-                for u, cu in part.items():
-                    for x, cx in images[letter].items():
-                        for v, cv in nf(u + x).items():
-                            step[v] = step.get(v, 0) + cu * cx * cv
-                part = reduce_vector(step, f.p)
-            for v, cv in part.items():
-                acc[v] = acc.get(v, 0) + cv
-        ok = ok and not reduce_vector(acc, f.p)
+    # endomorphism property on the defining relations, through the normal
+    # forms of the system of the algebra that the enveloping system views
+    ok = not any(substitute(rs.algebra, images, r.terms)
+                 for r in p.relations)
     notes.append("twist respects the defining relations" if ok else
                  "twist fails on a defining relation")
     return RigidityVerdict(i0, True, twist, bounds, tuple(notes))

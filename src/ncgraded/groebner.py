@@ -52,14 +52,16 @@ differential and action map built from the system, so its callers never
 hash a word: a column is block offsets plus table rows.  The tables and the
 normal-word listings are cleared whole whenever the rules change.
 
-The enveloping algebra A (x) A^op is not completed: `enveloping_system`
-builds its rewrite system from completed systems of A and A^op.  Its rules
-are A's rules, A^op's rules on the opposite letters n..2n-1, and the
+The enveloping algebra A (x) A^op is neither completed nor given rules of
+its own: `EnvelopingSystem` is a view of completed systems of A and A^op.
+Its Groebner basis (that of a tensor product, Bergman 1978, Adv. Math. 29,
+the diamond lemma) is A's, A^op's on the opposite letters n..2n-1, and the
 commutators g' * h -> h * g' of an opposite letter g' and an original
-letter h.  Overlaps of a commutator with another rule resolve at every
-degree, by commuting the other rule's tail past the letter, so together
-the rules form a Groebner basis as far as A's and A^op's do (the Groebner
-basis of a tensor product, Bergman 1978, Adv. Math. 29, the diamond lemma).
+letter h, and the view lists only its leads.  A commutator whose letter h
+(or g') is itself a lead is left out: its lead contains that letter, so the
+leads would not be an antichain, and the reduced basis needs no such rule,
+since h rewrites to normal words of A, whose letters the other commutators
+move past g'.
 A normal word of the enveloping algebra is a normal word u of A followed by
 one v of A^op, and the normal form of any word is the product of the normal
 forms of its original and of its opposite letters.  The normal words of
@@ -341,28 +343,43 @@ class RewriteSystem:
         return None
 
 
-@dataclass
-class EnvelopingSystem(RewriteSystem):
-    """The rewrite system of A (x) A^op, built by `enveloping_system` from
-    the completed systems `algebra` of A and `opposite` of A^op.
+class EnvelopingSystem:
+    """A (x) A^op as a view of the completed systems `algebra` of A and
+    `opposite` of A^op (same generators, relations reversed), with the
+    generators of `presentation.enveloping`: the originals, then one `_op`
+    copy of each.  It is certified below the lower of the two bounds, and
+    globally complete when both systems are.
 
-    Its rules and lead index are those of the module docstring.  `nf`,
-    `dim`, `position`, `word_at` and `products` take the split: a word
-    factors into its original letters and its opposite letters (shifted
-    back to 0..n-1), its normal form is NF_A(original) (x) NF_A^op(opposite),
-    and its position follows from the runs of the module docstring.  Only
-    the run starts of each degree are kept here; the normal forms and the
-    tables are those of A and A^op."""
+    `leads` lists the leads of the module docstring; `nf`, `dim`,
+    `position`, `word_at` and `products` take the split: a word factors
+    into its original letters and its opposite letters (shifted back to
+    0..n-1), its normal form is NF_A(original) (x) NF_A^op(opposite), and
+    its position follows from the runs of the module docstring.  Only the
+    run starts and dimensions of each degree are kept here; the normal
+    forms and the tables are those of A and A^op."""
 
-    algebra: RewriteSystem | None = None
-    opposite: RewriteSystem | None = None
-    _runs: dict = dc_field(init=False, repr=False, compare=False)
-    _dims: dict = dc_field(init=False, repr=False, compare=False)
+    def __init__(self, rs: RewriteSystem, rs_op: RewriteSystem):
+        if rs.field != rs_op.field or rs.degrees != rs_op.degrees:
+            raise ValueError("the opposite system is over another free "
+                             "algebra")
+        self.algebra, self.opposite = rs, rs_op
+        self.field = rs.field
+        self.degrees = rs.degrees + rs.degrees
+        self.complete_below = min(rs.complete_below, rs_op.complete_below)
+        self.globally_complete = (rs.globally_complete
+                                  and rs_op.globally_complete)
+        self._runs: dict = {}
+        self._dims: dict = {}
 
-    def _reindexed(self, degree: int) -> None:
-        super()._reindexed(degree)
-        self._runs = {}
-        self._dims = {}
+    def leads(self) -> list:
+        """A's leads, A^op's on the opposite letters, then the commutator
+        leads (n + j, i), j before i, of the letters that are no lead of
+        A^op (j) and of A (i)."""
+        a_leads, o_leads = self.algebra.leads(), self.opposite.leads()
+        n = len(self.algebra.degrees)
+        return (a_leads + [tuple(g + n for g in L) for L in o_leads]
+                + [(n + j, i) for j in range(n) if (j,) not in o_leads
+                   for i in range(n) if (i,) not in a_leads])
 
     def _split(self, w: Word) -> tuple:
         """(original letters, opposite letters shifted back to 0..n-1)."""
@@ -458,38 +475,6 @@ class EnvelopingSystem(RewriteSystem):
         return out
 
 
-def enveloping_system(rs: RewriteSystem,
-                      rs_op: RewriteSystem) -> EnvelopingSystem:
-    """The rewrite system of A (x) A^op from a completed system `rs` of A
-    and one `rs_op` of its opposite (same generators, relations reversed),
-    with the generators of `presentation.enveloping`: the originals, then
-    one `_op` copy of each.  It is certified below the lower of the two
-    bounds, and globally complete when both systems are."""
-    if rs.field != rs_op.field or rs.degrees != rs_op.degrees:
-        raise ValueError("the opposite system is over another free algebra")
-    f, n = rs.field, len(rs.degrees)
-    degrees = rs.degrees + rs.degrees
-
-    def embed(elem: FreeElement, shift: int) -> FreeElement:
-        return FreeElement(f, degrees, {tuple(g + shift for g in w): c
-                                        for w, c in elem.terms.items()})
-
-    rules = [RewriteRule(tuple(g + shift for g in r.lead),
-                         embed(r.tail, shift), r.degree)
-             for shift, side in ((0, rs), (n, rs_op))
-             for r in side.alive_rules()]
-    one = f.one()
-    rules += [RewriteRule((n + j, i), FreeElement(f, degrees, {(i, n + j): one}),
-                          degrees[i] + degrees[j])
-              for j in range(n) for i in range(n)]
-    return EnvelopingSystem(
-        f, degrees, rs.names + tuple(name + "_op" for name in rs.names),
-        rs.degree_bound, rules,
-        complete_below=min(rs.complete_below, rs_op.complete_below),
-        globally_complete=rs.globally_complete and rs_op.globally_complete,
-        algebra=rs, opposite=rs_op)
-
-
 def normal_form(rs: RewriteSystem, elem: FreeElement) -> FreeElement:
     """Fully reduce an element: the sum of c * `rs.nf`(w) over its terms,
     written in descending tuple order."""
@@ -504,6 +489,26 @@ def _reduce(rs: RewriteSystem, terms: dict) -> dict:
         for v, cv in rs.nf(w).items():
             acc[v] = acc.get(v, 0) + c * cv
     return dict(sorted(reduce_vector(acc, rs.field.p).items(), reverse=True))
+
+
+def substitute(rs: RewriteSystem, images: list, terms: dict) -> dict:
+    """The normal form of the image of the terms dict word -> scalar under
+    the map that sends generator g to the terms dict images[g]: each
+    word's image multiplied out one letter at a time, from the left,
+    through `rs.nf`.  The scalars may be summed with the raw operators."""
+    p, acc = rs.field.p, {}
+    for w, c in terms.items():
+        part = {EMPTY_WORD: c}
+        for g in w:
+            step: dict = {}
+            for u, cu in part.items():
+                for x, cx in images[g].items():
+                    for v, cv in rs.nf(u + x).items():
+                        step[v] = step.get(v, 0) + cu * cx * cv
+            part = reduce_vector(step, p)
+        for v, cv in part.items():
+            acc[v] = acc.get(v, 0) + cv
+    return reduce_vector(acc, p)
 
 
 def _overlaps(u: Word, v: Word):

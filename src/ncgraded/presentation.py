@@ -413,9 +413,9 @@ def ore_extension(p: Presentation, alpha: dict, t_name: str = "t",
     `alpha` maps each generator name to its image (a FreeElement over p's
     generators, homogeneous of the same degree).  The new generator obeys
     t*g = alpha(g)*t.  The endomorphism property is verified by reducing
-    alpha(r) to normal form for every defining relation r; only that check is
-    performed, so the result is sound for presentations, not for arbitrary
-    maps that fail to descend.
+    alpha(r) to normal form for every defining relation r
+    (`groebner.substitute`); only that check is performed, so the result is
+    sound for presentations, not for arbitrary maps that fail to descend.
     """
     names = p.names()
     if t_name in names:
@@ -430,21 +430,13 @@ def ore_extension(p: Presentation, alpha: dict, t_name: str = "t",
             raise PresentationError(f"alpha({nm}) is not homogeneous of degree "
                                     f"{degrees[i]}")
     # endomorphism check: alpha(r) must vanish modulo the defining ideal
-    from .groebner import complete, normal_form
-
-    def apply_alpha(e: FreeElement) -> FreeElement:
-        out = FreeElement.zero(p.field, degrees)
-        for w, c in e.terms.items():
-            term = FreeElement.monomial(p.field, degrees, EMPTY_WORD, c)
-            for g in w:
-                term = term * alpha[names[g]]
-            out = out + term
-        return out
+    from .groebner import complete, substitute
 
     bound = max((r.degree() for r in p.relations), default=2)
     rs = complete(p, bound)
+    images = [alpha[nm].terms for nm in names]
     for r in p.relations:
-        if not normal_form(rs, apply_alpha(r)).is_zero():
+        if substitute(rs, images, r.terms):
             raise PresentationError(
                 f"alpha does not preserve the relation with lead "
                 f"{r.lead_word()}; not an endomorphism of the presented algebra")

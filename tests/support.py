@@ -15,6 +15,18 @@ from ncgraded.groebner import find_subword
 from ncgraded.presentation import Presentation
 
 
+# algebras with a redundant generator y, each with the builtin it
+# presents: y is a lead of the algebra, and y = x*x of its opposite too,
+# while y = x*z reverses to y = z*x, whose lead is z*x
+REDUNDANT_GENERATORS = [
+    ("polynomial-1", "algebra redundant over F32003\n"
+                     "deg x = 1, y = 2\nrel y - x*x\n"),
+    ("free-2", "algebra redundant over F32003\n"
+               "deg x = 1, y = 2, z = 1\nrel y - x*z\n"),
+]
+REDUNDANT_IDS = ["y-x2", "y-xz"]
+
+
 def dd_composites_vanish(res) -> bool:
     """Every composite of consecutive differentials reduces to zero."""
     rs = res.rs

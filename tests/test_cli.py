@@ -15,7 +15,8 @@ from ncgraded.resolution import ResolutionError
 from ncgraded.cli import (RunConfig, UsageError, main, normal_element_scan,
                           render_text, run)
 
-from support import normal_elements_one_by_one
+from support import (REDUNDANT_GENERATORS, REDUNDANT_IDS,
+                     normal_elements_one_by_one)
 
 GOLDEN = pathlib.Path(ncgraded.__file__).parent / "golden"
 
@@ -61,6 +62,24 @@ def test_bimodule_checks_alone_match_the_full_golden(check):
     assert code == 0
     assert "betti" not in report
     assert report[check] == golden[check]
+
+
+@pytest.mark.parametrize("name,text", REDUNDANT_GENERATORS,
+                         ids=REDUNDANT_IDS)
+def test_redundant_generator_reports_as_the_algebra_without_it(
+        tmp_path, name, text):
+    # Koszul does not apply to a degree-2 generator, and rigidity may
+    # differ, but the rest of a FULL report is the builtin's
+    path = tmp_path / "redundant.alg"
+    path.write_text(text)
+    bounds = dict(degree_bound=6, homological_bound=4, checks=FULL)
+    report, code = run(RunConfig(str(path), is_path=True, **bounds))
+    assert code == 0
+    ref, _ = run(RunConfig(name, **bounds))
+    assert report["hilbert"]["dims"] == ref["hilbert"]["dims"]
+    assert report["betti"]["entries"] == ref["betti"]["entries"]
+    for key in ("ext_k_A", "hochschild", "invariants"):
+        assert report[key] == ref[key], key
 
 
 def test_free_algebra_resolves_wide_windows_at_once():

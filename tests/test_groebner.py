@@ -16,15 +16,16 @@ from ncgraded import groebner
 from ncgraded.exactla import F32003, QQ, reduce_vector
 from ncgraded.freealg import FreeElement, deglex_key, word_degree
 from ncgraded.duality import diagonal_bimodule_resolution, hochschild_ext
-from ncgraded.groebner import (RewriteRule, RewriteSystem, complete,
-                               count_avoiding_words, enveloping_system,
+from ncgraded.groebner import (EnvelopingSystem, RewriteRule, RewriteSystem,
+                               complete, count_avoiding_words, find_subword,
                                normal_form, normal_word_counts)
 from ncgraded.presentation import (FilteredPresentation, builtin,
                                    builtin_names, enveloping, homogenize,
                                    opposite, parse)
 from ncgraded.cli import confluence_probe
 
-from support import (dual_composites_vanish, freeelement_spoly, is_normal_word,
+from support import (REDUNDANT_GENERATORS, REDUNDANT_IDS,
+                     dual_composites_vanish, freeelement_spoly, is_normal_word,
                      random_presentations, rule_scan_normal_form)
 
 
@@ -392,18 +393,33 @@ rel x*y - y*x - y^3
 """
 
 
-def _alive(rs) -> dict:
-    return {r.lead: r.tail.terms for r in rs.alive_rules()}
+def enveloping_words(env, d) -> list:
+    """The normal words of degree d of the view, read by `word_at`."""
+    return [env.word_at(d, k) for k in range(env.dim(d))]
+
+
+def assert_leads_are_the_completions(env, ref):
+    """The view's leads are an antichain under the subword relation and,
+    in some order, the leads of the completed enveloping presentation."""
+    leads = env.leads()
+    assert not [(a, b) for i, a in enumerate(leads)
+                for j, b in enumerate(leads)
+                if i != j and find_subword(b, a) >= 0]
+    assert sorted(leads) == sorted(ref.leads())
 
 
 def assert_enveloping_system_matches_completion(p, bound, words):
-    """The built system has the completion's rules and certificate (or a
-    stronger one), lists the same normal words, and its split normal form
-    is the rule scan's on `words`."""
+    """The view has the completion's leads, each rewriting to the
+    completion's tail, and its certificate (or a stronger one); it lists
+    the completion's normal words, and its split normal form is the rule
+    scan of the completion on `words`, in the degrees where that is
+    confluent."""
     rs, rs_op = complete(p, bound), complete(opposite(p), bound)
-    env = enveloping_system(rs, rs_op)
+    env = EnvelopingSystem(rs, rs_op)
     ref = complete(enveloping(p), bound)
-    assert _alive(env) == _alive(ref)
+    assert_leads_are_the_completions(env, ref)
+    for r in ref.alive_rules():
+        assert env.nf(r.lead) == r.tail.terms, r.lead
     assert env.complete_below == ref.complete_below
     # Overlaps of zero-tail rules resolve above the bound, but the
     # completion still skips those of a zero-tail rule and a commutator, and
@@ -415,21 +431,23 @@ def assert_enveloping_system_matches_completion(p, bound, words):
         assert env.globally_complete == ref.globally_complete
     for d in range(bound + 1):
         # words and positions from the runs of A's words
-        listed = [env.word_at(d, k) for k in range(env.dim(d))]
+        listed = enveloping_words(env, d)
         assert listed == ref.normal_words(d), d
-        assert listed == RewriteSystem._list_normal_words(env, d), d
         assert [env.position(w) for w in listed] == list(range(len(listed)))
     for w in words:
-        assert env.nf(w) == rule_scan_normal_form(env, env.monomial(w)).terms, w
+        if (ref.globally_complete
+                or word_degree(w, env.degrees) <= ref.complete_below):
+            assert env.nf(w) == \
+                rule_scan_normal_form(ref, ref.monomial(w)).terms, w
     # a word times the normal words of a degree, on either side, as
     # `products` reads it from a row of A's table and one of A^op's
     for t in words:
         for m in range(min(2, bound - word_degree(t, env.degrees)) + 1):
-            basis = env.normal_words(m + word_degree(t, env.degrees))
+            basis = enveloping_words(env, m + word_degree(t, env.degrees))
             for left in (True, False):
                 cols = env.products([(0, t, 1)], m, left)
                 assert len(cols) == env.dim(m)
-                for u, col in zip(env.normal_words(m), cols):
+                for u, col in zip(enveloping_words(env, m), cols):
                     assert {basis[k]: c for k, c in col.items()} == \
                         env.nf(t + u if left else u + t), (t, u, left)
     dres, _ = diagonal_bimodule_resolution(rs, rs_op, 3, bound)
@@ -454,18 +472,33 @@ def test_enveloping_system_with_a_degree_2_generator():
     assert_enveloping_system_matches_completion(p, 6, words)
 
 
+@pytest.mark.parametrize("bound", [4, 6])
+@pytest.mark.parametrize("name,text", REDUNDANT_GENERATORS,
+                         ids=REDUNDANT_IDS)
+def test_enveloping_system_of_an_algebra_with_a_letter_lead(name, text,
+                                                           bound):
+    # no commutator of the letter y, which is a lead
+    p = parse(text)
+    n = 2 * len(p.generators)
+    words = [w for k in range(4)
+             for w in itertools.product(range(n), repeat=k)]
+    assert_enveloping_system_matches_completion(p, bound, words)
+
+
 @pytest.mark.parametrize("name", builtin_names())
 def test_enveloping_listing_is_the_search_over_all_letters(name):
     """The enveloping normal words, read by `word_at` from the runs of
-    one-sided normal words, are those the search over all 2n letters
-    lists, for every degree asked for in any order."""
+    one-sided normal words, are those the completed enveloping
+    presentation lists by its search over all 2n letters, for every degree
+    asked for in any order; and the leads are the completion's."""
     p = builtin(name)
     if isinstance(p, FilteredPresentation):
         p = homogenize(p)
-    env = enveloping_system(complete(p, 5), complete(opposite(p), 5))
+    env = EnvelopingSystem(complete(p, 5), complete(opposite(p), 5))
+    ref = complete(enveloping(p), 5)
+    assert_leads_are_the_completions(env, ref)
     for d in (5, 2, 0, 4, 1, 3):
-        assert [env.word_at(d, k) for k in range(env.dim(d))] == \
-            RewriteSystem._list_normal_words(env, d), d
+        assert enveloping_words(env, d) == ref.normal_words(d), d
 
 
 # ---------------------------------------------------------------------------

@@ -185,6 +185,30 @@ def test_ore_extension_adds_variable():
     assert r.is_homogeneous() and r.degree() == 2
 
 
+def test_ore_extension_rejects_a_map_that_breaks_a_relation():
+    # the swap sends y*x - 2*x*y to x*y - 2*y*x, which is -3*x*y modulo the
+    # relation, not 0
+    p = builtin("quantum-plane-2")
+    from ncgraded.freealg import FreeElement
+    swap = {"x": FreeElement(p.field, (1, 1), {(1,): 1}),
+            "y": FreeElement(p.field, (1, 1), {(0,): 1})}
+    with pytest.raises(PresentationError, match="not an endomorphism"):
+        ore_extension(p, swap)
+
+
+def test_ore_extension_accepts_an_image_of_several_letters():
+    # alpha(y) = y + x*x preserves x*y - y*x: its image x*y + x*x*x - y*x
+    # - x*x*x is the relation again
+    p = parse("algebra weighted over F32003\ndeg x = 1, y = 2\n"
+              "rel x*y - y*x\n")
+    from ncgraded.freealg import FreeElement
+    alpha = {"x": FreeElement(p.field, (1, 2), {(0,): 1}),
+             "y": FreeElement(p.field, (1, 2), {(1,): 1, (0, 0): 1})}
+    e = ore_extension(p, alpha)
+    assert e.names() == ("x", "y", "t")
+    assert len(e.relations) == 3
+
+
 # -- oracle and golden relations ----------------------------------------------
 
 def test_oracle_dims_are_binomials():
