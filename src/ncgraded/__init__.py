@@ -5,14 +5,13 @@ the derived regularity/rigidity verdicts."""
 
 from .exactla import (DEFAULT_PRIME, F32003, F46337, QQ, FieldSpec,
                       field_from_name)
-from .freealg import FreeElement, GeneratorInfo, enumerate_words, word_degree
+from .freealg import FreeElement, GeneratorInfo, word_degree
 from .presentation import (FilteredPresentation, Presentation,
                            PresentationError, builtin, builtin_names,
                            enveloping, group_algebra_oracle,
                            group_algebra_relations, homogenize, opposite,
                            ore_extension, parse, skew_polynomial)
-from .groebner import (RewriteRule, RewriteSystem, complete, normal_form,
-                       normal_word_counts)
+from .groebner import RewriteRule, RewriteSystem, complete, normal_form
 from .hilbert import (ClaimSyntaxError, GKEstimate, GradedDims, RationalCheck,
                       gk_estimate, hilbert_function, series_coefficients,
                       verify_rational)

@@ -47,7 +47,7 @@ from .freealg import FreeElement
 from .groebner import EnvelopingSystem, RewriteSystem, substitute
 from .hilbert import GradedDims
 from .presentation import Presentation
-from .resolution import (Resolution, ResolutionError, betti, BettiTable,
+from .resolution import (Resolution, betti, BettiTable,
                          GlobalDimReport, resolve_cyclic, stage_certificates,
                          word_blocks)
 
@@ -97,29 +97,21 @@ def _dual_matrix(res: Resolution, i: int, mu: int) -> SparseMatrix:
     return SparseMatrix(height, cols, rs.field)
 
 
-def _window(res: Resolution, window: tuple | None) -> tuple:
-    """The functional-degree window (lo, hi): all of it when `window` is
-    None, else `window` checked against the degree bound."""
+def _window(res: Resolution) -> tuple:
+    """The functional-degree window (lo, hi) that the degree bound
+    certifies."""
     degrees_present = [g.degree for st in res.stages for g in st.gens]
     max_s = max(degrees_present) if degrees_present else 0
-    lo_full, hi_full = -max_s, res.dbound - max_s
-    if window is None:
-        return lo_full, hi_full
-    lo, hi = window
-    if hi > hi_full:
-        raise ResolutionError(
-            f"functional-degree window top {hi} exceeds certification "
-            f"{hi_full} (internal degree bound {res.dbound})")
-    return lo, hi
+    return -max_s, res.dbound - max_s
 
 
-def _ext_table(res: Resolution, side: str, window: tuple | None,
+def _ext_table(res: Resolution, side: str,
                vanishing: frozenset = frozenset()) -> ExtTable:
     """The table over the window.  At a level in `vanishing`, where the
     caller has proven the cohomology zero, the rank of d* is the dimension
     left by the rank into it, and no d* is built; nor is one without
     rows."""
-    lo, hi = _window(res, window)
+    lo, hi = _window(res)
     cert = dict(stage_certificates(res))
     cert[0] = True
     top_level = res.hbound - 1
@@ -153,11 +145,11 @@ def _ext_table(res: Resolution, side: str, window: tuple | None,
                     (0, top_level), {i: 0 for i in range(top_level + 1)})
 
 
-def ext_k_A(res: Resolution, window: tuple | None = None) -> ExtTable:
+def ext_k_A(res: Resolution) -> ExtTable:
     """Graded Ext of the trivial module with values in the algebra, from a
     minimal resolution over its system `res.rs`.  Entries keyed by (level,
     functional degree)."""
-    return _ext_table(res, "overA", window)
+    return _ext_table(res, "overA")
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +279,7 @@ def diagonal_bimodule_resolution(rs: RewriteSystem, rs_op: RewriteSystem,
     return res, betti(res)
 
 
-def hochschild_ext(res: Resolution, window: tuple | None = None,
-                   one_sided: tuple | None = None) -> ExtTable:
+def hochschild_ext(res: Resolution, one_sided: tuple | None = None) -> ExtTable:
     """Ext of the diagonal bimodule with values in the enveloping algebra,
     from its resolution over the enveloping system `res.rs`, the view of
     the systems of A and A^op.  The dual differentials multiply in
@@ -308,7 +299,6 @@ def hochschild_ext(res: Resolution, window: tuple | None = None,
     it matches (a shift by s for the module grading and another s for the
     functional grading).  Non-concentrated levels stay in raw degrees, with
     a note."""
-    lo, hi = _window(res, window)
     vanishing = frozenset()
     if one_sided is not None:
         e, table = one_sided
@@ -316,12 +306,12 @@ def hochschild_ext(res: Resolution, window: tuple | None = None,
         def complete(k: int) -> bool:
             return k <= 0 or table.stage_complete.get(k, False)
 
-        if e.window[1] >= hi:
+        if e.window[1] >= _window(res)[1]:
             zero = set(range(res.hbound)) - set(e.nonzero_levels())
             vanishing = frozenset(
                 i for i in zero if e.zero_certified.get(i, False)
                 and complete(i - 1) and complete(i) and complete(i + 1))
-    t = _ext_table(res, "overAe", (lo, hi), vanishing)
+    t = _ext_table(res, "overAe", vanishing)
     shifts = {}
     notes = []
     for i in range(t.levels[0], t.levels[1] + 1):
@@ -418,6 +408,12 @@ def rigidity_check(p: Presentation, res: Resolution, t: ExtTable,
     if t.entries.get((i0, mu0 + shift), 0) != 1:
         return RigidityVerdict(i0, True, None, bounds,
                                ("lowest class not one-dimensional; "
+                                "twist not extracted",))
+    # the twist is solved for in the blocks of degree mu0 + 1, as a
+    # combination of the letters: that takes generators of degree 1
+    if any(g.degree != 1 for g in p.generators):
+        return RigidityVerdict(i0, True, None, bounds,
+                               ("a generator has degree above 1; "
                                 "twist not extracted",))
     rs = res.rs
     f = rs.field

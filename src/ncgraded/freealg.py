@@ -30,28 +30,6 @@ def deglex_key(word: Word, degrees: tuple):
     return (word_degree(word, degrees), word)
 
 
-def enumerate_words(degrees: tuple, degree: int) -> list:
-    """All words of exact weighted degree `degree`, in deglex (= lex) order."""
-    if degree < 0:
-        return []
-    if degree == 0:
-        return [EMPTY_WORD]
-    out: list = []
-    # DFS extending by generator index ascending keeps lex order
-    def extend(prefix: Word, deg: int) -> None:
-        for g in range(len(degrees)):
-            d = deg + degrees[g]
-            if d > degree:
-                continue
-            w = prefix + (g,)
-            if d == degree:
-                out.append(w)
-            else:
-                extend(w, d)
-    extend(EMPTY_WORD, 0)
-    return out
-
-
 class FreeElement:
     """Sparse free-algebra element: dict word -> nonzero scalar."""
 

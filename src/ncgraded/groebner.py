@@ -49,8 +49,19 @@ a sum of such tables into the coordinate vectors of a block of normal
 words, one vector per word, each product placed in a block of its own
 degree at a given offset.  That is the shape of every differential, dual
 differential and action map built from the system, so its callers never
-hash a word: a column is block offsets plus table rows.  The tables and the
-normal-word listings are cleared whole whenever the rules change.
+hash a word: a column is block offsets plus table rows.
+
+The normal words, those that contain no alive lead, are read off one
+automaton of the alive leads, Ufnarovski's graph of normal words
+(Ufnarovski 1982, Mat. Zametki 31).  Its states are the proper prefixes of
+leads, numbered; a normal word is in the state of its longest suffix that
+is one, and a letter moves it to the state of the longer word, or nowhere
+when that word ends in a lead.  As the leads are an antichain, a word is
+normal exactly when its path from the start, the empty word, never stops.
+`dim` counts the paths of each degree, one degree after another, and
+`normal_words` walks them depth first, smallest letter first, so it lists
+the words in tuple order.  The automaton, the counts, the listings and the
+tables are cleared whole whenever the rules change.
 
 The enveloping algebra A (x) A^op is neither completed nor given rules of
 its own: `EnvelopingSystem` is a view of completed systems of A and A^op.
@@ -116,9 +127,9 @@ class RewriteSystem:
     lengths.  The index is built from `rules` (ValueError when the alive
     leads are not an antichain) and afterwards changes only through
     `add_rule` and `retire`.  These drop the normal forms that `nf` memoizes
-    (per degree) from the rule's degree up, and clear the normal words of
-    each degree that `normal_words` lists with their positions and the
-    multiplication tables."""
+    (per degree) from the rule's degree up, and clear the automaton of the
+    leads, the counts and listings of normal words read from it, their
+    positions and the multiplication tables."""
 
     field: FieldSpec
     degrees: tuple
@@ -132,6 +143,9 @@ class RewriteSystem:
     _lengths: list = dc_field(init=False, repr=False, compare=False)
     _nf: dict = dc_field(init=False, repr=False, compare=False)
     _nf_at: dict = dc_field(init=False, repr=False, compare=False)
+    _moves: list | None = dc_field(init=False, repr=False, compare=False)
+    _dims: list = dc_field(init=False, repr=False, compare=False)
+    _layers: dict = dc_field(init=False, repr=False, compare=False)
     _nw: dict = dc_field(init=False, repr=False, compare=False)
     _pos: dict = dc_field(init=False, repr=False, compare=False)
     _tables: dict = dc_field(init=False, repr=False, compare=False)
@@ -156,6 +170,9 @@ class RewriteSystem:
         for d in [d for d in self._nf_at if d >= degree]:
             for w in self._nf_at.pop(d):
                 del self._nf[w]
+        self._moves = None
+        self._dims = []
+        self._layers = {0: {0: 1}}
         self._nw = {}
         self._pos = {}
         self._tables = {}
@@ -192,35 +209,47 @@ class RewriteSystem:
         return words
 
     def _list_normal_words(self, degree: int) -> list:
-        leads, lengths = self._leads, self._lengths
-        out: list = []
-
-        def ok(word: Word) -> bool:
-            # only a lead ending at the last letter can be new
-            for m in lengths:
-                if m > len(word):
-                    return True
-                if word[-m:] in leads:
-                    return False
-            return True
-
-        # depth first, the smallest letter popped first: the words come out
-        # in tuple order, with no recursion however long they are
-        letters = list(enumerate(self.degrees))[::-1]
-        stack = [(EMPTY_WORD, 0)] if degree >= 0 else []
+        # depth first over the automaton, the smallest letter popped first:
+        # the words come out in tuple order, with no recursion however long
+        # they are
+        moves, out = self._automaton(), []
+        stack = [(EMPTY_WORD, 0, 0)] if degree >= 0 else []
         while stack:
-            word, deg = stack.pop()
+            word, deg, state = stack.pop()
             if deg == degree:
                 out.append(word)
                 continue
-            for g, k in letters:
-                if deg + k <= degree and ok(w := word + (g,)):
-                    stack.append((w, deg + k))
+            for g, k, nxt in moves[state]:
+                if deg + k <= degree:
+                    stack.append((word + (g,), deg + k, nxt))
         return out
 
     def dim(self, degree: int) -> int:
-        """The number of normal words of a degree."""
-        return len(self.normal_words(degree))
+        """The number of normal words of a degree, 0 below degree 0: the
+        paths of that degree from the start of the automaton, counted one
+        degree after another."""
+        if degree < 0:
+            return 0
+        dims, layers = self._dims, self._layers
+        if degree >= len(dims):
+            moves = self._automaton()
+            while len(dims) <= degree:
+                d = len(dims)
+                layer = layers.pop(d, {})     # state -> words of degree d
+                dims.append(sum(layer.values()))
+                for state, c in layer.items():
+                    for _, k, nxt in moves[state]:
+                        at = layers.setdefault(d + k, {})
+                        at[nxt] = at.get(nxt, 0) + c
+        return dims[degree]
+
+    def _automaton(self) -> list:
+        """The automaton of the alive leads (module docstring), built once
+        for the rule set as it stands: for each state, its moves
+        (letter, degree of the letter, next state), largest letter first."""
+        if self._moves is None:
+            self._moves = _lead_automaton(self.leads(), self.degrees)
+        return self._moves
 
     def position(self, w: Word) -> int:
         """The index of a normal word among the normal words of its
@@ -667,68 +696,33 @@ def complete(p, degree_bound: int) -> RewriteSystem:
     return rs
 
 
-class NormalWordDFA:
-    """Deterministic automaton of lead-avoiding words.
-
-    States are proper prefixes of lead words (the empty word is the start
-    state); `step(state, g)` returns the successor state or None when the
-    extended word acquires a lead as a suffix.  Only the dimension counter
-    `count_avoiding_words` drives it; the chain certificates in `resolution`
-    walk the leads themselves.
-    """
-
-    def __init__(self, leads: list):
-        self.leads = [tuple(L) for L in leads]
-        prefixes = {EMPTY_WORD}
-        for L in self.leads:
-            for k in range(1, len(L)):
-                prefixes.add(L[:k])
-        self.states = sorted(prefixes, key=lambda w: (len(w), w))
-        self.index = {s: i for i, s in enumerate(self.states)}
-        self._table: dict = {}
-
-    def step(self, state: Word, g: int):
-        key = (state, g)
-        if key in self._table:
-            return self._table[key]
-        w = state + (g,)
-        nxt = None
-        if not any(len(L) <= len(w) and w[-len(L):] == L for L in self.leads):
-            for k in range(len(w), -1, -1):
-                if w[len(w) - k:] in self.index:
-                    nxt = w[len(w) - k:]
-                    break
-        self._table[key] = nxt
-        return nxt
-
-
-def normal_word_counts(rs: RewriteSystem, dmax: int) -> list:
-    """Dimensions of the degree-d normal-word spaces for d = 0..dmax, by
-    dynamic programming on the lead-avoidance automaton."""
-    return count_avoiding_words(rs.leads(), rs.degrees, dmax)
-
-
-def count_avoiding_words(leads: list, degrees: tuple, dmax: int) -> list:
-    dfa = NormalWordDFA(leads)
-    ngens = len(degrees)
-    dims = [0] * (dmax + 1)
-    # layer by layer in total degree; weighted generators spread across layers
-    layers: dict[int, dict] = {0: {EMPTY_WORD: 1}}
-    for d in range(0, dmax + 1):
-        layer = layers.pop(d, None)
-        if not layer:
-            continue
-        dims[d] = sum(layer.values())
-        if d == dmax:
-            break
-        for state, cnt in layer.items():
-            for g in range(ngens):
-                dd = d + degrees[g]
-                if dd > dmax:
-                    continue
-                nxt = dfa.step(state, g)
-                if nxt is None:
-                    continue
-                tgt = layers.setdefault(dd, {})
-                tgt[nxt] = tgt.get(nxt, 0) + cnt
-    return dims
+def _lead_automaton(leads: list, degrees: tuple) -> list:
+    """Ufnarovski's graph of the words that contain none of `leads`, an
+    antichain under the subword relation.  State 0 is the empty word and
+    the other states are the other proper prefixes of leads, shortest
+    first.  A normal word is in the state of its longest suffix that is a
+    proper prefix of a lead; a letter that makes a lead the suffix has no
+    move.  Returns, for each state, its moves (letter, degree of the
+    letter, next state), largest letter first."""
+    leads = set(leads)
+    prefixes = sorted({EMPTY_WORD} | {L[:k] for L in leads
+                                      for k in range(1, len(L))}, key=len)
+    index = {w: s for s, w in enumerate(prefixes)}
+    rows: list = []         # state -> next state per letter, -1 for none
+    for w in prefixes:
+        # the state of w[1:], from rows of shorter states
+        back = 0
+        for g in w[1:]:
+            back = rows[back][g]
+        row = []
+        for g in range(len(degrees)):
+            u = w + (g,)
+            if u in leads:
+                row.append(-1)
+            elif u in index:
+                row.append(index[u])
+            else:
+                row.append(rows[back][g] if w else 0)
+        rows.append(row)
+    return [[(g, degrees[g], row[g]) for g in reversed(range(len(degrees)))
+             if row[g] >= 0] for row in rows]

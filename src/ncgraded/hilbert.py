@@ -1,11 +1,12 @@
 """Graded dimension counting, rational Hilbert series claims, growth flags.
 
-Dimensions come from the lead-avoidance automaton of a completed rewrite
-system, so they are certified exactly as far as the completion certificate
-reaches.  Rational-series claims p(t)/q(t) are parsed by a tiny recursive
-descent parser, which refuses any exponent, numerator or denominator of
-degree above 256 and any integer literal of more than 600 digits, and
-checked by exact power series division; the growth estimator works on the
+Dimensions are the counts of normal words that a completed rewrite system
+reads off the automaton of its leads (`RewriteSystem.dim`), so they are
+certified exactly as far as the completion certificate reaches.
+Rational-series claims p(t)/q(t) are parsed by a tiny recursive descent
+parser, which refuses any exponent, numerator or denominator of degree
+above 256 and any integer literal of more than 600 digits, and checked by
+exact power series division; the growth estimator works on the
 partial-sum sequence with a discrete log derivative, which is exact on
 polynomial growth.
 """
@@ -16,7 +17,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .groebner import RewriteSystem, normal_word_counts
+from .groebner import RewriteSystem
 
 
 @dataclass(frozen=True)
@@ -36,8 +37,7 @@ def hilbert_function(rs: RewriteSystem, dmax: int) -> GradedDims:
     produced at all rather than flagged.
     """
     cert = dmax if rs.globally_complete else min(dmax, rs.complete_below)
-    dims = normal_word_counts(rs, cert)
-    return GradedDims(tuple(dims), cert)
+    return GradedDims(tuple(rs.dim(d) for d in range(cert + 1)), cert)
 
 
 # ---------------------------------------------------------------------------

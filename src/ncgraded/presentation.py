@@ -16,6 +16,7 @@ defining relations.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 
@@ -549,11 +550,9 @@ def group_algebra_relations(field: FieldSpec = F32003, degree: int = 2) -> list:
     """Canonical basis of the degree-`degree` relation space of the oracle
     subalgebra: for every fiber of the image map, each non-minimal word minus
     the deglex-least word of its fiber, listed by ascending lead."""
-    from .freealg import enumerate_words
-
     degrees = (1, 1, 1, 1)
     fibers: dict[tuple, list] = {}
-    for w in enumerate_words(degrees, degree):
+    for w in itertools.product(range(4), repeat=degree):
         fibers.setdefault(group_oracle_word_image(w), []).append(w)
     rels = []
     for words in fibers.values():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from ncgraded import complete, normal_form, opposite
 from ncgraded.duality import _dual_matrix, diagonal_bimodule_resolution
 from ncgraded.exactla import F32003, QQ, RowSpan
-from ncgraded.freealg import EMPTY_WORD, FreeElement, deglex_key, enumerate_words
+from ncgraded.freealg import EMPTY_WORD, FreeElement, deglex_key
 from ncgraded.groebner import find_subword
 from ncgraded.presentation import Presentation
 
@@ -151,7 +151,8 @@ def random_presentations(draw, fields=(F32003, QQ)):
     degrees = (1,) * len(names)
     rels = []
     for _ in range(draw(st.integers(1, 3))):
-        words = enumerate_words(degrees, draw(st.sampled_from((2, 3))))
+        words = list(itertools.product(range(len(names)),
+                                       repeat=draw(st.sampled_from((2, 3)))))
         terms = draw(st.dictionaries(st.sampled_from(words),
                                      st.sampled_from((-3, -2, -1, 1, 2, 3)),
                                      min_size=1, max_size=4))
@@ -178,8 +179,9 @@ def random_monomial_presentations(draw):
     field = draw(st.sampled_from((F32003, QQ)))
     names = ("x", "y", "z")[:draw(st.integers(1, 3))]
     degrees = (1,) * len(names)
-    words = draw(st.lists(st.sampled_from(enumerate_words(degrees, 2)
-                                          + enumerate_words(degrees, 3)),
+    candidates = [w for m in (2, 3)
+                  for w in itertools.product(range(len(names)), repeat=m)]
+    words = draw(st.lists(st.sampled_from(candidates),
                           min_size=1, max_size=4, unique=True))
     rels = [FreeElement(field, degrees, {w: field.one()}) for w in words]
     p = Presentation(field, tuple((n, 1) for n in names), rels)

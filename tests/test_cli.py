@@ -82,6 +82,22 @@ def test_redundant_generator_reports_as_the_algebra_without_it(
         assert report[key] == ref[key], key
 
 
+@pytest.mark.parametrize("rel", ["x*y - y*x", "x*y - 2*y*x", "y - x*x"])
+def test_no_twist_is_extracted_with_a_generator_of_degree_2(tmp_path, rel):
+    # the twist is solved for among the letters, in the blocks one degree
+    # above the lowest class, so it needs every generator of degree 1
+    path = tmp_path / "mixed.alg"
+    path.write_text(f"algebra mixed over F32003\ndeg x = 1, y = 2\nrel {rel}\n")
+    report, code = run(RunConfig(str(path), is_path=True, degree_bound=8,
+                                 homological_bound=4, checks=FULL))
+    assert code == 0
+    rig = report["rigidity"]
+    assert rig["graded_match"] is True
+    assert rig["twist_on_generators"] is None
+    assert rig["notes"] == ["a generator has degree above 1; "
+                            "twist not extracted"]
+
+
 def test_free_algebra_resolves_wide_windows_at_once():
     # free-3 has no rules, so no chain sits past stage 1 and the left
     # resolution builds no kernel.  The full sieve, whose stage-2 kernels

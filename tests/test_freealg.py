@@ -3,8 +3,7 @@
 from hypothesis import given, strategies as st
 
 from ncgraded.exactla import field_from_name
-from ncgraded.freealg import (FreeElement, deglex_key, enumerate_words,
-                              word_degree)
+from ncgraded.freealg import FreeElement, deglex_key, word_degree
 
 F5 = field_from_name("F5")
 
@@ -26,22 +25,6 @@ def elements(draw, degrees=(1, 1), maxdeg=3):
 def test_word_degree_weighted():
     assert word_degree((0, 1, 0), (1, 2)) == 4
     assert word_degree((), (1, 2)) == 0
-
-
-def test_enumerate_words_counts_unit_degrees():
-    for d in range(6):
-        ws = enumerate_words((1, 1), d)
-        assert len(ws) == 2 ** d
-        assert len(set(ws)) == len(ws)
-        assert ws == sorted(ws, key=lambda w: deglex_key(w, (1, 1)))
-
-
-def test_enumerate_words_counts_mixed_degrees():
-    # letters of degree 1 and 2: counts obey a(d) = a(d-1) + a(d-2)
-    counts = [len(enumerate_words((1, 2), d)) for d in range(8)]
-    assert counts[:2] == [1, 1]
-    for d in range(2, 8):
-        assert counts[d] == counts[d - 1] + counts[d - 2]
 
 
 @given(u=words2, v=words2)

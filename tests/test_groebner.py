@@ -17,8 +17,7 @@ from ncgraded.exactla import F32003, QQ, reduce_vector
 from ncgraded.freealg import FreeElement, deglex_key, word_degree
 from ncgraded.duality import diagonal_bimodule_resolution, hochschild_ext
 from ncgraded.groebner import (EnvelopingSystem, RewriteRule, RewriteSystem,
-                               complete, count_avoiding_words, find_subword,
-                               normal_form, normal_word_counts)
+                               complete, find_subword, normal_form)
 from ncgraded.presentation import (FilteredPresentation, builtin,
                                    builtin_names, enveloping, homogenize,
                                    opposite, parse)
@@ -26,7 +25,8 @@ from ncgraded.cli import confluence_probe
 
 from support import (REDUNDANT_GENERATORS, REDUNDANT_IDS,
                      dual_composites_vanish, freeelement_spoly, is_normal_word,
-                     random_presentations, rule_scan_normal_form)
+                     random_monomial_presentations, random_presentations,
+                     rule_scan_normal_form)
 
 
 def test_polynomial_2_single_rule(poly2_rs):
@@ -109,13 +109,61 @@ def test_normal_words_well_formed(sz_rs):
             assert is_normal_word(sz_rs, w)
 
 
+def assert_lists_and_counts_the_lead_free_words(rs, bound):
+    """For d up to bound, `normal_words(d)` is the words of degree d that
+    contain no alive lead, in tuple order, found by testing every word
+    (every generator has degree 1), and `dim(d)` is their number."""
+    assert set(rs.degrees) == {1}
+    for d in range(bound + 1):
+        words = [w for w in itertools.product(range(len(rs.degrees)), repeat=d)
+                 if is_normal_word(rs, w)]
+        assert rs.normal_words(d) == words
+        assert rs.dim(d) == len(words)
+
+
 @pytest.mark.parametrize("name", ["polynomial-3", "quantum-plane-2",
                                   "smith-zhang", "weyl-homogenized"])
 def test_counting_matches_enumeration(name):
-    rs = complete(builtin(name), 6)
-    counts = normal_word_counts(rs, 6)
-    assert counts == [len(rs.normal_words(d)) for d in range(7)]
-    assert counts == count_avoiding_words(rs.leads(), rs.degrees, 6)
+    assert_lists_and_counts_the_lead_free_words(complete(builtin(name), 6), 6)
+
+
+@settings(max_examples=100)
+@given(case=st.one_of(random_presentations(),
+                      random_monomial_presentations()))
+def test_automaton_lists_and_counts_the_lead_free_words(case):
+    p, bound = case
+    rs = complete(p, bound)
+    rs.dim(bound)   # one counting pass; the lower degrees are read from it
+    assert rs.dim(-1) == 0 and rs.normal_words(-1) == []
+    assert_lists_and_counts_the_lead_free_words(rs, bound)
+
+
+def test_free_normal_words_with_unit_degrees():
+    rs = RewriteSystem(F32003, (1, 1), ("x", "y"), 6)
+    for d in range(6):
+        ws = rs.normal_words(d)
+        assert len(ws) == rs.dim(d) == 2 ** d
+        assert len(set(ws)) == len(ws)
+        assert ws == sorted(ws, key=lambda w: deglex_key(w, (1, 1)))
+
+
+def test_free_normal_words_with_mixed_degrees():
+    # letters of degree 1 and 2: counts obey a(d) = a(d-1) + a(d-2)
+    rs = RewriteSystem(F32003, (1, 2), ("x", "y"), 8)
+    counts = [rs.dim(d) for d in range(8)]
+    assert counts == [len(rs.normal_words(d)) for d in range(8)]
+    assert counts[:2] == [1, 1]
+    for d in range(2, 8):
+        assert counts[d] == counts[d - 1] + counts[d - 2]
+
+
+def test_a_new_rule_rebuilds_the_automaton():
+    rs = RewriteSystem(F32003, (1, 1), ("x", "y"), 4)
+    assert [rs.dim(d) for d in range(4)] == [1, 2, 4, 8]
+    assert rs.normal_words(2) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    rs.add_rule(RewriteRule((1, 0), rs.monomial((0, 1)), 2))
+    assert [rs.dim(d) for d in range(4)] == [1, 2, 3, 4]
+    assert rs.normal_words(2) == [(0, 0), (0, 1), (1, 1)]
 
 
 @pytest.mark.parametrize("seed", [0, 1])
