@@ -11,7 +11,7 @@ from .presentation import (FilteredPresentation, Presentation,
                            enveloping, group_algebra_oracle,
                            group_algebra_relations, homogenize, opposite,
                            ore_extension, parse, skew_polynomial)
-from .groebner import RewriteRule, RewriteSystem, complete, normal_form
+from .groebner import RewriteSystem, complete, normal_form
 from .hilbert import (ClaimSyntaxError, GKEstimate, GradedDims, RationalCheck,
                       gk_estimate, hilbert_function, series_coefficients,
                       verify_rational)

@@ -93,7 +93,7 @@ def _dual_matrix(res: Resolution, i: int, mu: int) -> SparseMatrix:
     for g, m, _ in dom:
         cols += rs.products([(at[h], t, c) for h, gen in enumerate(gens)
                              if g in gen.column
-                             for t, c in gen.column[g].terms.items()], m)
+                             for t, c in gen.column[g].items()], m)
     return SparseMatrix(height, cols, rs.field)
 
 

@@ -9,20 +9,26 @@ records whether anything at all was skipped for degree reasons.  When the
 queue drains without skipping, the system is a full noncommutative Groebner
 basis and normal-word data is valid in every degree.
 
-The final rule set is reduced: no lead contains another lead as a subword and
-every tail is in normal form.  A closing verification pass re-checks all
-ambiguities among the surviving rules, so the certificate does not depend on
-the bookkeeping of the main loop.
+The rules are one dict, `RewriteSystem.rules`, from each lead to its tail,
+a terms dict word -> scalar, in the order the rules were added.  A rule
+that completion retires leaves the dict, and its lead never comes back: a
+lead is retired only by a new lead that divides it, so from then on some
+lead in the dict divides it, and a new lead is reduced.  So a pending
+ambiguity is named by its two leads, and is still open while both are
+keys.  The final rule set is reduced: no lead contains another
+lead as a subword and every tail is in normal form.  A closing
+verification pass re-checks all ambiguities among the rules, so the
+certificate does not depend on the bookkeeping of the main loop.
 
 Every rewrite, during completion and after it, goes through `nf`, which
 builds the normal form of a word by left multiplication: the word's letters
 multiply the normal form of the empty word one at a time, last letter
-first, each product memoized under its word.  The alive leads are an
-antichain under the subword relation (a new lead is reduced against the
-alive leads, and inserting it retires every lead that contains it), so at
-most one lead starts at any position of a word, and for g * u with u normal
-only a lead that starts at g can apply: finding the rewrite costs one hash
-lookup per lead length.  The terms are sorted into descending tuple order,
+first, each product memoized under its word.  The leads are an antichain
+under the subword relation (a new lead is reduced against the leads, and
+inserting it retires every lead that contains it), so at most one lead
+starts at any position of a word, and for g * u with u normal only a lead
+that starts at g can apply: finding the rewrite costs one hash lookup per
+lead length.  The terms are sorted into descending tuple order,
 which within one degree is descending deglex.  The words a normal form
 waits on are kept on an explicit stack, so no recursion grows with the
 length of a word, and those above `degree_bound`, which no basis of the
@@ -51,8 +57,8 @@ degree at a given offset.  That is the shape of every differential, dual
 differential and action map built from the system, so its callers never
 hash a word: a column is block offsets plus table rows.
 
-The normal words, those that contain no alive lead, are read off one
-automaton of the alive leads, Ufnarovski's graph of normal words
+The normal words, those that contain no lead, are read off one
+automaton of the leads, Ufnarovski's graph of normal words
 (Ufnarovski 1982, Mat. Zametki 31).  Its states are the proper prefixes of
 leads, numbered; a normal word is in the state of its longest suffix that
 is one, and a letter moves it to the state of the longer word, or nowhere
@@ -112,34 +118,28 @@ def find_subword(word: Word, sub: Word) -> int:
 
 
 @dataclass
-class RewriteRule:
-    lead: Word
-    tail: FreeElement      # lead rewrites to tail; every tail word < lead
-    degree: int
-    alive: bool = True
-
-
-@dataclass
 class RewriteSystem:
     """A rule set and the one path that rewrites with it, `nf`.
 
-    The alive rules are indexed by lead word, together with the sorted lead
-    lengths.  The index is built from `rules` (ValueError when the alive
-    leads are not an antichain) and afterwards changes only through
-    `add_rule` and `retire`.  These drop the normal forms that `nf` memoizes
-    (per degree) from the rule's degree up, and clear the automaton of the
-    leads, the counts and listings of normal words read from it, their
-    positions and the multiplication tables."""
+    `rules` maps each lead to its tail, a terms dict whose words are all
+    deglex smaller, in the order the rules were added; it holds no retired
+    rule.  The constructor copies it (ValueError when the leads are not an
+    antichain) and keeps the sorted lead lengths beside it.  Afterwards the
+    rules change only through `add_rule` and `retire`, which drop the
+    normal forms that `nf` memoizes (per degree) from the rule's degree up,
+    and clear the automaton of the leads, the counts and listings of normal
+    words read from it, their positions and the multiplication tables.
+    Completion also rewrites tails in place: a memoized normal form stays
+    irreducible and congruent when a tail it read is reduced."""
 
     field: FieldSpec
     degrees: tuple
     names: tuple
     degree_bound: int
-    rules: list = dc_field(default_factory=list)
+    rules: dict = dc_field(default_factory=dict)
     complete_below: int = 0
     globally_complete: bool = False
     stats: dict = dc_field(default_factory=dict)
-    _leads: dict = dc_field(init=False, repr=False, compare=False)
     _lengths: list = dc_field(init=False, repr=False, compare=False)
     _nf: dict = dc_field(init=False, repr=False, compare=False)
     _nf_at: dict = dc_field(init=False, repr=False, compare=False)
@@ -151,13 +151,11 @@ class RewriteSystem:
     _tables: dict = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        alive = self.alive_rules()
-        for a in alive:           # also catches two rules with one lead
-            for b in alive:
-                if a is not b and find_subword(b.lead, a.lead) >= 0:
-                    raise ValueError(f"alive lead {a.lead} is a subword of "
-                                     f"alive lead {b.lead}")
-        self._leads = {r.lead: r for r in alive}
+        self.rules = dict(self.rules)
+        for a in self.rules:
+            for b in self.rules:
+                if a != b and find_subword(b, a) >= 0:
+                    raise ValueError(f"lead {a} is a subword of lead {b}")
         self._nf = {}           # word -> normal form
         self._nf_at = {}        # degree -> the words of _nf of that degree
         self._reindexed(0)
@@ -166,7 +164,7 @@ class RewriteSystem:
         """After a change to the rules of a degree: a word's normal form
         reads only rules of degree up to its own, so the memoized normal
         forms below that degree stay."""
-        self._lengths = sorted({len(L) for L in self._leads})
+        self._lengths = sorted({len(L) for L in self.rules})
         for d in [d for d in self._nf_at if d >= degree]:
             for w in self._nf_at.pop(d):
                 del self._nf[w]
@@ -177,23 +175,20 @@ class RewriteSystem:
         self._pos = {}
         self._tables = {}
 
-    def add_rule(self, rule: RewriteRule) -> None:
-        """Append and index a rule whose lead no alive lead divides or is
+    def add_rule(self, lead: Word, tail: dict) -> None:
+        """Add the rule lead -> tail, a lead that no lead divides or is
         divided by (completion retires those first)."""
-        self.rules.append(rule)
-        self._leads[rule.lead] = rule
-        self._reindexed(rule.degree)
+        self.rules[lead] = tail
+        self._reindexed(word_degree(lead, self.degrees))
 
-    def retire(self, rule: RewriteRule) -> None:
-        rule.alive = False
-        del self._leads[rule.lead]
-        self._reindexed(rule.degree)
-
-    def alive_rules(self) -> list:
-        return [r for r in self.rules if r.alive]
+    def retire(self, lead: Word) -> dict:
+        """Drop the rule of a lead; returns its tail."""
+        tail = self.rules.pop(lead)
+        self._reindexed(word_degree(lead, self.degrees))
+        return tail
 
     def leads(self) -> list:
-        return [r.lead for r in self.rules if r.alive]
+        return list(self.rules)
 
     def monomial(self, w: Word, coeff=None) -> FreeElement:
         return FreeElement.monomial(self.field, self.degrees, w, coeff)
@@ -244,9 +239,9 @@ class RewriteSystem:
         return dims[degree]
 
     def _automaton(self) -> list:
-        """The automaton of the alive leads (module docstring), built once
-        for the rule set as it stands: for each state, its moves
-        (letter, degree of the letter, next state), largest letter first."""
+        """The automaton of the leads (module docstring), built once for
+        the rule set as it stands: for each state, its moves (letter,
+        degree of the letter, next state), largest letter first."""
         if self._moves is None:
             self._moves = _lead_automaton(self.leads(), self.degrees)
         return self._moves
@@ -365,10 +360,10 @@ class RewriteSystem:
         for m in self._lengths:
             if m > len(w):
                 break
-            rule = self._leads.get(w[:m])
-            if rule is not None:
+            tail = self.rules.get(w[:m])
+            if tail is not None:
                 rest = w[m:]
-                return [(tc, tw + rest) for tw, tc in rule.tail.terms.items()]
+                return [(tc, tw + rest) for tw, tc in tail.items()]
         return None
 
 
@@ -548,14 +543,13 @@ def _overlaps(u: Word, v: Word):
             yield k, u + v[k:]
 
 
-def _resolves_everywhere(ri: RewriteRule, rj: RewriteRule) -> bool:
-    """An ambiguity of two rules with zero tails resolves in every degree:
-    its S-polynomial is 0 - 0.  Tails are only ever reduced, so a zero tail
-    stays zero."""
-    return ri.tail.is_zero() and rj.tail.is_zero()
-
-
 class _Completion:
+    """Overlap completion of `rs`.  A pending ambiguity is (u, v, k), the
+    overlap of the leads u and v in k letters.  An ambiguity above the
+    degree bound is skipped, and leaves the system truncated unless both
+    tails are zero: then its S-polynomial is 0 - 0 in every degree, and a
+    zero tail stays zero, since tails are only ever reduced."""
+
     def __init__(self, rs: RewriteSystem):
         self.rs = rs
         self.heap: list = []
@@ -571,22 +565,23 @@ class _Completion:
             return
         heapq.heappush(self.heap, (deg, next(self.counter), "poly", terms))
 
-    def push_pair(self, i: int, j: int, k: int, word: Word) -> None:
+    def push_pair(self, u: Word, v: Word, k: int, word: Word) -> None:
+        rules = self.rs.rules
         deg = word_degree(word, self.rs.degrees)
         if deg > self.rs.degree_bound:
-            if not _resolves_everywhere(self.rs.rules[i], self.rs.rules[j]):
+            if rules[u] or rules[v]:
                 self.skipped = True
             self.stats["pairs_skipped_degree"] += 1
             return
-        heapq.heappush(self.heap, (deg, next(self.counter), "pair", (i, j, k)))
+        heapq.heappush(self.heap, (deg, next(self.counter), "pair", (u, v, k)))
 
-    def spoly(self, i: int, j: int, k: int) -> dict:
-        """The raw terms of  tail_i * v[k:] - u[:len(u) - k] * tail_j  for
-        the ambiguity u + v[k:] of the leads u of rule i and v of rule j."""
-        ri, rj = self.rs.rules[i], self.rs.rules[j]
-        suffix, prefix = rj.lead[k:], ri.lead[:len(ri.lead) - k]
-        acc = {w + suffix: c for w, c in ri.tail.terms.items()}
-        for w, c in rj.tail.terms.items():
+    def spoly(self, u: Word, v: Word, k: int) -> dict:
+        """The raw terms of  tail_u * v[k:] - u[:len(u) - k] * tail_v  for
+        the ambiguity u + v[k:] of the leads u and v."""
+        rules = self.rs.rules
+        suffix, prefix = v[k:], u[:len(u) - k]
+        acc = {w + suffix: c for w, c in rules[u].items()}
+        for w, c in rules[v].items():
             acc[prefix + w] = acc.get(prefix + w, 0) - c
         return acc
 
@@ -598,71 +593,61 @@ class _Completion:
         lead = max(terms, key=lambda w: deglex_key(w, rs.degrees))
         # a sound memo reduces every word, so an alive lead in the new lead
         # is a fault, and inserting it would go on forever
-        if any(lead[a:a + m] in rs._leads for m in rs._lengths
+        if any(lead[a:a + m] in rs.rules for m in rs._lengths
                for a in range(len(lead) - m + 1)):
             raise RuntimeError(f"completion reduced an element to the lead "
                                f"{lead}, which contains an alive lead")
         inv = f.inv(terms[lead])
-        tail = FreeElement(f, rs.degrees, {w: f.neg(f.mul(inv, c))
-                                           for w, c in terms.items()
-                                           if w != lead})
-        new_idx = len(rs.rules)
+        tail = {w: f.neg(f.mul(inv, c)) for w, c in terms.items() if w != lead}
         # retire rules whose lead the new lead divides; requeue their content
-        for r in rs.rules:
-            if r.alive and find_subword(r.lead, lead) >= 0:
-                rs.retire(r)
-                self.push_poly({r.lead: 1, **{w: -c for w, c
-                                              in r.tail.terms.items()}})
-        rs.add_rule(RewriteRule(lead, tail, word_degree(lead, rs.degrees)))
-        # keep tails reduced: they were, so only the new lead can sit in
-        # one.  A memoized normal form stays irreducible and congruent when
-        # a tail it read is rewritten, so the memo stays valid
-        for r in rs.rules[:new_idx]:
-            if r.alive and any(find_subword(w, lead) >= 0
-                               for w in r.tail.terms):
-                r.tail = normal_form(rs, r.tail)
-        for i, r in enumerate(rs.rules):
-            if not r.alive and i != new_idx:
-                continue
-            for k, word in _overlaps(r.lead, lead):
-                self.push_pair(i, new_idx, k, word)
-            if i != new_idx:
-                for k, word in _overlaps(lead, r.lead):
-                    self.push_pair(new_idx, i, k, word)
+        for old in [L for L in rs.rules if find_subword(L, lead) >= 0]:
+            old_tail = rs.retire(old)
+            self.push_poly({old: 1, **{w: -c for w, c in old_tail.items()}})
+        rs.add_rule(lead, tail)
+        # keep tails reduced: they were, so only the new lead can sit in one
+        for old, t in list(rs.rules.items())[:-1]:
+            if any(find_subword(w, lead) >= 0 for w in t):
+                rs.rules[old] = _reduce(rs, t)
+        for old in rs.rules:
+            for k, word in _overlaps(old, lead):
+                self.push_pair(old, lead, k, word)
+            if old != lead:
+                for k, word in _overlaps(lead, old):
+                    self.push_pair(lead, old, k, word)
 
     def drain(self) -> None:
-        rs = self.rs
+        rules = self.rs.rules
         while self.heap:
             _, _, kind, payload = heapq.heappop(self.heap)
             if kind == "poly":
                 self.stats["polys_processed"] += 1
                 self.insert(payload)
             else:
-                i, j, k = payload
-                if not (rs.rules[i].alive and rs.rules[j].alive):
+                u, v, k = payload
+                if u not in rules or v not in rules:
                     continue
                 self.stats["pairs_processed"] += 1
-                self.insert(self.spoly(i, j, k))
+                self.insert(self.spoly(u, v, k))
 
     def verify(self) -> None:
         """Re-check every ambiguity among surviving rules; resolve stragglers.
         On exit the complete_below certificate holds by direct inspection.
         Its S-polynomials are formed and reduced as in `drain`."""
+        rules = self.rs.rules
         while True:
-            alive = [i for i, r in enumerate(self.rs.rules) if r.alive]
+            leads = list(rules)
             dirty = False
-            for i in alive:
-                for j in alive:
-                    ri, rj = self.rs.rules[i], self.rs.rules[j]
-                    if not (ri.alive and rj.alive):
-                        continue
-                    for k, word in _overlaps(ri.lead, rj.lead):
+            for u in leads:
+                for v in leads:
+                    for k, word in _overlaps(u, v):
+                        if u not in rules or v not in rules:
+                            break       # an insert retired one of them
                         deg = word_degree(word, self.rs.degrees)
                         if deg > self.rs.degree_bound:
-                            if not _resolves_everywhere(ri, rj):
+                            if rules[u] or rules[v]:
                                 self.skipped = True
                             continue
-                        s = _reduce(self.rs, self.spoly(i, j, k))
+                        s = _reduce(self.rs, self.spoly(u, v, k))
                         if s:
                             dirty = True
                             self.insert(s)
@@ -691,7 +676,7 @@ def complete(p, degree_bound: int) -> RewriteSystem:
     comp.verify()
     rs.complete_below = degree_bound
     rs.globally_complete = not comp.skipped
-    comp.stats["rules"] = len(rs.alive_rules())
+    comp.stats["rules"] = len(rs.rules)
     rs.stats = dict(comp.stats)
     return rs
 

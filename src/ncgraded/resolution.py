@@ -57,7 +57,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .exactla import RowSpan, SparseMatrix, combination, kernel_basis
-from .freealg import EMPTY_WORD, FreeElement, word_degree
+from .freealg import EMPTY_WORD, deglex_key, word_degree
 from .groebner import RewriteSystem, normal_form
 
 
@@ -68,7 +68,8 @@ class ResolutionError(RuntimeError):
 @dataclass
 class StageGen:
     degree: int
-    column: dict        # previous-stage generator index -> FreeElement (in m)
+    column: dict        # previous-stage generator index -> terms dict
+                        # word -> scalar, the generator's image there
 
 
 @dataclass
@@ -83,7 +84,7 @@ class Resolution:
     stages: list
     hbound: int
     dbound: int
-    module_relations: tuple
+    relations: tuple    # the module relations in normal form, none zero
 
     def blocks(self, i: int, j: int) -> tuple:
         """`word_blocks` of stage i at internal degree j."""
@@ -101,8 +102,9 @@ class Resolution:
 def resolve_cyclic(rs: RewriteSystem, module_relations, hbound: int,
                    dbound: int, guide: Guide | None = None) -> Resolution:
     """Minimal free resolution of B/(module_relations) out to stage hbound,
-    internal degree dbound.  Relations are reduced to normal form first;
-    redundant ones are dropped by the minimality sieve, not by the caller.
+    internal degree dbound.  Relations are reduced to normal form first,
+    and the nonzero ones are kept as `Resolution.relations`; redundant ones
+    are dropped by the minimality sieve, not by the caller.
 
     Stage 1 ends at the highest relation degree.  `guide`, when given,
     lists the cells (i, j) where a stage-i generator of this module may
@@ -126,9 +128,6 @@ def resolve_cyclic(rs: RewriteSystem, module_relations, hbound: int,
             f"{guide.dbound} cannot guide a resolution to stage {hbound} "
             f"and degree {dbound}")
     f = rs.field
-    res = Resolution(rs, [ResolutionStage(0, [StageGen(0, {})])], hbound, dbound,
-                     tuple(module_relations))
-
     rels = []
     for r in module_relations:
         if r.degrees != rs.degrees:
@@ -141,6 +140,8 @@ def resolve_cyclic(rs: RewriteSystem, module_relations, hbound: int,
         if nf.degree() == 0:
             raise ResolutionError("unit module relation: the module is zero")
         rels.append(nf)
+    res = Resolution(rs, [ResolutionStage(0, [StageGen(0, {})])], hbound, dbound,
+                     tuple(rels))
 
     for i in range(1, hbound + 1):
         prev = res.stages[i - 1]
@@ -163,7 +164,7 @@ def resolve_cyclic(rs: RewriteSystem, module_relations, hbound: int,
         sub: dict[int, list] = {}      # j -> echelon basis of S_j
         # the entries of each differential column
         entries = [[(tgt, tw, tc) for tgt, a in gen.column.items()
-                    for tw, tc in a.terms.items()] for gen in prev.gens]
+                    for tw, tc in a.items()] for gen in prev.gens]
         min_deg = min(g.degree for g in prev.gens)
         for j in range(min_deg, min(top, dbound) + 1):
             dom, size = res.blocks(i - 1, j)
@@ -210,8 +211,7 @@ def _vector_to_column(rs: RewriteSystem, vec: dict, blocks: list) -> dict:
             raise ResolutionError(
                 "unit coefficient in a syzygy: previous stage was not minimal")
         col.setdefault(gi, {})[w] = c
-    return {gi: FreeElement(rs.field, rs.degrees, terms)
-            for gi, terms in col.items()}
+    return col
 
 
 def word_blocks(rs: RewriteSystem, degrees: list, top: int) -> tuple:
@@ -320,19 +320,15 @@ def stage_certificates(res: Resolution) -> dict:
     rs = res.rs
     if not rs.globally_complete:
         return {i: False for i in range(1, res.hbound + 1)}
-    lam = []
-    for g in res.stages[1].gens:
-        elem = g.column[0]
-        lam.append(elem.lead_word())
+    lam = [max(g.column[0], key=lambda w: deglex_key(w, rs.degrees))
+           for g in res.stages[1].gens]
     levels = chain_counts(rs.leads(), lam, rs.degrees, res.hbound, res.dbound)
     # the counts stop at the cap dbound, so only an overflow leaves a stage
     # uncertified
     cert = {i: not levels[i][1] for i in range(1, res.hbound + 1)}
-    # stage-1 generators can only sit at the degrees of the given relations
-    if res.stages[1].gens or res.module_relations:
-        reldegs = [r.degree() for r in res.module_relations if not r.is_zero()]
-        if reldegs and max(reldegs) <= res.dbound:
-            cert[1] = True
+    # stage-1 generators can only sit at the degrees of the relations
+    if res.relations and max(r.degree() for r in res.relations) <= res.dbound:
+        cert[1] = True
     return cert
 
 

@@ -35,7 +35,8 @@ def dd_composites_vanish(res) -> bool:
             acc: dict = {}
             for h, a in g.column.items():
                 for f_idx, b in res.stages[i - 1].gens[h].column.items():
-                    prod = a * b
+                    prod = (FreeElement(rs.field, rs.degrees, a)
+                            * FreeElement(rs.field, rs.degrees, b))
                     acc[f_idx] = acc[f_idx] + prod if f_idx in acc else prod
             for elem in acc.values():
                 if not normal_form(rs, elem).is_zero():
@@ -71,10 +72,9 @@ def dual_composites_vanish(res, window) -> bool:
 
 
 def stage_columns(res) -> list:
-    """Every stage as (degree, column) pairs, a column as the terms dict of
-    each of its entries."""
-    return [[(g.degree, {k: e.terms for k, e in g.column.items()})
-             for g in st_.gens] for st_ in res.stages]
+    """Every stage as (degree, column) pairs, a column mapping each
+    previous-stage generator to the terms dict of its entry."""
+    return [[(g.degree, g.column) for g in st_.gens] for st_ in res.stages]
 
 
 def euler_defects(table, dims, through: int | None = None) -> list:
@@ -228,40 +228,38 @@ def anick_chain_counts(leads, degrees, max_level, cap) -> dict:
 # and of completion, and the S-polynomial as FreeElement products.
 
 def _leftmost_occurrence(rs, w):
-    """(position, rule) of the leftmost reducible spot, found by scanning
-    every alive rule; None when w is normal.  The deglex tie-break between
-    leads starting at the same position never fires: completion keeps the
-    alive leads an antichain under the subword relation, so no two of them
-    start at one position."""
+    """(position, lead) of the leftmost reducible spot, found by scanning
+    every rule; None when w is normal.  The deglex tie-break between leads
+    starting at the same position never fires: completion keeps the leads
+    an antichain under the subword relation, so no two of them start at one
+    position."""
     best = None
-    for r in rs.rules:
-        if not r.alive:
-            continue
-        pos = find_subword(w, r.lead)
+    for lead in rs.rules:
+        pos = find_subword(w, lead)
         if pos < 0:
             continue
-        key = (pos, deglex_key(r.lead, rs.degrees))
+        key = (pos, deglex_key(lead, rs.degrees))
         if best is None or key < best[0]:
-            best = (key, pos, r)
+            best = (key, pos, lead)
     if best is None:
         return None
     return best[1], best[2]
 
 
-def freeelement_spoly(rs, i, j, k):
-    """The S-polynomial of the ambiguity u + v[k:] of the leads u of rule i
-    and v of rule j, as FreeElement products:
-    tail_i * v[k:] - u[:len(u) - k] * tail_j."""
-    ri, rj = rs.rules[i], rs.rules[j]
-    u, v = ri.lead, rj.lead
+def freeelement_spoly(rs, u, v, k):
+    """The S-polynomial of the ambiguity u + v[k:] of the leads u and v, as
+    FreeElement products: tail_u * v[k:] - u[:len(u) - k] * tail_v."""
+    def tail(lead):
+        return FreeElement(rs.field, rs.degrees, rs.rules[lead])
+
     suffix = rs.monomial(v[k:]) if len(v) > k else rs.monomial(EMPTY_WORD)
     prefix = (rs.monomial(u[:len(u) - k]) if len(u) > k
               else rs.monomial(EMPTY_WORD))
-    return ri.tail * suffix - prefix * rj.tail
+    return tail(u) * suffix - prefix * tail(v)
 
 
 def is_normal_word(rs, w) -> bool:
-    """No alive lead is a subword of w."""
+    """No lead is a subword of w."""
     return _leftmost_occurrence(rs, w) is None
 
 
@@ -285,9 +283,9 @@ def rule_scan_normal_form(rs, elem):
             else:
                 out[w] = s
             continue
-        pos, rule = occ
-        pre, post = w[:pos], w[pos + len(rule.lead):]
-        for tw, tc in rule.tail.terms.items():
+        pos, lead = occ
+        pre, post = w[:pos], w[pos + len(lead):]
+        for tw, tc in rs.rules[lead].items():
             w2 = pre + tw + post
             s = f.add(work.get(w2, f.zero()), f.mul(c, tc))
             if f.is_zero(s):

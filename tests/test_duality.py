@@ -455,12 +455,12 @@ def test_invariants_on_failing_algebra(sz_rs, sz_res):
 # -- rational scalars stay ints while they are integral ------------------------
 
 def rule_scalars(rs):
-    return [c for r in rs.alive_rules() for c in r.tail.terms.values()]
+    return [c for tail in rs.rules.values() for c in tail.values()]
 
 
 def column_scalars(res):
     return [c for st_ in res.stages for g in st_.gens
-            for e in g.column.values() for c in e.terms.values()]
+            for e in g.column.values() for c in e.values()]
 
 
 def test_integral_rational_run_holds_no_fraction():
@@ -528,7 +528,7 @@ def rational_pipeline(p, hbound, dbound):
     rs, rs_r = complete(p, dbound), complete(opposite(p), dbound)
     res = minimal_resolution(rs, hbound, dbound)
     tab = betti(res)
-    return ({r.lead: r.tail.terms for r in rs.alive_rules()},
+    return (rs.rules,
             rs.complete_below, stage_columns(res), tab,
             ext_k_A(res),
             ext_k_A(minimal_resolution(rs_r, hbound, dbound, tab)))

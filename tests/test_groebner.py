@@ -16,8 +16,8 @@ from ncgraded import groebner
 from ncgraded.exactla import F32003, QQ, reduce_vector
 from ncgraded.freealg import FreeElement, deglex_key, word_degree
 from ncgraded.duality import diagonal_bimodule_resolution, hochschild_ext
-from ncgraded.groebner import (EnvelopingSystem, RewriteRule, RewriteSystem,
-                               complete, find_subword, normal_form)
+from ncgraded.groebner import (EnvelopingSystem, RewriteSystem, complete,
+                               find_subword, normal_form)
 from ncgraded.presentation import (FilteredPresentation, builtin,
                                    builtin_names, enveloping, homogenize,
                                    opposite, parse)
@@ -35,9 +35,7 @@ def test_polynomial_2_single_rule(poly2_rs):
 
 
 def test_quantum_plane_single_rule(qp_rs):
-    assert qp_rs.leads() == [(1, 0)]
-    (rule,) = [r for r in qp_rs.rules if r.alive]
-    assert rule.tail.terms == {(0, 1): qp_rs.field.from_int(2)}
+    assert qp_rs.rules == {(1, 0): {(0, 1): qp_rs.field.from_int(2)}}
 
 
 def test_free_algebra_no_rules():
@@ -111,7 +109,7 @@ def test_normal_words_well_formed(sz_rs):
 
 def assert_lists_and_counts_the_lead_free_words(rs, bound):
     """For d up to bound, `normal_words(d)` is the words of degree d that
-    contain no alive lead, in tuple order, found by testing every word
+    contain no lead, in tuple order, found by testing every word
     (every generator has degree 1), and `dim(d)` is their number."""
     assert set(rs.degrees) == {1}
     for d in range(bound + 1):
@@ -161,7 +159,7 @@ def test_a_new_rule_rebuilds_the_automaton():
     rs = RewriteSystem(F32003, (1, 1), ("x", "y"), 4)
     assert [rs.dim(d) for d in range(4)] == [1, 2, 4, 8]
     assert rs.normal_words(2) == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    rs.add_rule(RewriteRule((1, 0), rs.monomial((0, 1)), 2))
+    rs.add_rule((1, 0), {(0, 1): 1})
     assert [rs.dim(d) for d in range(4)] == [1, 2, 3, 4]
     assert rs.normal_words(2) == [(0, 0), (0, 1), (1, 1)]
 
@@ -253,15 +251,15 @@ def test_engine_leads_are_an_antichain(system):
 
 
 def assert_same_completion(rs, ref):
-    """The same alive rules, tails in the same order, statistics and
-    certificate.  The order of the rules list, retired rules included, may
-    differ: while a degree is open the rules are not confluent there, and
-    two reductions may retire and requeue in another order."""
-    def alive(rs):
-        return sorted((r.lead, list(r.tail.terms.items()), r.degree)
-                      for r in rs.alive_rules())
+    """The same rules, tails in the same order, statistics and
+    certificate.  The order in which the rules were added may differ: while
+    a degree is open the rules are not confluent there, and two reductions
+    may retire and requeue in another order."""
+    def rules(rs):
+        return sorted((lead, list(tail.items()))
+                      for lead, tail in rs.rules.items())
 
-    assert alive(rs) == alive(ref)
+    assert rules(rs) == rules(ref)
     assert rs.stats == ref.stats
     assert (rs.complete_below, rs.globally_complete) == \
         (ref.complete_below, ref.globally_complete)
@@ -273,20 +271,17 @@ def test_completion_writes_the_rules_of_the_rule_scan(system):
     assert_same_completion(completed_system(*system), ref)
 
 
-def _system_with_leads(leads, retired=()):
-    f = F32003
-    rules = [RewriteRule(L, FreeElement.zero(f, (1, 1)), len(L),
-                         alive=k not in retired)
-             for k, L in enumerate(leads)]
-    return RewriteSystem(f, (1, 1), ("x", "y"), 4, rules=rules)
+def _system_with_leads(leads):
+    return RewriteSystem(F32003, (1, 1), ("x", "y"), 4,
+                         rules={L: {} for L in leads})
 
 
-@pytest.mark.parametrize("leads", [[(1, 0), (1, 0)], [(1, 0), (0, 1, 0)],
+# a lead at the end, inside and at the start of a longer one
+@pytest.mark.parametrize("leads", [[(0, 1), (1, 0, 1)], [(1, 0), (0, 1, 0)],
                                    [(1, 1, 0), (1, 1)]])
 def test_engine_refuses_leads_that_are_not_an_antichain(leads):
     with pytest.raises(ValueError):
         _system_with_leads(leads)
-    _system_with_leads(leads, retired=(0,))   # retired rules are not indexed
 
 
 def test_add_rule_and_retire_update_the_index():
@@ -297,13 +292,12 @@ def test_add_rule_and_retire_update_the_index():
     words = rs.normal_words(3)
     assert words == [(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1)]
     assert rs.normal_words(3) is words      # listed once, then memoized
-    rule = RewriteRule((1, 1, 1), rs.monomial((0, 0, 0)), 3)
-    rs.add_rule(rule)
+    rs.add_rule((1, 1, 1), {(0, 0, 0): f.one()})
     assert rs.nf((1, 1, 1)) == {(0, 0, 0): f.one()}
     assert rs.nf((0, 1, 1, 1)) == {(0, 0, 0, 0): f.one()}
     assert rs.normal_words(3) == [(0, 0, 0), (0, 0, 1), (0, 1, 1)]
-    rs.retire(rs.rules[0])
-    assert not rs.rules[0].alive
+    assert rs.retire((1, 0)) == {}
+    assert rs.rules == {(1, 1, 1): {(0, 0, 0): f.one()}}
     assert rs.nf((1, 1, 0)) == {(1, 1, 0): f.one()}
     assert rs.leads() == [(1, 1, 1)]
     # every word but the lead (1, 1, 1), the last in tuple order
@@ -329,6 +323,45 @@ def test_engine_nf_matches_rule_scan_on_random_words(data):
     assert_nf_matches_scan(rs, w)
 
 
+@settings(max_examples=100)
+@given(data=st.data())
+def test_rule_changes_read_as_a_fresh_system(data):
+    """After each of a random sequence of `add_rule` and `retire`, whose
+    leads stay an antichain, the system's normal forms, normal words,
+    counts and tables are those of a system built fresh from its rules.
+    They are read after every change, so each change must clear what the
+    last reads filled."""
+    f = F32003
+    rs = RewriteSystem(f, (1, 1), ("x", "y"), 4)
+    leads = [w for n in (1, 2, 3) for w in itertools.product((0, 1), repeat=n)]
+    words = [w for n in range(5) for w in itertools.product((0, 1), repeat=n)]
+
+    def reads(rs):
+        return ([rs.nf(w) for w in words],
+                [rs.normal_words(d) for d in range(5)],
+                [rs.dim(d) for d in range(5)],
+                [rs.table((g,), d) for g in (0, 1) for d in range(4)])
+
+    for _ in range(data.draw(st.integers(1, 8))):
+        if rs.rules and data.draw(st.booleans()):
+            rs.retire(data.draw(st.sampled_from(list(rs.rules))))
+        else:
+            free = [L for L in leads if not any(
+                find_subword(L, M) >= 0 or find_subword(M, L) >= 0
+                for M in rs.rules)]
+            if not free:
+                continue
+            lead = data.draw(st.sampled_from(free))
+            smaller = [w for w in itertools.product((0, 1), repeat=len(lead))
+                       if w < lead]
+            tail = (data.draw(st.dictionaries(st.sampled_from(smaller),
+                                              st.integers(1, 3), max_size=2))
+                    if smaller else {})
+            rs.add_rule(lead, tail)
+        fresh = RewriteSystem(f, (1, 1), ("x", "y"), 4, rules=dict(rs.rules))
+        assert reads(rs) == reads(fresh)
+
+
 def test_a_rule_change_keeps_the_normal_forms_below_its_degree():
     """A word's normal form reads only rules of degree up to its own, so
     `add_rule` and `retire` drop the memoized normal forms from the rule's
@@ -348,11 +381,11 @@ def test_a_rule_change_keeps_the_normal_forms_below_its_degree():
             rs.nf(w)
     before = memo()
     assert sorted(before) == [0, 1, 2, 3, 4]
-    rs.add_rule(RewriteRule((1, 1, 1), rs.monomial((0, 0, 0)), 3))
+    rs.add_rule((1, 1, 1), {(0, 0, 0): f.one()})
     assert memo() == {d: before[d] for d in (0, 1, 2)}
     assert rs.nf((0, 1, 1, 1)) == {(0, 0, 0, 0): f.one()}
     before = memo()
-    rs.retire(rs.rules[0])
+    rs.retire((1, 0))
     assert memo() == {d: before[d] for d in (0, 1)}
     assert rs.nf((1, 0)) == {(1, 0): f.one()}
     assert rs.nf((1, 1, 1, 0)) == {(0, 0, 0, 0): f.one()}
@@ -383,16 +416,15 @@ def test_random_presentations_rewrite_as_the_rule_scan(case, data):
 
 
 def assert_spolys_are_the_freeelement_spolys(rs):
-    """For every overlap of two alive leads, at any degree, completion's
+    """For every overlap of two leads, at any degree, completion's
     S-polynomial has the terms of the FreeElement products, and its
     reduction is `normal_form` of them."""
     comp = groebner._Completion(rs)
-    alive = [(i, r) for i, r in enumerate(rs.rules) if r.alive]
-    for i, ri in alive:
-        for j, rj in alive:
-            for k, _ in groebner._overlaps(ri.lead, rj.lead):
-                ref = freeelement_spoly(rs, i, j, k)
-                raw = comp.spoly(i, j, k)
+    for u in rs.rules:
+        for v in rs.rules:
+            for k, _ in groebner._overlaps(u, v):
+                ref = freeelement_spoly(rs, u, v, k)
+                raw = comp.spoly(u, v, k)
                 assert reduce_vector(raw, rs.field.p) == ref.terms
                 assert list(groebner._reduce(rs, raw).items()) == \
                     list(normal_form(rs, ref).terms.items())
@@ -407,6 +439,38 @@ def test_spolys_of_random_presentations_are_the_freeelement_spolys(case):
 def test_spolys_of_the_cyclic_input_are_the_freeelement_spolys():
     assert_spolys_are_the_freeelement_spolys(
         completed_system("cyclic", "F32003", 8))
+
+
+RETIRED = """
+algebra retired over F32003
+deg x = 1, y = 1
+rel y*y*x - x*x*x
+rel y*x - x*y
+"""
+
+
+def test_a_dividing_lead_retires_a_rule_and_requeues_it():
+    """Inserted first, y*y*x - x*x*x becomes the rule y*y*x -> x*x*x, and
+    y*x - x*y then retires it and requeues its content, which reduces to
+    x*y*y - x*x*x.  After `drain` and `verify` the rules are `complete`'s:
+    the reduced Groebner basis is unique."""
+    p = parse(RETIRED)
+    rs = RewriteSystem(p.field, p.degree_vector(), p.names(), 5)
+    comp = groebner._Completion(rs)
+    cubic, quadratic = p.relations
+    comp.insert(cubic.terms)
+    assert rs.leads() == [(1, 1, 0)]
+    comp.insert(quadratic.terms)
+    assert rs.leads() == [(1, 0)]
+    assert [payload for _, _, kind, payload in comp.heap if kind == "poly"] \
+        == [{(1, 1, 0): 1, (0, 0, 0): -1}]
+    comp.drain()
+    comp.verify()
+    ref = complete(p, 5)
+    assert (1, 1, 0) not in ref.rules and (0, 1, 1) in ref.rules
+    assert sorted((lead, list(tail.items())) for lead, tail in rs.rules.items()) \
+        == sorted((lead, list(tail.items())) for lead, tail in ref.rules.items())
+    assert comp.skipped == (not ref.globally_complete)
 
 
 def test_a_stale_memo_makes_completion_fail_instead_of_looping(monkeypatch):
@@ -466,16 +530,16 @@ def assert_enveloping_system_matches_completion(p, bound, words):
     env = EnvelopingSystem(rs, rs_op)
     ref = complete(enveloping(p), bound)
     assert_leads_are_the_completions(env, ref)
-    for r in ref.alive_rules():
-        assert env.nf(r.lead) == r.tail.terms, r.lead
+    for lead, tail in ref.rules.items():
+        assert env.nf(lead) == tail, lead
     assert env.complete_below == ref.complete_below
     # Overlaps of zero-tail rules resolve above the bound, but the
     # completion still skips those of a zero-tail rule and a commutator, and
     # those of a commutator and a lead within a letter of the bound
     assert env.globally_complete >= ref.globally_complete
-    rules = rs.alive_rules() + rs_op.alive_rules()
-    if not any(r.tail.is_zero() or r.degree + max(rs.degrees) > bound
-               for r in rules):
+    rules = list(rs.rules.items()) + list(rs_op.rules.items())
+    if not any(not tail or word_degree(lead, rs.degrees) + max(rs.degrees)
+               > bound for lead, tail in rules):
         assert env.globally_complete == ref.globally_complete
     for d in range(bound + 1):
         # words and positions from the runs of A's words

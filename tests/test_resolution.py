@@ -12,6 +12,7 @@ from support import (anick_chain_counts, bimodule_resolution,
                      stage_columns)
 
 from ncgraded import resolution
+from ncgraded.freealg import FreeElement
 from ncgraded.groebner import complete
 from ncgraded.hilbert import hilbert_function
 from ncgraded.presentation import (FilteredPresentation, builtin,
@@ -88,6 +89,21 @@ def test_cyclic_module_resolution(poly2_rs):
     tab = betti(res)
     assert tab.entries == {(0, 0): 1, (1, 1): 1}
     assert res.top_nonzero_stage() == 1
+
+
+def test_betti_of_a_relation_that_reduces_to_zero():
+    # y*x - x*y + y*x*y - x*y*y is not homogeneous, but it is 0 in the
+    # commutative plane, so the module is A/(x) and the relation is dropped
+    rs = complete(builtin("polynomial-2"), 6)
+    f = rs.field
+    rel = FreeElement(f, rs.degrees, {(1, 0): f.one(), (0, 1): f.from_int(-1),
+                                      (1, 0, 1): f.one(),
+                                      (0, 1, 1): f.from_int(-1)})
+    res = resolve_cyclic(rs, [rs.monomial((0,)), rel], 3, 6)
+    assert res.relations == (rs.monomial((0,)),)
+    tab = betti(res)
+    assert tab.entries == {(0, 0): 1, (1, 1): 1}
+    assert tab.stage_complete[1]
 
 
 def test_unit_module_relation_is_refused(poly2_rs):
