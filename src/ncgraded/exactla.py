@@ -20,40 +20,41 @@ forms, multiplication tables, the columns of the differentials and dual
 differentials) is summed raw and closed by `reduce_vector`, which turns it
 back into an int.  Inside the elimination such a Fraction may stay.
 
-One sparse elimination serves both fields.  A row is a dict column ->
-nonzero scalar, and `_Rows` keeps beside the rows a map from each column to
-the rows that are nonzero there, so clearing a column touches only those
-rows.  The arithmetic is the same code for both fields, with a ``% p`` after
-each step over F_p.  `rref` reads a matrix's columns into those rows and
-that map in one pass, then takes the columns left to right and pivots on
-the shortest candidate row; `RowSpan` keeps a growing subspace in reduced
-row echelon form on the same structure.  The reduced row echelon form of a
-matrix or of a subspace is unique, so the pivot choice changes the work and
-the fill, never the result, and kernels are read off it.
+One reduced-echelon engine serves both fields: `RowSpan`, a growing
+subspace kept in reduced row echelon form.  A row is a dict column ->
+nonzero scalar, and beside the rows it keeps a map from each column to the
+rows that are nonzero there, so clearing a new pivot column touches only
+those rows.  The arithmetic is the same code for both fields, with a
+``% p`` after each step over F_p.  `rref` is the span of a matrix's rows:
+it adds them to one `RowSpan` and reads its pivots and rows.  The reduced
+row echelon form of a subspace is unique, so the order of the rows changes
+the work and the fill, never the result; kernels and solutions are read
+off it.
 
-`rank` is for callers that need the rank alone, as the Ext tables do.  It
-reduces nothing above a pivot.  Free pivots go first: a column with one
-nonzero row, or a row with one nonzero entry, is a pivot whose elimination
-fills nothing, and dropping its row and column can free the next one, so
-chains of them are taken without arithmetic (Faugere and Lachartre, PASCO
-2010, split such pivots off before eliminating).  On the dual differentials
-of smith-zhang FULL they carry 67 % of the rank at degree bound 6 and 50 %
-at 10.  The columns left are taken left to right on their shortest row;
-each pivot column is cleared from the rows not yet taken only, and each
-pivot row is dropped at once, so the fill of the rows already taken is
-never stored.
+Two fast paths each do one job that needs no reduced form.  `rank` is for
+callers that need the rank alone, as the Ext tables do.  It reduces nothing
+above a pivot.  Free pivots go first: a column with one nonzero row, or a
+row with one nonzero entry, is a pivot whose elimination fills nothing, and
+dropping its row and column can free the next one, so chains of them are
+taken without arithmetic (Faugere and Lachartre, PASCO 2010, split such
+pivots off before eliminating).  On the dual differentials of smith-zhang
+FULL they carry 67 % of the rank at degree bound 6 and 50 % at 10.  The
+columns left are taken left to right on their shortest row; each pivot
+column is cleared from the rows not yet taken only, and each pivot row is
+dropped at once, so the fill of the rows already taken is never stored.
 
-`same_row_spans` compares the row spans of a batch of small matrix pairs
-over F_p at once, for the normal-element scan: one numpy operation acts on
-every pair of the batch.  Two spans are equal when they have the same rank
-and one contains the other, so each side is echelonized once and only one
-containment is tested.  The elimination is fraction free: a row r is
-cleared at the pivot column c of a pivot row with value pv there, as
-r*pv - row*r[c], with no inverse.  Both products lie in [0, (p-1)**2] and
-their difference within +-(p-1)**2, and the result is reduced mod p before
-the next step, so it runs in the narrowest signed integer type that holds
-(p-1)**2: int8 up to p = 11, int16 up to 181, int32 up to 46337 and int64
-above, where `FieldSpec`'s p < 2**31 keeps it below 2**62.
+The other, `same_row_spans`, compares the row spans of a batch of small
+matrix pairs over F_p at once, for the normal-element scan: one numpy
+operation acts on every pair of the batch.  Two spans are equal when they
+have the same rank and one contains the other, so each side is echelonized
+once and only one containment is tested.  The elimination is fraction free:
+a row r is cleared at the pivot column c of a pivot row with value pv
+there, as r*pv - row*r[c], with no inverse.  Both products lie in
+[0, (p-1)**2] and their difference within +-(p-1)**2, and the result is
+reduced mod p before the next step, so it runs in the narrowest signed
+integer type that holds (p-1)**2: int8 up to p = 11, int16 up to 181, int32
+up to 46337 and int64 above, where `FieldSpec`'s p < 2**31 keeps it below
+2**62.
 """
 
 from __future__ import annotations
@@ -223,32 +224,61 @@ def _sub(row: dict, coef: Scalar, piv: Mapping[int, Scalar], p: int | None,
                 at[k].discard(i)
 
 
-class _Rows:
-    """Dict rows under integer ids, with a map from each column to the ids
-    of the rows that are nonzero there."""
+class RowSpan:
+    """Growing subspace of k^n, kept in reduced row echelon form.
+
+    `add` returns True when the vector enlarged the span; `reduce` returns the
+    residue of a vector modulo the current span.  Vectors are dicts
+    coordinate -> scalar.
+
+    The pivot rows are kept under their pivot columns.  Each is zero at every
+    other pivot column, so a vector reduces in one pass: subtract its
+    coefficients at the pivot columns times the rows they select.  `add`
+    clears the new pivot column only from the rows the column index lists.
+    """
 
     def __init__(self, fieldspec: FieldSpec):
         self.field = fieldspec
-        self.rows: dict[int, dict] = {}
-        self.at: dict[int, set] = {}
+        self._rows: dict[int, dict] = {}    # pivot column -> its row
+        self._at: dict[int, set] = {}       # column -> pivots of its rows
 
-    def put(self, i: int, row: dict) -> None:
-        self.rows[i] = row
-        for c in row:
-            self.at.setdefault(c, set()).add(i)
+    def reduce(self, vec: Mapping[int, Scalar]) -> dict:
+        p = self.field.p
+        if p:
+            row = {c: v % p for c, v in vec.items() if v % p}
+        else:
+            row = {c: v for c, v in vec.items() if v}
+        pivots = self._rows
+        for c, coef in [(c, v) for c, v in row.items() if c in pivots]:
+            _sub(row, coef, pivots[c], p)
+        return row
 
-    def pivot(self, i: int, c: int) -> None:
-        """Scale row i to 1 at column c, then clear column c from every other
-        row."""
-        row, p = self.rows[i], self.field.p
+    def add(self, vec: Mapping[int, Scalar]) -> bool:
+        row = self.reduce(vec)
+        if not row:
+            return False
+        c, p, at = min(row), self.field.p, self._at
         inv = self.field.inv(row[c])
         if inv != 1:
             for k, v in row.items():
                 row[k] = v * inv % p if p else v * inv
-        for j in list(self.at[c]):
-            if j != i:
-                other = self.rows[j]
-                _sub(other, other[c], row, p, self.at, j)
+        for j in list(at.get(c, ())):
+            other = self._rows[j]
+            _sub(other, other[c], row, p, at, j)
+        self._rows[c] = row
+        for k in row:
+            at.setdefault(k, set()).add(c)
+        return True
+
+    def contains(self, vec: Mapping[int, Scalar]) -> bool:
+        return not self.reduce(vec)
+
+    def basis(self) -> list[dict]:
+        """Echelon basis rows, ordered by pivot column."""
+        return [dict(self._rows[c]) for c in self.pivot_columns()]
+
+    def pivot_columns(self) -> list[int]:
+        return sorted(self._rows)
 
 
 @dataclass
@@ -275,26 +305,13 @@ def _load(m: SparseMatrix) -> tuple[dict, dict]:
 
 
 def rref(m: SparseMatrix) -> RrefResult:
-    """Reduced row echelon form.  Exact over both field kinds.
-
-    Columns are taken left to right.  A column's pivot is the shortest row
-    that is nonzero there and not yet a pivot, the lowest row on a tie."""
-    rows, at = _load(m)
-    work = _Rows(m.field)
-    work.rows, work.at = rows, at
-    done: list[int] = []        # pivot rows, in order
-    taken: set[int] = set()
-    piv_cols: list[int] = []
-    for c in range(m.cols):
-        cand = [i for i in at.get(c, ()) if i not in taken]
-        if not cand:
-            continue
-        i = min(cand, key=lambda i: (len(rows[i]), i))
-        work.pivot(i, c)
-        done.append(i)
-        taken.add(i)
-        piv_cols.append(c)
-    return RrefResult(piv_cols, len(piv_cols), [rows[i] for i in done])
+    """Reduced row echelon form.  Exact over both field kinds: the span of
+    the rows of m, which `RowSpan` keeps in that form."""
+    span = RowSpan(m.field)
+    for row in _load(m)[0].values():
+        span.add(row)
+    pivots = span.pivot_columns()
+    return RrefResult(pivots, len(pivots), span.basis())
 
 
 def rank(m: SparseMatrix) -> int:
@@ -388,58 +405,6 @@ def solve_columns(columns: list[Mapping[int, Scalar]], target: Mapping[int, Scal
     # an echelon row holds no zeros
     return {c: row[ncols] for c, row in zip(res.pivots, res.rows)
             if ncols in row}
-
-
-# ---------------------------------------------------------------------------
-# incremental spans
-
-
-class RowSpan:
-    """Growing subspace of k^n, kept in reduced row echelon form.
-
-    `add` returns True when the vector enlarged the span; `reduce` returns the
-    residue of a vector modulo the current span.  Vectors are dicts
-    coordinate -> scalar.
-
-    The pivot rows are kept under their pivot columns.  Each is zero at every
-    other pivot column, so a vector reduces in one pass: subtract its
-    coefficients at the pivot columns times the rows they select.  `add`
-    clears the new pivot column only from the rows the column index lists.
-    """
-
-    def __init__(self, fieldspec: FieldSpec):
-        self.field = fieldspec
-        self._rows = _Rows(fieldspec)
-
-    def reduce(self, vec: Mapping[int, Scalar]) -> dict:
-        p = self.field.p
-        if p:
-            row = {c: v % p for c, v in vec.items() if v % p}
-        else:
-            row = {c: v for c, v in vec.items() if v}
-        pivots = self._rows.rows
-        for c, coef in [(c, v) for c, v in row.items() if c in pivots]:
-            _sub(row, coef, pivots[c], p)
-        return row
-
-    def add(self, vec: Mapping[int, Scalar]) -> bool:
-        row = self.reduce(vec)
-        if not row:
-            return False
-        c = min(row)
-        self._rows.put(c, row)
-        self._rows.pivot(c, c)
-        return True
-
-    def contains(self, vec: Mapping[int, Scalar]) -> bool:
-        return not self.reduce(vec)
-
-    def basis(self) -> list[dict]:
-        """Echelon basis rows, ordered by pivot column."""
-        return [dict(self._rows.rows[c]) for c in self.pivot_columns()]
-
-    def pivot_columns(self) -> list[int]:
-        return sorted(self._rows.rows)
 
 
 def same_row_spans(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:

@@ -5,9 +5,11 @@ A presentation's relations are oriented into rewrite rules lead -> tail
 words) are resolved degree by degree up to a requested bound.  The result is
 a `RewriteSystem` whose certificate is explicit: every ambiguity of total
 degree <= complete_below has been checked to resolve, and `globally_complete`
-records whether anything at all was skipped for degree reasons.  When the
-queue drains without skipping, the system is a full noncommutative Groebner
-basis and normal-word data is valid in every degree.
+is decided once, from the rules completion returns: it is False when a
+polynomial was skipped for its degree, or when two final leads overlap
+above the bound and one of their tails is nonzero.  Otherwise the system is
+a full noncommutative Groebner basis and normal-word data is valid in every
+degree.
 
 The rules are one dict, `RewriteSystem.rules`, from each lead to its tail,
 a terms dict word -> scalar, in the order the rules were added.  A rule
@@ -545,10 +547,13 @@ def _overlaps(u: Word, v: Word):
 
 class _Completion:
     """Overlap completion of `rs`.  A pending ambiguity is (u, v, k), the
-    overlap of the leads u and v in k letters.  An ambiguity above the
-    degree bound is skipped, and leaves the system truncated unless both
-    tails are zero: then its S-polynomial is 0 - 0 in every degree, and a
-    zero tail stays zero, since tails are only ever reduced."""
+    overlap of the leads u and v in k letters.  A polynomial or an
+    ambiguity above the degree bound is skipped.  A skipped polynomial
+    leaves the system truncated; a skipped ambiguity is counted only, as
+    the tails it reads may still be reduced.  `truncated` reads the final
+    rules: an overlap of two of their leads above the bound leaves the
+    system truncated unless both tails are zero, when its S-polynomial is
+    0 - 0 in every degree."""
 
     def __init__(self, rs: RewriteSystem):
         self.rs = rs
@@ -566,11 +571,8 @@ class _Completion:
         heapq.heappush(self.heap, (deg, next(self.counter), "poly", terms))
 
     def push_pair(self, u: Word, v: Word, k: int, word: Word) -> None:
-        rules = self.rs.rules
         deg = word_degree(word, self.rs.degrees)
         if deg > self.rs.degree_bound:
-            if rules[u] or rules[v]:
-                self.skipped = True
             self.stats["pairs_skipped_degree"] += 1
             return
         heapq.heappush(self.heap, (deg, next(self.counter), "pair", (u, v, k)))
@@ -644,8 +646,6 @@ class _Completion:
                             break       # an insert retired one of them
                         deg = word_degree(word, self.rs.degrees)
                         if deg > self.rs.degree_bound:
-                            if rules[u] or rules[v]:
-                                self.skipped = True
                             continue
                         s = _reduce(self.rs, self.spoly(u, v, k))
                         if s:
@@ -657,14 +657,24 @@ class _Completion:
                 return
             self.drain()
 
+    def truncated(self) -> bool:
+        """Whether a polynomial was skipped, or an overlap of two final
+        leads above the bound has a nonzero tail."""
+        rs, rules = self.rs, self.rs.rules
+        return self.skipped or any(
+            (rules[u] or rules[v])
+            and word_degree(word, rs.degrees) > rs.degree_bound
+            for u in rules for v in rules for _, word in _overlaps(u, v))
+
 
 def complete(p, degree_bound: int) -> RewriteSystem:
     """Run overlap completion on a Presentation up to `degree_bound`.
 
     Postconditions: all ambiguities of degree <= degree_bound resolve;
-    `globally_complete` is True when no candidate or ambiguity was dropped
-    for exceeding the bound, in which case the rule set is a full Groebner
-    basis of the defining ideal.
+    `globally_complete` is True when no polynomial was dropped for
+    exceeding the bound and every overlap of the returned leads above it
+    has two zero tails, in which case the rule set is a full Groebner basis
+    of the defining ideal.
     """
     if degree_bound < 1:
         raise ValueError("degree bound must be >= 1")
@@ -675,7 +685,7 @@ def complete(p, degree_bound: int) -> RewriteSystem:
     comp.drain()
     comp.verify()
     rs.complete_below = degree_bound
-    rs.globally_complete = not comp.skipped
+    rs.globally_complete = not comp.truncated()
     comp.stats["rules"] = len(rs.rules)
     rs.stats = dict(comp.stats)
     return rs

@@ -394,3 +394,29 @@ def reference_rref(m) -> tuple:
             rowdicts.setdefault(r, {})[c] = v
     rows, piv_cols = _rref_q_rows(list(rowdicts.values()))
     return piv_cols, rows
+
+
+def gauss_jordan(rows: list, f) -> tuple:
+    """(pivot columns, echelon rows as dicts col -> scalar) of a dense
+    matrix, a list of rows of equal length, by textbook Gauss-Jordan
+    elimination over f: for each column from the left, swap into place the
+    first row at or below the current one that is nonzero there, scale it
+    to 1 and clear the column from every other row.  Scalars are combined
+    by f's own operations only."""
+    a = [[f.add(x, f.zero()) for x in row] for row in rows]
+    pivots: list = []
+    for c in range(len(a[0]) if a else 0):
+        r = len(pivots)
+        i = next((i for i in range(r, len(a)) if not f.is_zero(a[i][c])),
+                 None)
+        if i is None:
+            continue
+        a[r], a[i] = a[i], a[r]
+        inv = f.inv(a[r][c])
+        a[r] = [f.mul(inv, x) for x in a[r]]
+        for j, row in enumerate(a):
+            if j != r and not f.is_zero(row[c]):
+                a[j] = [f.sub(x, f.mul(row[c], y)) for x, y in zip(row, a[r])]
+        pivots.append(c)
+    return pivots, [{k: x for k, x in enumerate(row) if not f.is_zero(x)}
+                    for row in a[:len(pivots)]]

@@ -15,7 +15,8 @@ from ncgraded.groebner import complete
 from ncgraded.presentation import parse
 from ncgraded.resolution import minimal_resolution
 
-from support import dd_composites_vanish, random_presentations, reference_rref
+from support import (dd_composites_vanish, gauss_jordan, random_presentations,
+                     reference_rref)
 
 
 def from_rows(rows, f):
@@ -321,16 +322,22 @@ SPAN_FIELDS = (FieldSpec("Fp", 2), F32003, FieldSpec("Fp", 2 ** 31 - 1))
 
 @given(data=st.data())
 def test_rowspan_matches_rref(data):
-    for f in SPAN_FIELDS:
-        _check_rowspan_against_rref(f, data)
+    # rref is a RowSpan of the matrix's rows, so both are checked against a
+    # dense textbook Gauss-Jordan elimination (tests/support.py)
+    for f in (*SPAN_FIELDS, QQ):
+        _check_rowspan_and_rref_against_gauss_jordan(f, data)
 
 
-def _check_rowspan_against_rref(f, data):
+def _check_rowspan_and_rref_against_gauss_jordan(f, data):
     width = data.draw(st.integers(1, 7))
     # residues near p as well, so that over F_(2^31-1) the summed products
-    # pass 2^63
-    residues = st.one_of(st.integers(0, f.p - 1),
-                         st.integers(max(f.p - 3, 0), f.p - 1))
+    # pass 2^63; over Q ints and fractions
+    if f.kind == "Fp":
+        residues = st.one_of(st.integers(0, f.p - 1),
+                             st.integers(max(f.p - 3, 0), f.p - 1))
+    else:
+        residues = st.one_of(st.integers(-9, 9),
+                             st.fractions(-4, 4, max_denominator=5))
     # zeros often, so that ranks and pivots vary
     entry = st.one_of(st.just(0), residues)
     rows = data.draw(st.lists(st.lists(entry, min_size=width, max_size=width),
@@ -341,11 +348,13 @@ def _check_rowspan_against_rref(f, data):
         before = len(span.pivot_columns())
         grew = span.add(v)
         rank = len(span.pivot_columns())
-        assert rank == rref(from_rows(rows[:k + 1], f)).rank
+        assert rank == len(gauss_jordan(rows[:k + 1], f)[0])
         assert grew == (rank == before + 1)
+    pivots, echelon = gauss_jordan(rows, f)
+    assert span.basis() == echelon
+    assert span.pivot_columns() == pivots
     ref = rref(from_rows(rows, f))
-    assert span.basis() == ref.rows
-    assert span.pivot_columns() == ref.pivots
+    assert (ref.pivots, ref.rank, ref.rows) == (pivots, len(pivots), echelon)
     for v in vecs:
         assert span.contains(v)
         assert span.reduce(v) == {}
@@ -353,7 +362,7 @@ def _check_rowspan_against_rref(f, data):
     # times the echelon rows, which is zero at every pivot column
     probe = data.draw(st.lists(residues, min_size=width, max_size=width))
     want = dict(enumerate(probe))
-    for c, row in zip(ref.pivots, ref.rows):
+    for c, row in zip(pivots, echelon):
         coef = probe[c]
         for j, x in row.items():
             want[j] = f.sub(want[j], f.mul(coef, x))

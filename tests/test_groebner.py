@@ -10,7 +10,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ncgraded import groebner
 from ncgraded.exactla import F32003, QQ, reduce_vector
@@ -391,9 +391,19 @@ def test_a_rule_change_keeps_the_normal_forms_below_its_degree():
     assert rs.nf((1, 1, 1, 0)) == {(0, 0, 0, 0): f.one()}
 
 
+# at bound 4 completion skips the self-overlap y*x*y*x*y while the rule
+# y*x*y -> x*x*y stands, and x*x*y becomes a lead with tail 0 later: every
+# overlap of the final leads above the bound has zero tails
+CERT = ("algebra cert over F32003\ndeg x = 1, y = 1\n"
+        "rel y*y + x*y\nrel y*y*y + x*x*y\n")
+
+
 @settings(max_examples=100)
-@given(case=random_presentations(), data=st.data())
-def test_random_presentations_rewrite_as_the_rule_scan(case, data):
+@given(case=random_presentations(),
+       extra=st.lists(st.lists(st.integers(0, 5), min_size=4, max_size=7),
+                      max_size=8))
+@example(case=(parse(CERT), 4), extra=[])
+def test_random_presentations_rewrite_as_the_rule_scan(case, extra):
     """Completion through `nf` ends as completion whose normal forms scan
     the rules, and `nf` then rewrites words as the scan does where the
     system is confluent.  About half of these systems are truncated at
@@ -405,14 +415,25 @@ def test_random_presentations_rewrite_as_the_rule_scan(case, data):
     ref = rule_scan_completion(p, bound)
     gens = range(len(ref.degrees))
     words = [w for n in range(4) for w in itertools.product(gens, repeat=n)]
-    words += data.draw(st.lists(st.lists(st.sampled_from(gens), min_size=4,
-                                         max_size=7).map(tuple), max_size=8))
+    # letters 0-5 stay uniform taken mod 2 or 3 generators
+    words += [tuple(g % len(gens) for g in w) for w in extra]
     for w in words:
         assert_nf_matches_scan(ref, w)
     rs = complete(p, bound)
     assert_same_completion(rs, ref)
     for w in words:
         assert_nf_matches_scan(rs, w)
+
+
+def test_the_certificate_reads_the_final_rules():
+    """The same rules at every bound from 4 get the same certificate,
+    whatever tails the skipped overlaps met while completion ran."""
+    minus_one = F32003.neg(1)
+    want = {(0, 0, 1): {}, (1, 0, 1): {}, (1, 1): {(0, 1): minus_one}}
+    for bound in (4, 5, 6):
+        rs = complete(parse(CERT), bound)
+        assert rs.rules == want
+        assert (rs.complete_below, rs.globally_complete) == (bound, True)
 
 
 def assert_spolys_are_the_freeelement_spolys(rs):
