@@ -13,9 +13,10 @@ Certification discipline, derived from the truncation direction: when the
 stage-i generator list is complete (chain certificate), the computed
 cohomology dimension at every (i, mu) in the window is an upper bound for
 the true one, so computed zeros are proven zeros; the computed value is
-exact when stages i-1, i, i+1 are all complete.  Entries at levels whose
-stage list is not certified complete are reported but flagged, and no
-verdict treats them as facts.
+exact when stages i-1, i, i+1 are all complete (stage 0 and the empty
+stages below it always are).  Entries at levels whose stage list is not
+certified complete are reported but flagged, and no verdict treats them as
+facts.
 
 Levels the one-sided table proves zero.  Let F = Hom_(A^e)(P, A^e) for the
 minimal bimodule resolution P.  The dual differentials multiply the
@@ -105,6 +106,13 @@ def _window(res: Resolution) -> tuple:
     return -max_s, res.dbound - max_s
 
 
+def _complete(stages: dict, k: int) -> bool:
+    """Whether stage k's generator list is complete, given the certificates
+    `stages` of stages 1 and up: stage 0 holds the one generator 1, and no
+    stage lies below it."""
+    return k <= 0 or stages.get(k, False)
+
+
 def _ext_table(res: Resolution, side: str,
                vanishing: frozenset = frozenset()) -> ExtTable:
     """The table over the window.  At a level in `vanishing`, where the
@@ -112,8 +120,7 @@ def _ext_table(res: Resolution, side: str,
     left by the rank into it, and no d* is built; nor is one without
     rows."""
     lo, hi = _window(res)
-    cert = dict(stage_certificates(res))
-    cert[0] = True
+    cert = stage_certificates(res)
     top_level = res.hbound - 1
     ranks: dict = {}      # (i, mu) -> rank of d* out of level i
     nullity: dict = {}
@@ -133,14 +140,13 @@ def _ext_table(res: Resolution, side: str,
     certified: dict = {}
     zero_cert: dict = {}
     for i in range(0, top_level + 1):
-        zero_cert[i] = bool(cert.get(i, False))
+        zero_cert[i] = _complete(cert, i)
         for mu in range(lo, hi + 1):
             h = nullity[(i, mu)] - ranks.get((i - 1, mu), 0)
             if h:
                 entries[(i, mu)] = h
-                certified[(i, mu)] = bool(cert.get(i - 1, False)
-                                          and cert.get(i, False)
-                                          and cert.get(i + 1, False))
+                certified[(i, mu)] = all(_complete(cert, k)
+                                         for k in (i - 1, i, i + 1))
     return ExtTable(side, entries, certified, zero_cert, (lo, hi),
                     (0, top_level), {i: 0 for i in range(top_level + 1)})
 
@@ -240,10 +246,6 @@ def as_check(t_left: ExtTable, t_right: ExtTable,
                          certified_bounds=bounds)
     n, j = sl
     l = -j
-    if l <= 0 or n <= 0:
-        return ASVerdict("fails", witness=("left", n, j, 1,
-                                           "concentration degree has the wrong sign"),
-                         certified_bounds=bounds)
     if gldim is not None and gldim.certified and gldim.value == n:
         return ASVerdict("regular", n=n, l=l, certified_bounds=bounds)
     note = ("global dimension not certified finite; Ext pattern alone",)
@@ -302,15 +304,12 @@ def hochschild_ext(res: Resolution, one_sided: tuple | None = None) -> ExtTable:
     vanishing = frozenset()
     if one_sided is not None:
         e, table = one_sided
-
-        def complete(k: int) -> bool:
-            return k <= 0 or table.stage_complete.get(k, False)
-
         if e.window[1] >= _window(res)[1]:
             zero = set(range(res.hbound)) - set(e.nonzero_levels())
             vanishing = frozenset(
                 i for i in zero if e.zero_certified.get(i, False)
-                and complete(i - 1) and complete(i) and complete(i + 1))
+                and all(_complete(table.stage_complete, k)
+                        for k in (i - 1, i, i + 1)))
     t = _ext_table(res, "overAe", vanishing)
     shifts = {}
     notes = []

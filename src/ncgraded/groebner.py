@@ -89,10 +89,13 @@ opposite letter sorts after every original one, so the runs follow the
 order of the tuples u + (n,), and within a run the words follow v.  The
 position of u v is the start of u's run plus the index of v among the
 normal words of A^op.  So `EnvelopingSystem.products` multiplies by a pair
-(t_A, t_op) as a pair of rows, one of A's table for t_A and one of A^op's
-for t_op, and places each product by the run starts: no word of
-A (x) A^op is built, no normal form of a whole word is memoized, and no
-table is stored at that level.
+(t_A, t_op) on the run of u through A^op's `products`: the row of A's
+table for t_A at u lists NF(t_A * u) (or NF(u * t_A)) as pairs (u', s),
+and each pair turns a term (offset, (t_A, t_op), c) into the term
+(offset + start of the run of u', t_op, c * s) of A^op.  So one
+accumulation loop serves both systems: no word of A (x) A^op is built, no
+normal form of a whole word is memoized, and no table is stored at that
+level.
 """
 
 from __future__ import annotations
@@ -467,37 +470,28 @@ class EnvelopingSystem:
 
     def products(self, terms, degree: int, left: bool = True) -> list:
         """As `RewriteSystem.products`, each t a pair (t_A, t_op): for each
-        run of a normal word u of A, a row of A's table for t_A times each
-        row of A^op's table for t_op.  The tables and the run starts of the
-        products are looked up once per degree of u, the A row once per
-        run and the A^op rows once per word."""
-        a_rs, o_rs, p = self.algebra, self.opposite, self.field.p
+        run of a normal word u of A, the row of A's table for t_A at u
+        turns each term into terms (offset, t_op, c * s) of A^op's
+        `products` on the run.  The tables and the run starts of the
+        products are looked up once per degree of u."""
+        a_rs, o_rs = self.algebra, self.opposite
         split = []
         for off, t, c in terms:
             ta, to = self._split(t)
             split.append((off, ta, to, word_degree(ta, a_rs.degrees),
                           word_degree(to, o_rs.degrees), c))
         out: list = []
-        by_split: dict = {}     # a -> per term: A table, A^op table, starts
+        by_split: dict = {}     # a -> per term: A table, t_op, starts
         for _, a, i, b in self._layout(degree)[0]:
             tables = by_split.get(a)
             if tables is None:
                 tables = by_split[a] = [
-                    (off, c, a_rs.table(ta, a, left), o_rs.table(to, b, left),
+                    (off, c, a_rs.table(ta, a, left), to,
                      self._layout(degree + da + do)[1][a + da])
                     for off, ta, to, da, do, c in split]
-            parts = [([(off + starts[pa], c * sa) for pa, sa in a_rows[i]],
-                      o_rows)
-                     for off, c, a_rows, o_rows, starts in tables if a_rows[i]]
-            for k in range(o_rs.dim(b)):
-                acc: dict = {}
-                for heads, rows in parts:
-                    tail = rows[k]
-                    for base, cs in heads:
-                        for po, so in tail:
-                            r = base + po
-                            acc[r] = acc.get(r, 0) + cs * so
-                out.append(reduce_vector(acc, p))
+            out += o_rs.products([(off + starts[pa], to, c * sa)
+                                  for off, c, a_rows, to, starts in tables
+                                  for pa, sa in a_rows[i]], b, left)
         return out
 
 

@@ -3,21 +3,22 @@
 Dimensions are the counts of normal words that a completed rewrite system
 reads off the automaton of its leads (`RewriteSystem.dim`), so they are
 certified exactly as far as the completion certificate reaches.
-Rational-series claims p(t)/q(t) are parsed by a tiny recursive descent
-parser, which refuses any exponent, numerator or denominator of degree
-above 256 and any integer literal of more than 600 digits, and checked by
-exact power series division; the growth estimator works on the
-partial-sum sequence with a discrete log derivative, which is exact on
-polynomial growth.
+Rational-series claims p(t)/q(t) are read by the parser of the relations
+(`presentation.evaluate`), in the ring of rational functions in t, `_Rat`,
+under the same input bounds: no integer literal of more than 600 digits, no
+exponent above 256, and here no numerator or denominator of degree above
+256 along the way.  They are checked by exact power series division; the
+growth estimator works on the partial-sum sequence with a discrete log
+derivative, which is exact on polynomial growth.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .groebner import RewriteSystem
+from .presentation import _MAX_DEGREE, evaluate
 
 
 @dataclass(frozen=True)
@@ -45,18 +46,12 @@ def hilbert_function(rs: RewriteSystem, dmax: int) -> GradedDims:
 
 
 class ClaimSyntaxError(ValueError):
-    pass
+    """A bad series claim, with the column at fault when one is known."""
 
-
-# Highest degree of an exponent, and of any numerator or denominator along
-# the way, that a claim may use, and the most digits of an integer literal
-# (int() converts 640 under any setting of the interpreter's limit); keeps
-# the parser's work bounded
-_CLAIM_MAX_DEGREE = 256
-_CLAIM_MAX_DIGITS = 600
-
-
-_CLAIM_TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<t>t)|(?P<sym>[-+*/^()]))")
+    def __init__(self, message: str, line: int | None = None,
+                 col: int | None = None):
+        super().__init__(message if col is None
+                         else f"series claim, col {col}: {message}")
 
 
 def _poly_add(a: list, b: list) -> list:
@@ -67,10 +62,6 @@ def _poly_add(a: list, b: list) -> list:
     for i, c in enumerate(b):
         out[i] += c
     return out
-
-
-def _poly_neg(a: list) -> list:
-    return [-c for c in a]
 
 
 def _poly_mul(a: list, b: list) -> list:
@@ -84,132 +75,64 @@ def _poly_mul(a: list, b: list) -> list:
 
 
 class _Rat:
-    """Rational function as a (num, den) pair of Fraction-coefficient polys."""
+    """Rational function as a (num, den) pair of Fraction-coefficient polys,
+    neither of degree above the parser's _MAX_DEGREE.  The class is the
+    ring `presentation.evaluate` reads a claim in: `t` is its one name, and
+    any factor may divide."""
 
     __slots__ = ("num", "den")
+    error, what, literal_denominator = ClaimSyntaxError, "claim", False
 
     def __init__(self, num, den=None):
         self.num = num
         self.den = den if den is not None else [Fraction(1)]
         for poly in (self.num, self.den):
             deg = max((i for i, c in enumerate(poly) if c), default=0)
-            if deg > _CLAIM_MAX_DEGREE:
+            if deg > _MAX_DEGREE:
                 raise ClaimSyntaxError(f"series claim reaches degree {deg}, "
-                                       f"above {_CLAIM_MAX_DEGREE}")
+                                       f"above {_MAX_DEGREE}")
+
+    @staticmethod
+    def number(n: int) -> _Rat:
+        return _Rat([Fraction(n)])
+
+    @staticmethod
+    def name(tok) -> _Rat:
+        if tok[1] != "t":
+            raise ClaimSyntaxError(f"unknown name {tok[1]!r}; a claim is in t",
+                                   tok[2], tok[3])
+        return _Rat([Fraction(0), Fraction(1)])
+
+    def __neg__(self):
+        return _Rat([-c for c in self.num], self.den)
 
     def __add__(self, o):
         return _Rat(_poly_add(_poly_mul(self.num, o.den), _poly_mul(o.num, self.den)),
                     _poly_mul(self.den, o.den))
 
     def __sub__(self, o):
-        return self + _Rat(_poly_neg(o.num), o.den)
+        return self + -o
 
-    def __mul__(self, o):
+    def mul(self, o, tok=None):
         return _Rat(_poly_mul(self.num, o.num), _poly_mul(self.den, o.den))
 
-    def __truediv__(self, o):
+    def div(self, o, tok):
         if not any(o.num):
-            raise ClaimSyntaxError("division by zero in series claim")
+            raise ClaimSyntaxError("division by zero", tok[2], tok[3])
         return _Rat(_poly_mul(self.num, o.den), _poly_mul(self.den, o.num))
 
-    def power(self, n: int):
+    def power(self, n: int, tok):
         out = _Rat([Fraction(1)])
         for _ in range(n):
-            out = out * self
+            out = out.mul(self)
         return out
-
-
-class _ClaimParser:
-    def __init__(self, text: str):
-        self.toks = []
-        pos = 0
-        while pos < len(text):
-            m = _CLAIM_TOKEN.match(text, pos)
-            if not m or m.end() == pos:
-                rest = text[pos:].strip()
-                if not rest:
-                    break
-                raise ClaimSyntaxError(f"bad character {rest[0]!r} in series claim")
-            self.toks.append((m.lastgroup, m.group(m.lastgroup)))
-            pos = m.end()
-        self.i = 0
-
-    def _peek(self):
-        return self.toks[self.i] if self.i < len(self.toks) else None
-
-    def _take(self):
-        t = self._peek()
-        if t is None:
-            raise ClaimSyntaxError("unexpected end of series claim")
-        self.i += 1
-        return t
-
-    def parse(self) -> _Rat:
-        r = self._sum()
-        if self._peek() is not None:
-            raise ClaimSyntaxError(f"trailing input {self._peek()[1]!r}")
-        return r
-
-    def _sum(self) -> _Rat:
-        t = self._peek()
-        neg = False
-        if t and t[0] == "sym" and t[1] in "+-":
-            self._take()
-            neg = t[1] == "-"
-        r = self._term()
-        if neg:
-            r = _Rat(_poly_neg(r.num), r.den)
-        while True:
-            t = self._peek()
-            if t is None or t[0] != "sym" or t[1] not in "+-":
-                return r
-            self._take()
-            rhs = self._term()
-            r = r - rhs if t[1] == "-" else r + rhs
-
-    def _term(self) -> _Rat:
-        r = self._factor()
-        while True:
-            t = self._peek()
-            if t is None or t[0] != "sym" or t[1] not in "*/":
-                return r
-            self._take()
-            rhs = self._factor()
-            r = r * rhs if t[1] == "*" else r / rhs
-
-    def _factor(self) -> _Rat:
-        t = self._take()
-        if t[0] == "int":
-            if len(t[1]) > _CLAIM_MAX_DIGITS:
-                raise ClaimSyntaxError("integer literal longer than "
-                                       f"{_CLAIM_MAX_DIGITS} digits")
-            r = _Rat([Fraction(int(t[1]))])
-        elif t[0] == "t":
-            r = _Rat([Fraction(0), Fraction(1)])
-        elif t[1] == "(":
-            r = self._sum()
-            close = self._take()
-            if close[1] != ")":
-                raise ClaimSyntaxError("expected ')'")
-        else:
-            raise ClaimSyntaxError(f"unexpected {t[1]!r}")
-        nxt = self._peek()
-        if nxt and nxt[0] == "sym" and nxt[1] == "^":
-            self._take()
-            e = self._take()
-            if e[0] != "int":
-                raise ClaimSyntaxError("exponent must be an integer")
-            digits = e[1].lstrip("0") or "0"
-            if len(digits) > 3 or int(digits) > _CLAIM_MAX_DEGREE:
-                raise ClaimSyntaxError(f"exponent above {_CLAIM_MAX_DEGREE} "
-                                       "in series claim")
-            r = r.power(int(digits))
-        return r
 
 
 def series_coefficients(claim: str, n: int) -> list:
     """First n+1 Taylor coefficients of a rational claim at t = 0."""
-    rat = _ClaimParser(claim).parse()
+    if not claim.strip():
+        raise ClaimSyntaxError("empty series claim")
+    rat = evaluate(claim, _Rat)
     den = list(rat.den)
     if not den or den[0] == 0:
         raise ClaimSyntaxError("claim has a pole at t = 0")

@@ -6,7 +6,9 @@ generators.  The listing order of the generators matters: it induces the
 deglex monomial order used by the rewriting engine.  `FilteredPresentation`
 drops the homogeneity requirement and exists to be homogenized.
 
-The module also houses the small text format for presentations, the standard
+The module also houses the small text format for presentations, with the
+one expression parser that reads both its relations and the rational series
+claims of `hilbert` under one set of input bounds, the standard
 constructions (opposite algebra, enveloping algebra, skew polynomial rings,
 graded Ore extensions, central homogenization), a corpus of built-in
 presentations, and an independent multiplication oracle for the built-in
@@ -112,29 +114,33 @@ class FilteredPresentation:
 #   algebra qplane over Q          (or: filtered algebra weyl over F32003)
 #   deg x = 1, y = 1
 #   rel y*x - 2*x*y                (# comment to end of line)
+#
+# A relation, like a rational series claim (`hilbert`), is an expression
+#
+#   sum    := [+-] term {(+|-) term}
+#   term   := factor {(*|/) factor}
+#   factor := (int | name | '(' sum ')') ['^' int]
+#
+# read by one parser, `_Expr`, which evaluates it as it goes in the ring it
+# is given: `_Relations` here, `hilbert._Rat` for a claim.
 
 _TOKEN_RE = re.compile(r"\s*(?:(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<int>\d+)"
                        r"|(?P<sym>[=+*^/(),-]))")
 
 
-# Bounds that keep the parse cheap in the length of the text.  An integer
-# literal has at most _MAX_DIGITS digits (int() converts 640 under any
-# setting of the interpreter's limit); a product or a power may reach degree
-# _MAX_DEGREE and may have at most _MAX_TERMS terms before cancellation.
+# Bounds that keep the parse cheap in the length of the text, in both
+# languages.  An integer literal has at most _MAX_DIGITS digits (int()
+# converts 640 under any setting of the interpreter's limit) and an
+# exponent is at most _MAX_DEGREE.  In a relation a product or a power may
+# reach degree _MAX_DEGREE and may have at most _MAX_TERMS terms before
+# cancellation; in a claim a numerator or denominator may reach degree
+# _MAX_DEGREE.
 _MAX_DIGITS = 600
 _MAX_DEGREE = 256
 _MAX_TERMS = 1 << 16
 
 
-def _int(tok) -> int:
-    """The value of an integer token."""
-    if len(tok[1]) > _MAX_DIGITS:
-        raise PresentationError(f"integer literal longer than {_MAX_DIGITS} "
-                                "digits", tok[2], tok[3])
-    return int(tok[1])
-
-
-def _tokenize(text: str, lineno: int) -> list:
+def _tokenize(text: str, lineno: int, error=PresentationError) -> list:
     toks, pos = [], 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
@@ -142,20 +148,34 @@ def _tokenize(text: str, lineno: int) -> list:
             stripped = text[pos:].lstrip()
             if not stripped:
                 break
-            raise PresentationError(f"unexpected character {stripped[0]!r}",
-                                    lineno, pos + 1)
+            raise error(f"unexpected character {stripped[0]!r}", lineno, pos + 1)
         kind = m.lastgroup
         toks.append((kind, m.group(kind), lineno, m.start(kind) + 1))
         pos = m.end()
     return toks
 
 
-class _RelParser:
-    """Recursive-descent parser for relation polynomials."""
+def _literal(tok, error=PresentationError) -> int:
+    """The value of an integer token of at most _MAX_DIGITS digits."""
+    if len(tok[1]) > _MAX_DIGITS:
+        raise error(f"integer literal longer than {_MAX_DIGITS} digits",
+                    tok[2], tok[3])
+    return int(tok[1])
 
-    def __init__(self, toks, field: FieldSpec, degrees: tuple, index: dict):
-        self.toks, self.i = toks, 0
-        self.field, self.degrees, self.index = field, degrees, index
+
+class _Expr:
+    """Recursive descent over the expression grammar, evaluating in `ring`.
+
+    The ring supplies `error`, the exception raised with a message, line
+    and column; `what`, the input named in "unexpected end of ...";
+    `literal_denominator`, whether only an integer literal may follow '/';
+    `number(n)` and `name(tok)`, the values of a literal and a name; and
+    `mul(a, b, tok)`, `div(a, b, tok)` and `power(a, n, tok)`, each given
+    the token to blame when a bound is crossed.  Sums, differences and
+    negation are the values' own + and -."""
+
+    def __init__(self, toks: list, ring):
+        self.toks, self.i, self.ring, self.error = toks, 0, ring, ring.error
 
     def _peek(self):
         return self.toks[self.i] if self.i < len(self.toks) else None
@@ -164,11 +184,100 @@ class _RelParser:
         t = self._peek()
         if t is None:
             last = self.toks[-1]
-            raise PresentationError("unexpected end of relation", last[2], last[3])
+            raise self.error(f"unexpected end of {self.ring.what}", last[2], last[3])
         if sym is not None and (t[0] != "sym" or t[1] != sym):
-            raise PresentationError(f"expected {sym!r}, found {t[1]!r}", t[2], t[3])
+            raise self.error(f"expected {sym!r}, found {t[1]!r}", t[2], t[3])
         self.i += 1
         return t
+
+    def _sym(self, syms: str):
+        """The next token, taken, when it is one of the symbols `syms`."""
+        t = self._peek()
+        if t is None or t[0] != "sym" or t[1] not in syms:
+            return None
+        self.i += 1
+        return t
+
+    def _take_int(self, what: str) -> tuple:
+        """(value, token) of the next token, which must be an integer
+        literal."""
+        t = self._take()
+        if t[0] != "int":
+            raise self.error(f"{what} must be an integer", t[2], t[3])
+        return _literal(t, self.error), t
+
+    def parse(self):
+        e = self._sum()
+        t = self._peek()
+        if t is not None:
+            raise self.error(f"trailing input {t[1]!r}", t[2], t[3])
+        return e
+
+    def _sum(self):
+        sign = self._sym("+-")
+        e = self._term()
+        if sign is not None and sign[1] == "-":
+            e = -e
+        while (t := self._sym("+-")) is not None:
+            rhs = self._term()
+            e = e - rhs if t[1] == "-" else e + rhs
+        return e
+
+    def _term(self):
+        ring = self.ring
+        e = self._factor()
+        while (t := self._sym("*/")) is not None:
+            if t[1] == "*":
+                e = ring.mul(e, self._factor(), t)
+            elif ring.literal_denominator:
+                n, d = self._take_int("denominator")
+                e = ring.div(e, ring.number(n), d)
+            else:
+                e = ring.div(e, self._factor(), t)
+        return e
+
+    def _factor(self):
+        ring, t = self.ring, self._take()
+        if t[0] == "int":
+            e = ring.number(_literal(t, self.error))
+        elif t[0] == "name":
+            e = ring.name(t)
+        elif t[1] == "(":
+            e = self._sum()
+            self._take(")")
+        else:
+            raise self.error(f"unexpected {t[1]!r}", t[2], t[3])
+        if self._sym("^") is None:
+            return e
+        n, x = self._take_int("exponent")
+        if n > _MAX_DEGREE:
+            raise self.error(f"exponent above {_MAX_DEGREE}", x[2], x[3])
+        return ring.power(e, n, x)
+
+
+def evaluate(text: str, ring):
+    """The value in `ring` of one line of text in the expression grammar."""
+    return _Expr(_tokenize(text, 1, ring.error), ring).parse()
+
+
+class _Relations:
+    """The free algebra on the generators as `_Expr`'s ring.  A product or
+    a power is refused before it is built when it would pass degree
+    _MAX_DEGREE or _MAX_TERMS terms, and only an integer literal divides."""
+
+    error, what, literal_denominator = PresentationError, "relation", True
+
+    def __init__(self, field: FieldSpec, degrees: tuple, index: dict):
+        self.field, self.degrees, self.index = field, degrees, index
+
+    def number(self, n: int) -> FreeElement:
+        return FreeElement.monomial(self.field, self.degrees, EMPTY_WORD,
+                                    self.field.from_int(n))
+
+    def name(self, tok) -> FreeElement:
+        if tok[1] not in self.index:
+            raise PresentationError(f"unknown generator {tok[1]!r}", tok[2], tok[3])
+        return FreeElement.monomial(self.field, self.degrees, (self.index[tok[1]],))
 
     def _check_size(self, degree: int, terms: int, tok) -> None:
         if degree > _MAX_DEGREE or terms > _MAX_TERMS:
@@ -180,81 +289,22 @@ class _RelParser:
     def _degree(self, e: FreeElement) -> int:
         return max((word_degree(w, self.degrees) for w in e.terms), default=0)
 
-    def parse(self) -> FreeElement:
-        e = self._sum()
-        t = self._peek()
-        if t is not None:
-            raise PresentationError(f"trailing input {t[1]!r}", t[2], t[3])
-        return e
+    def mul(self, a: FreeElement, b: FreeElement, tok) -> FreeElement:
+        self._check_size(self._degree(a) + self._degree(b),
+                         len(a.terms) * len(b.terms), tok)
+        return a * b
 
-    def _sum(self) -> FreeElement:
-        t = self._peek()
-        sign = 1
-        if t and t[0] == "sym" and t[1] in "+-":
-            self._take()
-            sign = -1 if t[1] == "-" else 1
-        e = self._product()
-        if sign < 0:
-            e = -e
-        while True:
-            t = self._peek()
-            if t is None or t[0] != "sym" or t[1] not in "+-":
-                return e
-            self._take()
-            rhs = self._product()
-            e = e - rhs if t[1] == "-" else e + rhs
+    def div(self, a: FreeElement, b: FreeElement, tok) -> FreeElement:
+        if b.is_zero():
+            raise PresentationError("division by zero in coefficient", tok[2], tok[3])
+        return a.scaled(self.field.inv(b.terms[EMPTY_WORD]))
 
-    def _product(self) -> FreeElement:
-        e = self._factor()
-        while True:
-            t = self._peek()
-            if t is None or t[0] != "sym" or t[1] not in "*/":
-                return e
-            self._take()
-            if t[1] == "/":
-                d = self._take()
-                if d[0] != "int":
-                    raise PresentationError("denominator must be an integer", d[2], d[3])
-                denom = self.field.from_int(_int(d))
-                if self.field.is_zero(denom):
-                    raise PresentationError("division by zero in coefficient", d[2], d[3])
-                e = e.scaled(self.field.inv(denom))
-            else:
-                rhs = self._factor()
-                self._check_size(self._degree(e) + self._degree(rhs),
-                                 len(e.terms) * len(rhs.terms), t)
-                e = e * rhs
-
-    def _factor(self) -> FreeElement:
-        t = self._take()
-        if t[0] == "int":
-            base = FreeElement.monomial(self.field, self.degrees, EMPTY_WORD,
-                                        self.field.from_int(_int(t)))
-        elif t[0] == "name":
-            if t[1] not in self.index:
-                raise PresentationError(f"unknown generator {t[1]!r}", t[2], t[3])
-            base = FreeElement.monomial(self.field, self.degrees, (self.index[t[1]],))
-        elif t[1] == "(":
-            base = self._sum()
-            self._take(")")
-        else:
-            raise PresentationError(f"unexpected {t[1]!r}", t[2], t[3])
-        nxt = self._peek()
-        if nxt and nxt[0] == "sym" and nxt[1] == "^":
-            self._take()
-            e = self._take()
-            if e[0] != "int":
-                raise PresentationError("exponent must be an integer", e[2], e[3])
-            n = _int(e)
-            if n > _MAX_DEGREE:
-                raise PresentationError(f"exponent above {_MAX_DEGREE}",
-                                        e[2], e[3])
-            self._check_size(n * self._degree(base), len(base.terms) ** n, e)
-            out = FreeElement.monomial(self.field, self.degrees, EMPTY_WORD)
-            for _ in range(n):
-                out = out * base
-            return out
-        return base
+    def power(self, a: FreeElement, n: int, tok) -> FreeElement:
+        self._check_size(n * self._degree(a), len(a.terms) ** n, tok)
+        out = self.number(1)
+        for _ in range(n):
+            out = out * a
+        return out
 
 
 _HEADER_RE = re.compile(r"\s*(filtered\s+)?algebra\s+([A-Za-z_][A-Za-z_0-9]*)"
@@ -299,7 +349,7 @@ def parse(text: str):
                 if len(body) < 3 or body[1][1] != "=" or body[2][0] != "int":
                     raise PresentationError(f"expected '{name} = <int>'",
                                             head[2], body[0][3])
-                gens.append((name, _int(body[2])))
+                gens.append((name, _literal(body[2])))
                 body = body[3:]
                 if body:
                     if body[0][1] != ",":
@@ -317,11 +367,12 @@ def parse(text: str):
     geninfos = _validate_generators(gens)
     degrees = tuple(g.degree for g in geninfos)
     index = {g.name: i for i, g in enumerate(geninfos)}
+    ring = _Relations(field, degrees, index)
     relations = []
     for toks, lineno in rel_sources:
         if not toks:
             raise PresentationError("empty relation", lineno, 1)
-        elem = _RelParser(toks, field, degrees, index).parse()
+        elem = _Expr(toks, ring).parse()
         if elem.is_zero():
             raise PresentationError("relation simplifies to zero", lineno, toks[0][3])
         if not filtered and not elem.is_homogeneous():

@@ -173,6 +173,19 @@ def test_usage_errors_exit_two(argv, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("claim,message", [
+    ("1/(1-x)", "col 6: unknown name 'x'; a claim is in t"),
+    ("1/(1-t)^257", "col 9: exponent above 256"),
+    ("1/(1-" + "9" * 601 + "*t)", "col 6: integer literal longer than 600 digits"),
+    ("(1-t", "col 4: unexpected end of claim"),
+], ids=["name", "exponent", "601-digits", "end"])
+def test_claim_errors_name_their_column(claim, message, capsys):
+    # claims are read by the relations' parser, under the same bounds
+    assert main(["--builtin", "polynomial-2", "--claim", claim]) == 2
+    assert capsys.readouterr().err == \
+        f"ncgraded: error: series claim, {message}\n"
+
+
 @pytest.mark.parametrize("body", [
     "deg x = 1, y = 1\nrel " + "9" * 5000 + "*x*y - y*x",
     "deg x = " + "9" * 5000 + ", y = 1\nrel x*y - y*x",

@@ -81,6 +81,30 @@ def test_free_algebra_fails_on_fat_level_one():
     assert "one-dimensional" in v.witness[4]
 
 
+def test_complete_intersection_with_l_zero_is_gorenstein():
+    # k[x,y]/(x^2) is AS-Gorenstein with n = 1 and l = 0; no sign rule on
+    # n or l belongs to the conditions
+    p = parse("algebra ci over F32003\ndeg x = 1, y = 1\n"
+              "rel x*x\nrel y*x - x*y")
+    t_left, t_right, gl = two_sided(p, 4, 8)
+    assert t_left.entries == t_right.entries == {(1, 0): 1}
+    assert t_left.certified[(1, 0)] and t_right.certified[(1, 0)]
+    v = as_check(t_left, t_right, gldim=gl)
+    assert v.describe() == "gorenstein_conditions_hold(1,0)"
+    assert v.witness is None
+
+
+def test_level_zero_entries_are_certified():
+    # k[x]/(x^2) is Frobenius: Ext^0(k, A) is its socle x, in degree 1.
+    # The stages below 0 are empty, so complete, and the entry is exact
+    p = parse("algebra dual over F32003\ndeg x = 1\nrel x*x")
+    t_left, t_right, gl = two_sided(p, 4, 6)
+    assert t_left.entries == {(0, 1): 1}
+    assert t_left.certified[(0, 1)] and t_right.certified[(0, 1)]
+    v = as_check(t_left, t_right, gldim=gl)
+    assert v.describe() == "gorenstein_conditions_hold(0,-1)"
+
+
 def test_narrow_window_is_inconclusive():
     # window stops below the socle level and everything in sight is zero
     v = as_check(*two_sided(builtin("weyl-homogenized"), 3, 8))

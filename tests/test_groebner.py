@@ -710,6 +710,42 @@ def test_products_above_complete_below_match_the_rule_scan(system):
                    for left, right in pairs)
 
 
+def _system(name, field, bound, env):
+    p = builtin(name, field)
+    if isinstance(p, FilteredPresentation):
+        p = homogenize(p)
+    rs = complete(p, bound)
+    return EnvelopingSystem(rs, complete(opposite(p), bound)) if env else rs
+
+
+@pytest.mark.parametrize("name,field,env", [
+    ("smith-zhang", F32003, False), ("weyl-homogenized", QQ, False),
+    ("quantum-plane-2", F32003, True), ("smith-zhang", QQ, True)],
+    ids=["smith-zhang-F32003", "weyl-homogenized-Q",
+         "quantum-plane-2-F32003-enveloping", "smith-zhang-Q-enveloping"])
+def test_products_are_the_shifted_sum_of_one_term_products(name, field, env):
+    """`products` of several terms, with overlapping offsets and scalars
+    other than 1, is the sum of its one-term calls, each scaled by its
+    scalar and shifted by its offset."""
+    rs = _system(name, field, 5, env)
+    f, n = rs.field, len(rs.degrees)
+    c = [f.from_int(1), f.from_int(-1), f.inv(f.from_int(3)), f.from_int(7)]
+    terms = [(0, (0,), c[2]), (3, (n - 1, 0), c[1]), (0, (1,), c[3]),
+             (2, (0, n - 1), c[0]), (3, (n - 1, 0), c[2])]
+    for degree in (0, 2, 3):
+        for left in (True, False):
+            want = [{} for _ in range(rs.dim(degree))]
+            for off, t, s in terms:
+                cols = rs.products([(0, t, f.one())], degree, left)
+                for acc, col in zip(want, cols):
+                    for r, v in col.items():
+                        acc[off + r] = f.add(acc.get(off + r, f.zero()),
+                                             f.mul(s, v))
+            assert rs.products(terms, degree, left) == [
+                {r: v for r, v in acc.items() if not f.is_zero(v)}
+                for acc in want], (degree, left)
+
+
 def test_nf_of_a_long_word_takes_no_recursion_per_letter():
     # the words a normal form waits on are kept on a stack, not in the
     # recursion: y^100 * x^100 folds within 50 frames of this test's depth

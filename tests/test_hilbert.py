@@ -75,6 +75,10 @@ def test_dim_accessor_out_of_range():
     ("1/(1-2*t)", [1, 2, 4, 8, 16]),
     ("2", [2, 0, 0, 0, 0]),
     ("1 + t^3", [1, 0, 0, 1, 0]),
+    pytest.param("1/(1-t)^256", [math.comb(255 + k, k) for k in range(5)],
+                 id="exponent-256"),
+    pytest.param("9" * 600 + "*t", [0, 10 ** 600 - 1, 0, 0, 0],
+                 id="600-digits"),
 ])
 def test_series_coefficients(claim, coeffs):
     assert series_coefficients(claim, 4) == coeffs
@@ -87,7 +91,9 @@ def test_series_coefficients(claim, coeffs):
                                  "1/((1-t)^200*(1+t)^100)",
                                  pytest.param("9" * 5000, id="5000-digits"),
                                  pytest.param("1/(1-" + "9" * 601 + "*t)",
-                                              id="601-digits")])
+                                              id="601-digits"),
+                                 pytest.param("t^" + "0" * 600 + "2",
+                                              id="601-digit-exponent")])
 def test_claim_syntax_errors(bad):
     with pytest.raises(ClaimSyntaxError):
         series_coefficients(bad, 4)

@@ -88,6 +88,7 @@ BIG = "9" * 5000
 
 @pytest.mark.parametrize("body,line,col", [
     (f"deg x = 1, y = 1\nrel {BIG}*x*y - y*x", 3, 5),      # coefficient
+    (f"deg x = 1, y = 1\nrel {'9' * 601}*x*y - y*x", 3, 5),
     (f"deg x = 1, y = 1\nrel x*y - y*x/{BIG}", 3, 15),     # denominator
     (f"deg x = {BIG}, y = 1\nrel x*y - y*x", 2, 9),        # degree
     (f"deg x = 1\nrel x^{BIG}", 3, 7),                     # exponent
@@ -97,7 +98,7 @@ BIG = "9" * 5000
     ("deg x = 1, y = 1\nrel (x+y)^40", 3, 11),             # 2^40 terms
     ("deg x = 1, y = 1\nrel (x+y)^17", 3, 11),
     ("deg x = 1, y = 1\nrel (x+y)^9*(x+y)^9", 3, 12),
-], ids=["coefficient", "denominator", "degree", "exponent-digits",
+], ids=["coefficient", "601-digits", "denominator", "degree", "exponent-digits",
         "x^100000", "x^257", "degree-258", "2^40-terms", "2^17-terms",
         "2^18-terms-product"])
 def test_parse_refuses_oversized_input(body, line, col):
