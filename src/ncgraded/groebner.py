@@ -22,10 +22,12 @@ lead as a subword and every tail is in normal form.  A closing
 verification pass re-checks all ambiguities among the rules, so the
 certificate does not depend on the bookkeeping of the main loop.
 
-Every rewrite, during completion and after it, goes through `nf`, which
-builds the normal form of a word by left multiplication: the word's letters
-multiply the normal form of the empty word one at a time, last letter
-first, each product memoized under its word.  The leads are an antichain
+Every rewrite of a word, in completion and in the normal form of an
+element, goes through `nf` (the multiplication tables below take the same
+steps in positions), which builds the normal form of a word by left
+multiplication: the word's letters multiply the normal form of the empty
+word one at a time, last letter first, each product memoized under its
+word.  The leads are an antichain
 under the subword relation (a new lead is reduced against the leads, and
 inserting it retires every lead that contains it), so at most one lead
 starts at any position of a word, and for g * u with u normal only a lead
@@ -34,8 +36,9 @@ lead length.  The terms are sorted into descending tuple order,
 which within one degree is descending deglex.  The words a normal form
 waits on are kept on an explicit stack, so no recursion grows with the
 length of a word, and those above `degree_bound`, which no basis of the
-system reaches, in a dict that lives for one call only.  `normal_form` is
-the linear extension of `nf` to elements.
+system reaches, in a scratch dict that lives for one reduction only: the
+words of one element share it.  `normal_form` is the linear extension of
+`nf` to elements.
 
 Any full reduction yields an irreducible element congruent to the word, and
 where the system is confluent (everywhere when it is `globally_complete`,
@@ -52,12 +55,27 @@ RuntimeError on one instead of inserting it forever.
 Downstream products in the algebra go through the multiplication tables.
 The system keeps one table per word t, degree m and side: for each normal
 word w of degree m, in order, NF(t * w) (or NF(w * t)) as (position,
-scalar) pairs over the normal words of degree m + deg t.  `products` reads
-a sum of such tables into the coordinate vectors of a block of normal
-words, one vector per word, each product placed in a block of its own
-degree at a given offset.  That is the shape of every differential, dual
-differential and action map built from the system, so its callers never
-hash a word: a column is block offsets plus table rows.
+scalar) pairs over the normal words of degree m + deg t, in descending
+position.  `products` reads a sum of such tables into the coordinate
+vectors of a block of normal words, one vector per word, each product
+placed in a block of its own degree at a given offset.  That is the shape
+of every differential, dual differential and action map built from the
+system, so its callers never hash a word: a column is block offsets plus
+table rows.
+
+The tables are built in positions, from the left letter tables, and no
+word's normal form is taken.  The left tables of the letters are built one
+target degree D at a time, their rows in the tuple order of the products
+g * w.  Tuple order puts the normal words of D that start with g in one
+block, ordered by the rest, so when no lead is a prefix of g * w, g * w is
+the next normal word of D.  Else exactly one lead L is (the leads are an
+antichain and w is normal), g * w = L * r, and the row is the sum of
+c * T_u1(... T_um(e_r)) over the tail terms c * u of L: as u * r < g * w,
+that reads tables into lower degrees and earlier rows into D only.  The
+left table of a word is T_t1 applied to that of t[1:], and the row of
+w * t is T_w1 applied to the row of w[1:] * t, a row of lower degree; the
+row of the empty word is NF(t).  So every row is the one `nf` builds, by
+the same left multiplication, even where the system is not confluent.
 
 The normal words, those that contain no lead, are read off one
 automaton of the leads, Ufnarovski's graph of normal words
@@ -154,6 +172,7 @@ class RewriteSystem:
     _nw: dict = dc_field(init=False, repr=False, compare=False)
     _pos: dict = dc_field(init=False, repr=False, compare=False)
     _tables: dict = dc_field(init=False, repr=False, compare=False)
+    _splits: list = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.rules = dict(self.rules)
@@ -179,6 +198,7 @@ class RewriteSystem:
         self._nw = {}
         self._pos = {}
         self._tables = {}
+        self._splits = [[]]     # degree -> (letter, position of the rest)
 
     def add_rule(self, lead: Word, tail: dict) -> None:
         """Add the rule lead -> tail, a lead that no lead divides or is
@@ -271,20 +291,112 @@ class RewriteSystem:
         """The multiplication table of the word t on the normal words of a
         degree: for each normal word w, in order, NF(t * w) (left) or
         NF(w * t) as (position, scalar) pairs over the normal words of
-        degree + deg t.  Built once for the rule set as it stands."""
-        key = (t, degree, left)
-        rows = self._tables.get(key)
-        if rows is None:
-            target = degree + word_degree(t, self.degrees)
-            index, memo, out = self._index(target), self._nf, []
-            for w in self.normal_words(degree):
-                word = t + w if left else w + t
-                terms = memo.get(word)
-                if terms is None:
-                    terms = self._normal_form(word, target)
-                out.append(tuple([(index[u], c) for u, c in terms.items()]))
-            rows = self._tables[key] = tuple(out)
-        return rows
+        degree + deg t, in descending position.  Built once for the rule
+        set as it stands, from the left letter tables (module docstring)."""
+        key, tables, degs = (t, degree, left), self._tables, self.degrees
+        rows = tables.get(key)
+        if rows is not None:
+            return rows
+        if degree < 0:
+            return ()
+        if not t:
+            rows = tables[key] = tuple(((k, 1),)
+                                       for k in range(self.dim(degree)))
+            return rows
+        self._letter_tables(degree + word_degree(t, degs))
+        rows = tables.get(key)          # a letter's left table is built
+        if rows is not None:
+            return rows
+        if left:
+            # T_t = T_t1 . T_t[1:]
+            first = tables[(t[:1], degree + word_degree(t[1:], degs), True)]
+            rows = tables[key] = tuple([self._apply(first, row) for row in
+                                        self.table(t[1:], degree)])
+            return rows
+        # the row of w * t is T_w1 applied to the row of w[1:] * t, one
+        # degree after another; the row of the empty word is NF(t)
+        for d in range(degree + 1):
+            if (t, d, False) not in tables:
+                e = d + word_degree(t, degs)
+                tables[(t, d, False)] = self.table(t, 0) if d == 0 else tuple(
+                    [self._apply(tables[((g,), e - degs[g], True)],
+                                 tables[(t, d - degs[g], False)][k])
+                     for g, k in self._splits[d]])
+        return tables[key]
+
+    def _apply(self, rows, vec) -> tuple:
+        """The image under a table of a coordinate vector given as
+        (position, scalar) pairs, in descending position."""
+        if len(vec) == 1 and vec[0][1] == 1:
+            return rows[vec[0][0]]
+        acc: dict = {}
+        for k, c in vec:
+            for r, s in rows[k]:
+                acc[r] = acc.get(r, 0) + c * s
+        return tuple(sorted(reduce_vector(acc, self.field.p).items(),
+                            reverse=True))
+
+    def _letter_tables(self, target: int) -> None:
+        """Build the left table of every letter into each degree up to
+        target, one degree D at a time.  The rows into D come in the tuple
+        order of their products g * w, g ascending, then w.  When no lead
+        is a prefix of g * w, it is the next normal word of D, whose split
+        (g, position of w) is recorded.  Else the one lead L that is, say
+        g * w = L * r, gives the row sum c * T_u1(... T_um(e_r)) over the
+        tail terms c * u of L, which reads tables into lower degrees or
+        earlier rows into D, as u * r < g * w."""
+        split, degs = self._splits, self.degrees
+        if len(split) > target:
+            return
+        tables, p = self._tables, self.field.p
+        # the leads as a trie: letter -> (tail, None) at the end of a lead,
+        # else (None, the next letters)
+        trie: dict = {}
+        for lead, tail in self.rules.items():
+            node = trie
+            for h in lead[:-1]:
+                node = node.setdefault(h, (None, {}))[1]
+            node[lead[-1]] = (tail, None)
+        while len(split) <= target:
+            top = len(split)
+            placed: list = []       # the split of each normal word of top
+            for g, k in enumerate(degs):
+                d = top - k
+                if d < 0:
+                    continue
+                rows: list = []
+                tables[((g,), d, True)] = rows
+                for i, w in enumerate(self.normal_words(d)):
+                    entry, m = trie.get(g), 0
+                    while (entry is not None and entry[0] is None
+                           and m < len(w)):
+                        entry, m = entry[1].get(w[m]), m + 1
+                    if entry is None or entry[0] is None:
+                        rows.append(((len(placed), 1),))
+                        placed.append((g, i))
+                        continue
+                    # r = w[m:], split off w's first m letters
+                    at, r = d, i
+                    for _ in range(m):
+                        h, r = split[at][r]
+                        at -= degs[h]
+                    parts = []
+                    for u, c in entry[0].items():
+                        vec, e = ((r, c),), at
+                        for h in reversed(u):
+                            vec = self._apply(tables[((h,), e, True)], vec)
+                            e += degs[h]
+                        parts.append(vec)
+                    if len(parts) != 1:
+                        acc: dict = {}
+                        for vec in parts:
+                            for q, s in vec:
+                                acc[q] = acc.get(q, 0) + s
+                        parts = [tuple(sorted(reduce_vector(acc, p).items(),
+                                              reverse=True))]
+                    rows.append(parts[0])
+                tables[((g,), d, True)] = tuple(rows)
+            split.append(placed)
 
     def products(self, terms, degree: int, left: bool = True) -> list:
         """For each normal word w of a degree, in order, the coordinate
@@ -304,21 +416,23 @@ class RewriteSystem:
             out.append(reduce_vector(acc, p))
         return out
 
-    def nf(self, word: Word) -> dict:
+    def nf(self, word: Word, scratch: dict | None = None) -> dict:
         """Normal form of a word as a dict normal word -> scalar, by left
         multiplication (module docstring).  A word of degree up to
         `degree_bound` is computed once for the rules of its degree as they
         stand; the words above it that a left multiplication passes through
-        are kept for that call only, so one long word cannot fill the
-        memo."""
+        are kept in `scratch`, a dict that the words of one reduction may
+        share, and else for that call only, so one long word cannot fill
+        the memo."""
         terms = self._nf.get(word)
         if terms is None:
-            terms = self._normal_form(word, word_degree(word, self.degrees))
+            terms = self._normal_form(word, word_degree(word, self.degrees),
+                                      {} if scratch is None else scratch)
         return terms
 
-    def _normal_form(self, word: Word, deg: int) -> dict:
+    def _normal_form(self, word: Word, deg: int, scratch: dict) -> dict:
         """`nf` of a word of degree deg that is not memoized."""
-        memo, at, scratch = self._nf, self._nf_at, {}
+        memo, at = self._nf, self._nf_at
         p, degs, top = self.field.p, self.degrees, self.degree_bound
         todo = [(word, deg)]  # the words whose normal forms it waits on
         while todo:
@@ -460,13 +574,18 @@ class EnvelopingSystem:
         return (self.algebra.word_at(a, i)
                 + tuple(g + n for g in self.opposite.word_at(b, k - start)))
 
-    def nf(self, word: Word) -> dict:
+    def nf(self, word: Word, scratch: dict | None = None) -> dict:
+        """NF_A(original letters) (x) NF_A^op(opposite letters).  A shared
+        `scratch` keeps one scratch dict of each system under the key None,
+        which is no word."""
         a, o = self._split(word)
         n, mul = len(self.algebra.degrees), self.field.mul
+        sa, so = (None, None) if scratch is None else scratch.setdefault(
+            None, ({}, {}))
         vs = [(tuple(g + n for g in v), cv)
-              for v, cv in self.opposite.nf(o).items()]
+              for v, cv in self.opposite.nf(o, so).items()]
         return {u + v: mul(cu, cv)
-                for u, cu in self.algebra.nf(a).items() for v, cv in vs}
+                for u, cu in self.algebra.nf(a, sa).items() for v, cv in vs}
 
     def products(self, terms, degree: int, left: bool = True) -> list:
         """As `RewriteSystem.products`, each t a pair (t_A, t_op): for each
@@ -503,10 +622,12 @@ def normal_form(rs: RewriteSystem, elem: FreeElement) -> FreeElement:
 
 def _reduce(rs: RewriteSystem, terms: dict) -> dict:
     """`normal_form` of the terms dict word -> scalar, as a dict; the
-    scalars may be summed with the raw operators."""
+    scalars may be summed with the raw operators.  Its words share one
+    scratch dict for the normal forms above the degree bound."""
     acc: dict = {}
+    scratch: dict = {}
     for w, c in terms.items():
-        for v, cv in rs.nf(w).items():
+        for v, cv in rs.nf(w, scratch).items():
             acc[v] = acc.get(v, 0) + c * cv
     return dict(sorted(reduce_vector(acc, rs.field.p).items(), reverse=True))
 

@@ -264,12 +264,18 @@ def chain_counts(leads: list, lambda_words: list, degrees: tuple,
     cap; overflow) pairs; overflow records that some chain passed the cap,
     so vanishing above the cap is not certified there.
 
-    Every Anick chain is one of these, so the counts bound the ranks of
-    Anick's resolution from above.  The walk does not ask that the lead be
-    the only one in the extended head, so where a lead overlaps a head in
-    two ways it counts chains Anick's do not (over x^3 = 0, stage 3 has a
-    chain in degree 5 as well as 4)."""
+    An extension is kept when the lead, at the start of the extended head,
+    is the only lead occurrence in it, as Anick's condition asks; so the
+    chains are Anick's, and the counts bound the ranks of Anick's
+    resolution from above.  (Over x^3 = 0 the lead overlaps the stage-2
+    head x^2 in two letters and in one; the second extends it to x^4,
+    which holds the lead twice, so stage 3 has one chain, in degree 4.)"""
     leads = [tuple(L) for L in leads]
+
+    def anick(ext: tuple, lead: tuple) -> bool:
+        return not any(ext[a:a + len(L)] == L and (a, L) != (0, lead)
+                       for L in leads for a in range(len(ext) - len(L) + 1))
+
     out = [(Counter(), False)]  # stage 0 placeholder
     frontier: Counter = Counter()   # (head, degree) -> number of chains
     overflow = False
@@ -285,7 +291,7 @@ def chain_counts(leads: list, lambda_words: list, degrees: tuple,
             for (head, d), m in frontier.items():
                 for o in leads:
                     for k in range(1, min(len(head), len(o) - 1) + 1):
-                        if o[-k:] == head[:k]:
+                        if o[-k:] == head[:k] and anick(o[:-k] + head, o):
                             u = o[:-k]
                             dd = d + word_degree(u, degrees)
                             if dd > cap:

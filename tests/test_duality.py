@@ -19,9 +19,9 @@ from ncgraded.duality import (_dual_matrix, as_check, ext_k_A,
                               diagonal_bimodule_resolution, hochschild_ext,
                               invariant_report, rigidity_check)
 
-from support import (bimodule_resolution, dual_composites_vanish, over_field,
-                     random_presentations, rule_scan_normal_form,
-                     stage_columns)
+from support import (anick_chain_counts, bimodule_resolution,
+                     dual_composites_vanish, over_field, random_presentations,
+                     rule_scan_normal_form, stage_columns)
 
 
 def two_sided(p, hbound, dbound):
@@ -344,14 +344,28 @@ rel x^3
 """
 
 
+# x*y = y*x = 0 and y^2 = -x^2: A_2 is spanned by x^2, and A_3 = 0
+ZERO_PRODUCTS = """
+algebra zero_products over F32003
+deg x = 1, y = 1
+rel x*y
+rel y*x
+rel y*y + x*x
+"""
+
+
 @pytest.mark.parametrize("text, dbound, hbound, derived", [
     # truncated: no stage is certified complete, so no level is derived
     # although E is zero at levels 0, 1 and 2
     (None, 3, 3, set()),
-    # x^3 = 0 at -d 4: E is certified zero at levels 0, 1 and 2, but stage
-    # 3 has a chain above the window, so level 2 is computed
-    (CUBE, 4, 4, {0, 1}),
-], ids=["weyl-homogenized", "cube"])
+    # x^3 = 0 at -d 4: E is certified zero at levels 0, 1 and 2, and
+    # stage 3's one Anick chain lies in degree 4, so all three are derived
+    (CUBE, 4, 4, {0, 1, 2}),
+    # at -d 4: E is certified zero at levels 0 to 3, but stage 4 has Anick
+    # chains in degrees 5 and 6, above the window, as well as in degree 4,
+    # so level 3 is computed
+    (ZERO_PRODUCTS, 4, 4, {0, 1, 2}),
+], ids=["weyl-homogenized", "cube", "zero-products"])
 def test_levels_the_one_sided_table_does_not_certify_are_computed(
         text, dbound, hbound, derived):
     p = builtin("weyl-homogenized") if text is None else parse(text)
@@ -361,6 +375,14 @@ def test_levels_the_one_sided_table_does_not_certify_are_computed(
     levels = {i for i, _ in every}
     assert derived <= levels
     assert {i for i, _ in fewer} == levels - derived
+
+
+def test_zero_products_have_anick_chains_above_the_window():
+    # the chains that block level 3 of the zero-products case above
+    rs = complete(parse(ZERO_PRODUCTS), 4)
+    assert rs.globally_complete
+    anick = anick_chain_counts(rs.leads(), rs.degrees, 4, 8)
+    assert sorted(j for i, j in anick if i == 4) == [4, 5, 6]
 
 
 LEFT_RIGHT = """

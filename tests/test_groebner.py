@@ -771,19 +771,14 @@ def test_nf_memoizes_no_word_above_the_degree_bound():
     assert max(word_degree(u, rs.degrees) for u in rs._nf) <= rs.degree_bound
 
 
-@pytest.mark.parametrize("name", builtin_names())
-@pytest.mark.parametrize("field", [F32003, QQ], ids=["F32003", "Q"])
-def test_multiplication_tables_match_normal_form(name, field):
+def assert_tables_match_scan(rs, top):
     """Every row of the left and right tables of the words t of degree at
-    most 2 is the normal form of its product, through degree 5; over Q its
-    scalars are ints wherever they are integral."""
-    p = builtin(name, field)
-    if isinstance(p, FilteredPresentation):
-        p = homogenize(p)
-    rs = complete(p, 5)
+    most 2, the empty word included, is the rule scan's normal form of its
+    product through degree top, with its entries in descending position;
+    over Q its scalars are ints wherever they are integral."""
     for t in _words(rs, 2):
         e = word_degree(t, rs.degrees)
-        for m in range(5 - e + 1):
+        for m in range(top - e + 1):
             basis = rs.normal_words(m + e)
             for left in (True, False):
                 rows = rs.table(t, m, left)
@@ -792,8 +787,62 @@ def test_multiplication_tables_match_normal_form(name, field):
                     want = rule_scan_normal_form(
                         rs, rs.monomial(t + w if left else w + t)).terms
                     assert {basis[k]: c for k, c in row} == want, (t, w)
+                    assert [k for k, _ in row] == sorted(
+                        [k for k, _ in row], reverse=True), (t, w)
                     assert not [c for _, c in row if isinstance(c, Fraction)
                                 and c.denominator == 1], (t, w)
+
+
+@pytest.mark.parametrize("name", builtin_names())
+@pytest.mark.parametrize("field", [F32003, QQ], ids=["F32003", "Q"])
+def test_multiplication_tables_match_normal_form(name, field):
+    p = builtin(name, field)
+    if isinstance(p, FilteredPresentation):
+        p = homogenize(p)
+    assert_tables_match_scan(complete(p, 5), 5)
+
+
+def test_multiplication_tables_of_a_truncated_opposite_match_normal_form():
+    # smith-zhang's opposite has no finite Groebner basis: at 7 it is
+    # truncated, with leads of up to 7 letters
+    rs = complete(opposite(builtin("smith-zhang")), 7)
+    assert not rs.globally_complete
+    assert max(map(len, rs.leads())) == 7
+    assert_tables_match_scan(rs, 7)
+
+
+@settings(max_examples=40)
+@given(case=random_presentations(), op=st.booleans())
+def test_multiplication_tables_of_random_presentations_match_normal_form(
+        case, op):
+    """Through the completion bound, on both sides of a random presentation;
+    about half of these systems are truncated."""
+    p, bound = case
+    rs = complete(opposite(p) if op else p, bound)
+    assert_tables_match_scan(rs, bound)
+
+
+def test_one_reduction_steps_a_shared_suffix_above_the_bound_once():
+    # x * s and y * s share the suffix s = y^20 x^20, far above the bound:
+    # reducing both steps each suffix of s as often as reducing x * s alone
+    s = (1,) * 20 + (0,) * 20
+    steps = []
+    step = RewriteSystem._left_step
+
+    def counted(self, w, *args):
+        steps.append(w)
+        return step(self, w, *args)
+
+    counts = []
+    for words in ([(0,) + s], [(0,) + s, (1,) + s]):
+        rs = complete(builtin("polynomial-2"), 6)
+        steps.clear()
+        with mock.patch.object(RewriteSystem, "_left_step", counted):
+            normal_form(rs, FreeElement(rs.field, rs.degrees,
+                                        {w: 1 for w in words}))
+        counts.append([steps.count(s[k:]) for k in range(len(s) - 6)])
+    assert counts[0] == counts[1]
+    assert min(counts[0]) >= 1
 
 
 def test_normal_words_of_a_long_degree_take_no_recursion_per_letter():

@@ -4,7 +4,7 @@ from unittest import mock
 
 import pytest
 
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from support import (anick_chain_counts, bimodule_resolution,
                      dd_composites_vanish, euler_defects,
@@ -371,23 +371,28 @@ def test_betti_numbers_within_chain_counts_on_random_presentations(case):
 
 @given(case=random_monomial_presentations())
 def test_chain_counts_are_betti_numbers_of_monomial_algebras(case):
-    # Anick's resolution of a monomial algebra is minimal.  The walk counts
-    # at least Anick's chains, and exactly those when every lead is
-    # quadratic
+    # Anick's resolution of a monomial algebra is minimal, and the walk
+    # counts Anick's chains
     p, bound = case
     rs = complete(p, bound)
     anick = anick_chain_counts(rs.leads(), rs.degrees, 4, bound)
     assert full_betti(rs, 4, bound) == anick
-    walk = walk_counts(rs, 4, bound)
-    assert all(walk.get(k, 0) >= n for k, n in anick.items())
-    if all(len(w) == 2 for w in rs.leads()):
-        assert walk == anick
+    assert walk_counts(rs, 4, bound) == anick
+
+
+@given(case=random_monomial_presentations(), levels=st.integers(2, 6))
+def test_chain_counts_are_anick_chains(case, levels):
+    # no resolution is built, so the walk goes further than above
+    p, bound = case
+    rs = complete(p, bound)
+    assert (walk_counts(rs, levels, bound + 2)
+            == anick_chain_counts(rs.leads(), rs.degrees, levels, bound + 2))
 
 
 def test_chain_counts_bound_a_self_overlapping_lead():
     # over x^3 = 0 the Betti numbers sit in degrees 0, 1, 3, 4, 6, ...: one
-    # Anick chain per stage.  The walk also counts x^2 * x^3 at (3, 5),
-    # whose extended head x^4 holds the lead twice
+    # Anick chain per stage.  The walk leaves out x^2 * x^3 at (3, 5), whose
+    # extended head x^4 holds the lead twice
     rs = complete(parse("""
 algebra cube over F32003
 deg x = 1
@@ -396,5 +401,4 @@ rel x^3
     anick = anick_chain_counts(rs.leads(), rs.degrees, 5, 8)
     assert anick == {(1, 1): 1, (2, 3): 1, (3, 4): 1, (4, 6): 1, (5, 7): 1}
     assert full_betti(rs, 5, 8) == anick
-    walk = walk_counts(rs, 5, 8)
-    assert all(walk.get(k, 0) >= n for k, n in anick.items())
+    assert walk_counts(rs, 5, 8) == anick
