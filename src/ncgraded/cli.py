@@ -5,6 +5,9 @@ optional JSON report.
 Note -h belongs to the homological bound, so the parser runs with
 add_help=False and help lives on --help.
 
+A result becomes its report section through `_json`, which writes a
+dataclass as the dict of its fields: the result classes are the schema.
+
 The normal-element scan lives here rather than next to the certified
 invariants: its answer depends on the chosen finite field and on an
 enumeration cutoff, so it is evidence, not a theorem, and the report says so.
@@ -28,7 +31,7 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -245,19 +248,22 @@ def confluence_probe(p: Presentation, degree_bound: int, seed: int) -> dict:
 # pipeline
 
 
-def _ext_json(t) -> dict:
-    return {
-        "side": t.side,
-        "entries": {f"{i},{j}": n for (i, j), n in sorted(t.entries.items())},
-        "certified": {f"{i},{j}": bool(c)
-                      for (i, j), c in sorted(t.certified.items())},
-        "zero_certified": {str(i): bool(c)
-                           for i, c in sorted(t.zero_certified.items())},
-        "window": list(t.window),
-        "levels": list(t.levels),
-        "level_shift": {str(i): s for i, s in sorted(t.level_shift.items())},
-        "notes": list(t.notes),
-    }
+def _json(x):
+    """x as the report writes it: a tuple as a list, a dict with a key
+    (i, j) as "i,j" and any other as its string, and anything else that is
+    not a number, a string or None as the dict of its dataclass fields.  A
+    dict keyed by names (the twist's generators) keeps its order; any other
+    is sorted by its keys, so (2, 9) comes before (2, 10)."""
+    if x is None or isinstance(x, (int, float, str)):
+        return x
+    if isinstance(x, tuple):
+        return [_json(v) for v in x]
+    if isinstance(x, dict):
+        items = (x.items() if all(isinstance(k, str) for k in x)
+                 else sorted(x.items()))
+        return {",".join(map(str, k)) if isinstance(k, tuple) else str(k):
+                _json(v) for k, v in items}
+    return {f.name: _json(getattr(x, f.name)) for f in fields(x)}
 
 
 def _load_presentation(cfg: RunConfig):
@@ -320,16 +326,11 @@ def run(cfg: RunConfig) -> tuple[dict, int]:
 
     dims = hilbert_function(rs, cfg.degree_bound)
     if "hilbert" in cfg.checks:
-        hil: dict = {"dims": list(dims.dims), "certified_to": dims.certified_to}
-        gk = gk_estimate(dims)
-        hil["gk"] = {"value": gk.value, "exponential": gk.exponential,
-                     "window": list(gk.window), "detail": gk.detail}
+        hil = _json(dims)
+        hil["gk"] = _json(gk_estimate(dims))
         if cfg.claim is not None:
             chk = verify_rational(dims, cfg.claim)
-            hil["claim"] = {"text": cfg.claim, "ok": chk.ok,
-                            "compared_to": chk.compared_to,
-                            "first_mismatch": chk.first_mismatch,
-                            "detail": chk.detail}
+            hil["claim"] = {"text": cfg.claim, **_json(chk)}
             if not chk.ok:
                 exit_code = 1
         report["hilbert"] = hil
@@ -343,22 +344,10 @@ def run(cfg: RunConfig) -> tuple[dict, int]:
         tab = betti(res)
         gl = gldim_upto(res, tab)
     if {"betti", "koszul"} & set(cfg.checks):
-        bet: dict = {
-            "entries": {f"{i},{j}": n for (i, j), n in sorted(tab.entries.items())},
-            "certified_internal": tab.certified_internal,
-            "certified_homological": tab.certified_homological,
-            "stage_complete": {str(i): bool(v)
-                               for i, v in sorted(tab.stage_complete.items())},
-            "gldim": {"value": gl.value, "certified": gl.certified,
-                      "reason": gl.reason},
-        }
+        bet = _json(tab)
+        bet["gldim"] = _json(gl)
         if "koszul" in cfg.checks:
-            ko = koszul_check(res, tab, dims)
-            bet["koszul"] = {"applicable": ko.applicable, "verdict": ko.verdict,
-                             "diagonal_in_window": ko.diagonal_in_window,
-                             "identity_to": ko.identity_to,
-                             "certified_stages": ko.certified_stages,
-                             "detail": ko.detail}
+            bet["koszul"] = _json(koszul_check(res, tab, dims))
         report["betti"] = bet
 
     # the opposite algebra serves the right side and the enveloping system
@@ -373,14 +362,8 @@ def run(cfg: RunConfig) -> tuple[dict, int]:
                                    cfg.degree_bound, tab)
         t_right = ext_k_A(res_r)
         asv = as_check(t_left, t_right, gldim=gl)
-        report["ext_k_A"] = {"left": _ext_json(t_left),
-                             "right": _ext_json(t_right)}
-        report["as_verdict"] = {
-            "status": asv.status, "n": asv.n, "l": asv.l,
-            "witness": list(asv.witness) if asv.witness else None,
-            "certified_bounds": asv.certified_bounds,
-            "notes": list(asv.notes),
-        }
+        report["ext_k_A"] = _json({"left": t_left, "right": t_right})
+        report["as_verdict"] = _json(asv)
 
     hoch = rig = None
     if {"hochschild", "rigidity"} & set(cfg.checks):
@@ -392,23 +375,14 @@ def run(cfg: RunConfig) -> tuple[dict, int]:
             t_left = ext_k_A(res)
         hoch = hochschild_ext(dres, one_sided=(t_left, tab))
         if "hochschild" in cfg.checks:
-            report["hochschild"] = _ext_json(hoch)
-            report["hochschild"]["bimodule_betti"] = {
-                f"{i},{j}": n for (i, j), n in sorted(dtab.entries.items())}
+            report["hochschild"] = _json(hoch)
+            report["hochschild"]["bimodule_betti"] = _json(dtab.entries)
         if "rigidity" in cfg.checks:
             rig = rigidity_check(p, dres, hoch, dims)
-            twist = None
-            if rig.twist_on_generators is not None:
-                names = [g.name for g in p.generators]
-                twist = {k: v.format(names)
-                         for k, v in rig.twist_on_generators.items()}
-            report["rigidity"] = {
-                "concentrated_at": rig.concentrated_at,
-                "graded_match": rig.graded_match,
-                "twist_on_generators": twist,
-                "certified_bounds": rig.certified_bounds,
-                "notes": list(rig.notes),
-            }
+            twist = rig.twist_on_generators
+            if twist is not None:
+                twist = {k: v.format(p.names()) for k, v in twist.items()}
+            report["rigidity"] = _json(replace(rig, twist_on_generators=twist))
 
     if asv is not None or rig is not None:
         gk_for_report = gk_estimate(dims) if asv and asv.status == "fails" else None

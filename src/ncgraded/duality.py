@@ -232,11 +232,14 @@ def as_check(t_left: ExtTable, t_right: ExtTable,
 
     sl, sr = single(t_left), single(t_right)
     if sl is None or sr is None:
-        uncert = [(i, j, n) for (i, j), n in
-                  sorted(t_left.entries.items()) + sorted(t_right.entries.items())
-                  if not (t_left.certified.get((i, j)) or
-                          t_right.certified.get((i, j)))]
-        notes = (("uncertified nonzero entries present",) if uncert else
+        uncert = []
+        for side, t in (("left", t_left), ("right", t_right)):
+            levels = sorted({i for i, j in t.entries
+                             if not t.certified.get((i, j))})
+            if levels:
+                uncert.append(f"{side} at levels {levels}")
+        notes = (("uncertified nonzero entries present: " + ", ".join(uncert),)
+                 if uncert else
                  ("no certified concentration pattern in the window",))
         return ASVerdict("inconclusive", certified_bounds=bounds, notes=notes)
     if sl != sr:
@@ -350,13 +353,8 @@ def _coboundaries(res: Resolution, i: int, mu: int) -> list:
 def _cohomology_rep(res: Resolution, i: int, mu: int) -> dict | None:
     """A cocycle at (i, mu) outside the coboundaries, over the functionals
     of `_blocks(res, i, mu)`, or None when H^i_mu = 0."""
-    f = res.rs.field
-    d = _dual_matrix(res, i, mu)
-    if d.rows:
-        kern = kernel_basis(d)
-    else:
-        kern = [{c: f.one()} for c in range(d.cols)]
-    span = RowSpan(f)
+    kern = kernel_basis(_dual_matrix(res, i, mu))
+    span = RowSpan(res.rs.field)
     for col in _coboundaries(res, i, mu):
         span.add(col)
     for v in kern:

@@ -357,8 +357,6 @@ class Guide:
 @dataclass(frozen=True)
 class BettiTable:
     entries: dict               # (stage, internal degree) -> count
-    hbound: int
-    dbound: int
     certified_internal: int
     certified_homological: int
     stage_complete: dict        # stage -> bool (complete beyond the window too)
@@ -382,8 +380,7 @@ def betti(res: Resolution) -> BettiTable:
     rs = res.rs
     cert_int = res.dbound if rs.globally_complete else min(res.dbound,
                                                            rs.complete_below)
-    return BettiTable(entries, res.hbound, res.dbound, cert_int, res.hbound,
-                      stage_certificates(res))
+    return BettiTable(entries, cert_int, res.hbound, stage_certificates(res))
 
 
 @dataclass(frozen=True)
@@ -441,7 +438,8 @@ def koszul_check(res: Resolution, table: BettiTable, dims) -> KoszulReport:
                             "only defined for generators in degree 1")
     off = [(i, j) for (i, j), n in table.entries.items() if n and i != j]
     diagonal = not off
-    n_id = min(table.hbound, table.certified_internal, dims.certified_to)
+    n_id = min(table.certified_homological, table.certified_internal,
+               dims.certified_to)
     coeffs = [0] * (n_id + 1)
     for (i, j), n in table.entries.items():
         if i == j and i <= n_id:
@@ -453,7 +451,7 @@ def koszul_check(res: Resolution, table: BettiTable, dims) -> KoszulReport:
             ok = False
             break
     certified = 0
-    for i in range(1, table.hbound + 1):
+    for i in range(1, table.certified_homological + 1):
         if table.stage_complete.get(i, False):
             certified = i
         else:

@@ -130,6 +130,29 @@ def test_render_text_sections():
     assert "seed probe 0: agrees" in text
 
 
+def test_text_summary_lists_entries_in_the_order_of_their_keys():
+    # a table's keys are sorted as (level, degree), not as the strings
+    # "i,j"; the twist keeps the generators in the order of the presentation
+    report, _ = run(RunConfig(input="quantum-plane-2", degree_bound=12,
+                              homological_bound=5, checks=FULL))
+    text = render_text(report)
+    assert text.index("H[2,9]=8") < text.index("H[2,10]=9")
+    report, _ = run(RunConfig(input="weyl-homogenized", degree_bound=6,
+                              homological_bound=4, checks=("rigidity",)))
+    assert list(report["rigidity"]["twist_on_generators"]) == ["x", "y", "t"]
+
+
+@pytest.mark.parametrize("name", ["polynomial-2", "quantum-plane-2",
+                                  "smith-zhang"])
+def test_reports_hold_only_json_values(name):
+    # the goldens are compared with in-process reports, so a tuple or a
+    # non-string key in a report would make equal reports compare unequal
+    report, _ = run(RunConfig(input=name, field=field_from_name("Q"),
+                              degree_bound=7, homological_bound=4,
+                              checks=FULL))
+    assert json.loads(json.dumps(report)) == report
+
+
 def test_seed_probe_recorded():
     report, _ = run_builtin("polynomial-2")
     assert report["seed_probe"]["agrees"] is True

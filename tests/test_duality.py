@@ -15,7 +15,7 @@ from ncgraded.hilbert import hilbert_function
 from ncgraded.presentation import (builtin, enveloping, homogenize, opposite,
                                    parse, skew_polynomial)
 from ncgraded.resolution import betti, gldim_upto, minimal_resolution
-from ncgraded.duality import (_dual_matrix, as_check, ext_k_A,
+from ncgraded.duality import (ExtTable, _dual_matrix, as_check, ext_k_A,
                               diagonal_bimodule_resolution, hochschild_ext,
                               invariant_report, rigidity_check)
 
@@ -109,6 +109,24 @@ def test_narrow_window_is_inconclusive():
     # window stops below the socle level and everything in sight is zero
     v = as_check(*two_sided(builtin("weyl-homogenized"), 3, 8))
     assert v.status == "inconclusive"
+    assert v.notes == ("no certified concentration pattern in the window",)
+
+
+def test_each_side_is_read_against_its_own_certificates():
+    # a certified left entry must not hide an uncertified right entry at
+    # the same level and degree
+    def table(certified):
+        return ExtTable("overA", {(2, -2): 1}, {(2, -2): certified},
+                        {i: certified for i in range(4)}, (-2, 6), (0, 3),
+                        {i: 0 for i in range(4)})
+
+    v = as_check(table(True), table(False))
+    assert v.status == "inconclusive"
+    assert v.notes == ("uncertified nonzero entries present: "
+                       "right at levels [2]",)
+    v = as_check(table(False), table(False))
+    assert v.notes == ("uncertified nonzero entries present: "
+                       "left at levels [2], right at levels [2]",)
 
 
 # -- bimodule side ------------------------------------------------------------

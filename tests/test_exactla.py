@@ -268,6 +268,15 @@ def test_kernel_known():
     assert apply_columns(m.columns, k, QQ) == {}
 
 
+@pytest.mark.parametrize("f", [FieldSpec("Fp", 2), F32003, QQ])
+@pytest.mark.parametrize("cols", [0, 4])
+def test_kernel_of_a_matrix_without_rows_is_the_unit_vectors(f, cols):
+    # a d* out of a level with nothing above it has no rows; its cocycles
+    # are every functional, in column order
+    m = SparseMatrix(0, [{} for _ in range(cols)], f)
+    assert kernel_basis(m) == [{c: f.one()} for c in range(cols)]
+
+
 @pytest.mark.parametrize("f", [F32003, QQ])
 @given(rows=int_matrices())
 def test_rank_nullity_and_kernel_annihilates(f, rows):
