@@ -38,6 +38,7 @@ import numpy as np
 
 from .exactla import (F32003, FieldSpec, field_from_name, mod_p,
                       same_row_spans)
+from .freealg import word_degree
 from .presentation import (FilteredPresentation, Presentation,
                            PresentationError, builtin, builtin_names,
                            homogenize, opposite, parse)
@@ -217,10 +218,15 @@ def _scan_degree(rs: RewriteSystem, d: int, basis: list, p: int
     return np.concatenate(found)
 
 
-def confluence_probe(p: Presentation, degree_bound: int, seed: int) -> dict:
-    """Re-run completion with the relations fed in a seeded random order and
-    random nonzero rescalings; for a fixed term order the completed lead set
-    and the graded dimensions must come out identical."""
+def confluence_probe(p: Presentation, rs: RewriteSystem, degree_bound: int,
+                     seed: int) -> dict:
+    """Complete p at degree_bound with its relations fed in a seeded random
+    order and random nonzero rescalings; for a fixed term order its leads
+    and graded dimensions must be those of `rs`, p's own completion at
+    degree_bound or above, through degree_bound.  The relations are
+    homogeneous, so the leads that a completion truncated at any bound has
+    through a degree are those of the reduced Groebner basis, whatever the
+    bound above that degree: `rs` need not be completed again."""
     rng = random.Random(seed)
     rels = list(p.relations)
     rng.shuffle(rels)
@@ -233,11 +239,11 @@ def confluence_probe(p: Presentation, degree_bound: int, seed: int) -> dict:
                 break
         scaled.append(r.scaled(c))
     q = Presentation(p.field, p.generators, scaled, label=p.label)
-    rs0 = complete(p, degree_bound=degree_bound)
     rs1 = complete(q, degree_bound=degree_bound)
-    leads0 = sorted(rs0.leads())
+    leads0 = sorted(w for w in rs.leads()
+                    if word_degree(w, rs.degrees) <= degree_bound)
     leads1 = sorted(rs1.leads())
-    dims0 = hilbert_function(rs0, degree_bound).dims
+    dims0 = hilbert_function(rs, degree_bound).dims
     dims1 = hilbert_function(rs1, degree_bound).dims
     return {"seed": seed, "leads_match": leads0 == leads1,
             "dims_match": dims0 == dims1,
@@ -321,7 +327,7 @@ def run(cfg: RunConfig) -> tuple[dict, int]:
         "complete_below": rs.complete_below,
         "stats": rs.stats,
     }
-    report["seed_probe"] = confluence_probe(p, min(cfg.degree_bound, 5),
+    report["seed_probe"] = confluence_probe(p, rs, min(cfg.degree_bound, 5),
                                             cfg.seed)
 
     dims = hilbert_function(rs, cfg.degree_bound)
@@ -342,7 +348,7 @@ def run(cfg: RunConfig) -> tuple[dict, int]:
             "rigidity"} & set(cfg.checks):
         res = minimal_resolution(rs, cfg.homological_bound, cfg.degree_bound)
         tab = betti(res)
-        gl = gldim_upto(res, tab)
+        gl = gldim_upto(res)
     if {"betti", "koszul"} & set(cfg.checks):
         bet = _json(tab)
         bet["gldim"] = _json(gl)

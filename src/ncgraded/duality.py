@@ -49,8 +49,7 @@ from .groebner import EnvelopingSystem, RewriteSystem, substitute
 from .hilbert import GradedDims
 from .presentation import Presentation
 from .resolution import (Resolution, betti, BettiTable,
-                         GlobalDimReport, resolve_cyclic, stage_certificates,
-                         word_blocks)
+                         GlobalDimReport, resolve_cyclic, word_blocks)
 
 
 @dataclass
@@ -71,8 +70,6 @@ class ExtTable:
 def _blocks(res: Resolution, i: int, mu: int) -> tuple:
     """`word_blocks` of C^i_mu, the functionals of degree mu on stage i: a
     block of the normal words of degree deg g + mu per generator g."""
-    if i >= len(res.stages):
-        return [], 0
     return word_blocks(res.rs, [g.degree + mu for g in res.stages[i].gens],
                        res.dbound)
 
@@ -81,21 +78,16 @@ def _dual_matrix(res: Resolution, i: int, mu: int) -> SparseMatrix:
     """d*: C^i_mu -> C^(i+1)_mu, one column per functional of `_blocks`,
     the one with value w at generator g mapped to  sum_h a_(h,g) * w  at
     generator h.  Each block of columns is one call of the system's
-    `products`, so over the enveloping algebra a product is a row of A's
-    table times a row of A^op's."""
-    dom, size = _blocks(res, i, mu)
+    `products` (`Resolution.block_map`), so over the enveloping algebra a
+    product is a row of A's table times a row of A^op's.  Inside the window
+    each h with a_(h,g) nonzero has a block: C^(i+1)_mu = 0 gives zeros."""
     cod, height = _blocks(res, i + 1, mu)
-    rs = res.rs
-    if not height:
-        return SparseMatrix(0, [{} for _ in range(size)], rs.field)
-    at = {h: off for h, _, off in cod}
     gens = res.stages[i + 1].gens
-    cols = []
-    for g, m, _ in dom:
-        cols += rs.products([(at[h], t, c) for h, gen in enumerate(gens)
-                             if g in gen.column
-                             for t, c in gen.column[g].items()], m)
-    return SparseMatrix(height, cols, rs.field)
+    cols = res.block_map(_blocks(res, i, mu)[0], cod,
+                         lambda g: [(h, t, c) for h, gen in enumerate(gens)
+                                    if g in gen.column
+                                    for t, c in gen.column[g].items()])
+    return SparseMatrix(height, cols, res.rs.field)
 
 
 def _window(res: Resolution) -> tuple:
@@ -113,14 +105,15 @@ def _complete(stages: dict, k: int) -> bool:
     return k <= 0 or stages.get(k, False)
 
 
-def _ext_table(res: Resolution, side: str,
+def _ext_table(res: Resolution, side: str, shifts: dict, notes: tuple = (),
                vanishing: frozenset = frozenset()) -> ExtTable:
-    """The table over the window.  At a level in `vanishing`, where the
-    caller has proven the cohomology zero, the rank of d* is the dimension
-    left by the rank into it, and no d* is built; nor is one without
-    rows."""
+    """The table over the window, the entry of level i at functional
+    degree mu reported at degree mu + shifts[i].  At a level in
+    `vanishing`, where the caller has proven the cohomology zero, the rank
+    of d* is the dimension left by the rank into it, and no d* is built;
+    nor is one without rows."""
     lo, hi = _window(res)
-    cert = stage_certificates(res)
+    cert = res.stage_complete
     top_level = res.hbound - 1
     ranks: dict = {}      # (i, mu) -> rank of d* out of level i
     nullity: dict = {}
@@ -144,18 +137,19 @@ def _ext_table(res: Resolution, side: str,
         for mu in range(lo, hi + 1):
             h = nullity[(i, mu)] - ranks.get((i - 1, mu), 0)
             if h:
-                entries[(i, mu)] = h
-                certified[(i, mu)] = all(_complete(cert, k)
-                                         for k in (i - 1, i, i + 1))
+                key = (i, mu + shifts[i])
+                entries[key] = h
+                certified[key] = all(_complete(cert, k)
+                                     for k in (i - 1, i, i + 1))
     return ExtTable(side, entries, certified, zero_cert, (lo, hi),
-                    (0, top_level), {i: 0 for i in range(top_level + 1)})
+                    (0, top_level), shifts, notes)
 
 
 def ext_k_A(res: Resolution) -> ExtTable:
     """Graded Ext of the trivial module with values in the algebra, from a
     minimal resolution over its system `res.rs`.  Entries keyed by (level,
     functional degree)."""
-    return _ext_table(res, "overA")
+    return _ext_table(res, "overA", dict.fromkeys(range(res.hbound), 0))
 
 
 # ---------------------------------------------------------------------------
@@ -313,22 +307,15 @@ def hochschild_ext(res: Resolution, one_sided: tuple | None = None) -> ExtTable:
                 i for i in zero if e.zero_certified.get(i, False)
                 and all(_complete(table.stage_complete, k)
                         for k in (i - 1, i, i + 1)))
-    t = _ext_table(res, "overAe", vanishing)
     shifts = {}
     notes = []
-    for i in range(t.levels[0], t.levels[1] + 1):
-        if i >= len(res.stages):
-            continue
+    for i in range(res.hbound):
         degs = {g.degree for g in res.stages[i].gens}
         shifts[i] = 2 * next(iter(degs)) if len(degs) == 1 else 0
         if len(degs) > 1:
             notes.append(f"level {i} spans degrees {sorted(degs)}; "
                          "reported in raw functional degree")
-    entries = {(i, j + shifts.get(i, 0)): n for (i, j), n in t.entries.items()}
-    certified = {(i, j + shifts.get(i, 0)): c
-                 for (i, j), c in t.certified.items()}
-    return ExtTable(t.side, entries, certified, t.zero_certified, t.window,
-                    t.levels, shifts, tuple(notes))
+    return _ext_table(res, "overAe", shifts, tuple(notes), vanishing)
 
 
 # ---------------------------------------------------------------------------
@@ -422,13 +409,11 @@ def rigidity_check(p: Presentation, res: Resolution, t: ExtTable,
 
     img_cols1 = _coboundaries(res, i0, mu0 + 1)
     blocks1, size1 = _blocks(res, i0, mu0 + 1)
-    at1 = {g: off for g, _, off in blocks1}
 
     def times_letter(letter: int) -> dict:
         """rep times the letter on the right, over C^i0_(mu0 + 1)."""
-        rows = []
-        for g, m, _ in _blocks(res, i0, mu0)[0]:
-            rows += rs.products([(at1[g], (letter,), 1)], m, left=False)
+        rows = res.block_map(_blocks(res, i0, mu0)[0], blocks1,
+                             lambda g: [(g, (letter,), 1)], left=False)
         return combination(rows, rep, f.p)
 
     right_plain = [times_letter(g) for g in range(n)]

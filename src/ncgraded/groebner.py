@@ -215,8 +215,8 @@ class RewriteSystem:
     def leads(self) -> list:
         return list(self.rules)
 
-    def monomial(self, w: Word, coeff=None) -> FreeElement:
-        return FreeElement.monomial(self.field, self.degrees, w, coeff)
+    def monomial(self, w: Word) -> FreeElement:
+        return FreeElement.monomial(self.field, self.degrees, w)
 
     def normal_words(self, degree: int) -> list:
         """The words of a degree that contain no lead, in deglex order:
@@ -297,8 +297,6 @@ class RewriteSystem:
         rows = tables.get(key)
         if rows is not None:
             return rows
-        if degree < 0:
-            return ()
         if not t:
             rows = tables[key] = tuple(((k, 1),)
                                        for k in range(self.dim(degree)))

@@ -402,21 +402,21 @@ def opposite(p: Presentation) -> Presentation:
     return Presentation(p.field, p.generators, rels, f"op({p.label})")
 
 
-def enveloping(p: Presentation, suffix: str = "_op") -> Presentation:
+def enveloping(p: Presentation) -> Presentation:
     """Tensor of the algebra with its opposite.
 
-    Generators: the originals, then one `suffix`-renamed copy per original
-    (same listing order).  Relations: the originals verbatim, the reversed
-    relations on the renamed copy, and all cross commutators  g'*h - h*g'
-    making the two blocks commute.
+    Generators: the originals, then one copy per original renamed with the
+    suffix `_op` (same listing order).  Relations: the originals verbatim,
+    the reversed relations on the renamed copy, and all cross commutators
+    g'*h - h*g'  making the two blocks commute.
     """
     n = p.ngens()
     names = p.names()
     for g in p.generators:
-        if g.name + suffix in names:
+        if g.name + "_op" in names:
             raise PresentationError(
-                f"name collision: {g.name + suffix!r} already a generator")
-    gens = list(p.generators) + [GeneratorInfo(g.name + suffix, g.degree)
+                f"name collision: {g.name + '_op'!r} already a generator")
+    gens = list(p.generators) + [GeneratorInfo(g.name + "_op", g.degree)
                                  for g in p.generators]
     degrees = tuple(g.degree for g in gens)
     f = p.field
@@ -458,20 +458,19 @@ def skew_polynomial(n: int, params, field: FieldSpec = F32003) -> Presentation:
     return Presentation(field, gens, tuple(rels), f"skew-{n}")
 
 
-def ore_extension(p: Presentation, alpha: dict, t_name: str = "t",
-                  t_degree: int = 1) -> Presentation:
+def ore_extension(p: Presentation, alpha: dict) -> Presentation:
     """Graded Ore extension by a degree-preserving endomorphism.
 
     `alpha` maps each generator name to its image (a FreeElement over p's
-    generators, homogeneous of the same degree).  The new generator obeys
-    t*g = alpha(g)*t.  The endomorphism property is verified by reducing
-    alpha(r) to normal form for every defining relation r
+    generators, homogeneous of the same degree).  The new generator t, of
+    degree 1, obeys t*g = alpha(g)*t.  The endomorphism property is verified
+    by reducing alpha(r) to normal form for every defining relation r
     (`groebner.substitute`); only that check is performed, so the result is
     sound for presentations, not for arbitrary maps that fail to descend.
     """
     names = p.names()
-    if t_name in names:
-        raise PresentationError(f"name collision: {t_name!r} already a generator")
+    if "t" in names:
+        raise PresentationError("name collision: 't' already a generator")
     missing = [nm for nm in names if nm not in alpha]
     if missing:
         raise PresentationError(f"alpha missing images for {missing}")
@@ -493,7 +492,7 @@ def ore_extension(p: Presentation, alpha: dict, t_name: str = "t",
                 f"alpha does not preserve the relation with lead "
                 f"{r.lead_word()}; not an endomorphism of the presented algebra")
 
-    gens = tuple(p.generators) + (GeneratorInfo(t_name, t_degree),)
+    gens = tuple(p.generators) + (GeneratorInfo("t", 1),)
     ndeg = tuple(g.degree for g in gens)
     tdx = len(names)
     f = p.field
@@ -506,7 +505,7 @@ def ore_extension(p: Presentation, alpha: dict, t_name: str = "t",
     return Presentation(f, gens, tuple(rels), f"ore({p.label})")
 
 
-def homogenize(fp: FilteredPresentation, t_name: str = "t") -> Presentation:
+def homogenize(fp: FilteredPresentation) -> Presentation:
     """Central homogenization.
 
     Appends a degree-1 generator `t` *last*, pads each relation part up to the
@@ -515,9 +514,9 @@ def homogenize(fp: FilteredPresentation, t_name: str = "t") -> Presentation:
     ideal once t is central.)
     """
     names = fp.names()
-    if t_name in names:
-        raise PresentationError(f"name collision: {t_name!r} already a generator")
-    gens = tuple(fp.generators) + (GeneratorInfo(t_name, 1),)
+    if "t" in names:
+        raise PresentationError("name collision: 't' already a generator")
+    gens = tuple(fp.generators) + (GeneratorInfo("t", 1),)
     ndeg = tuple(g.degree for g in gens)
     tdx = len(names)
     f = fp.field
@@ -564,10 +563,10 @@ def group_oracle_product(t1: tuple, t2: tuple) -> tuple:
     return (t1[0] + t2[0] - t1[2] * t2[1], t1[1] + t2[1], t1[2] + t2[2])
 
 
-def group_oracle_word_image(word: Word, order=SMITH_ZHANG_ORDER) -> tuple:
+def group_oracle_word_image(word: Word) -> tuple:
     acc = (0, 0, 0)
     for g in word:
-        acc = group_oracle_product(acc, _ORACLE_GENS[order[g]])
+        acc = group_oracle_product(acc, _ORACLE_GENS[SMITH_ZHANG_ORDER[g]])
     return acc
 
 

@@ -47,14 +47,16 @@ Certification discipline: every Betti entry inside the searched window
 are made only when backed by the chain certificate: potential stage-i
 generators live on left-extension chains of the lead words, so when the
 chain degrees for a stage all fall inside the searched window, the absence
-of further generators is a theorem rather than an observation.
+of further generators is a theorem rather than an observation.  A
+resolution computes these certificates once, after its last stage, and keeps
+them as `Resolution.stage_complete`.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .exactla import RowSpan, SparseMatrix, combination, kernel_basis
 from .freealg import EMPTY_WORD, deglex_key, word_degree
@@ -85,11 +87,27 @@ class Resolution:
     hbound: int
     dbound: int
     relations: tuple    # the module relations in normal form, none zero
+    # stage -> `stage_certificates`, set by resolve_cyclic at the end
+    stage_complete: dict = field(default_factory=dict)
 
     def blocks(self, i: int, j: int) -> tuple:
         """`word_blocks` of stage i at internal degree j."""
         return word_blocks(self.rs, [j - g.degree for g in self.stages[i].gens],
                            self.dbound)
+
+    def block_map(self, dom: list, cod: list, images,
+                  left: bool = True) -> list:
+        """The columns of a map between two degree pieces laid out in
+        blocks (`word_blocks`): for each block (g, m, _) of `dom`, in order,
+        one column per normal word w of degree m, the sum of c * t * w
+        (left) or c * w * t over the terms (h, t, c) of `images(g)`, each
+        written into h's block of `cod`."""
+        at = {h: off for h, _, off in cod}
+        cols = []
+        for g, m, _ in dom:
+            cols += self.rs.products([(at[h], t, c) for h, t, c in images(g)],
+                                     m, left)
+        return cols
 
     def top_nonzero_stage(self) -> int:
         top = 0
@@ -177,27 +195,22 @@ def resolve_cyclic(rs: RewriteSystem, module_relations, hbound: int,
                 cands = []     # K_j is the span below, by the theorem
             else:
                 cod, height = res.blocks(i - 2, j)
-                cod_at = {gi: off for gi, _, off in cod}
-                cols = []
-                for gi, m, _ in dom:
-                    cols += rs.products([(cod_at[tgt], tw, tc)
-                                         for tgt, tw, tc in entries[gi]],
-                                        m, left=False)
+                cols = res.block_map(dom, cod, entries.__getitem__,
+                                     left=False)
                 cands = kernel_basis(SparseMatrix(height, cols, f))
             span = RowSpan(f)
-            dom_at = {gi: off for gi, _, off in dom}
             for g, dg in enumerate(rs.degrees):
                 if not sub.get(j - dg):
                     continue
-                rows = []
-                for gi, m, _ in res.blocks(i - 1, j - dg)[0]:
-                    rows += rs.products([(dom_at[gi], (g,), 1)], m)
+                rows = res.block_map(res.blocks(i - 1, j - dg)[0], dom,
+                                     lambda gi: [(gi, (g,), 1)])
                 for v in sub[j - dg]:
                     span.add(combination(rows, v, f.p))
             for v in cands:
                 if span.add(v):
                     stage.gens.append(StageGen(j, _vector_to_column(rs, v, dom)))
             sub[j] = span.basis()
+    res.stage_complete = stage_certificates(res)
     return res
 
 
@@ -377,10 +390,7 @@ def betti(res: Resolution) -> BettiTable:
         for g in st.gens:
             key = (st.index, g.degree)
             entries[key] = entries.get(key, 0) + 1
-    rs = res.rs
-    cert_int = res.dbound if rs.globally_complete else min(res.dbound,
-                                                           rs.complete_below)
-    return BettiTable(entries, cert_int, res.hbound, stage_certificates(res))
+    return BettiTable(entries, res.dbound, res.hbound, res.stage_complete)
 
 
 @dataclass(frozen=True)
@@ -390,7 +400,7 @@ class GlobalDimReport:
     reason: str
 
 
-def gldim_upto(res: Resolution, table: BettiTable | None = None) -> GlobalDimReport:
+def gldim_upto(res: Resolution) -> GlobalDimReport:
     """Global dimension when certifiable inside the window.
 
     Certified means: the top nonzero stage n has an empty, chain-complete
@@ -398,17 +408,14 @@ def gldim_upto(res: Resolution, table: BettiTable | None = None) -> GlobalDimRep
     kernel of the last differential has no generators at all and the
     resolution provably stops.
     """
-    table = table or betti(res)
     top = res.top_nonzero_stage()
     if top >= res.hbound:
         return GlobalDimReport(None, False,
                                f"stage {top} still nonzero at the homological "
                                f"bound {res.hbound}; raise -h")
     nxt = top + 1
-    complete = all(table.stage_complete.get(i, False) for i in range(1, nxt + 1))
-    if not complete:
-        missing = [i for i in range(1, nxt + 1)
-                   if not table.stage_complete.get(i, False)]
+    missing = [i for i in range(1, nxt + 1) if not res.stage_complete[i]]
+    if missing:
         return GlobalDimReport(top, False,
                                f"stages {missing} not certified complete "
                                f"within degree {res.dbound}")

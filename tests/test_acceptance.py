@@ -33,7 +33,7 @@ def full_verdict(p, hbound, dbound):
     rs = complete(p, dbound)
     res = minimal_resolution(rs, hbound, dbound)
     tab = betti(res)
-    gl = gldim_upto(res, tab)
+    gl = gldim_upto(res)
     t_left = ext_k_A(res)
     rs_r = complete(opposite(p), dbound)
     t_right = ext_k_A(minimal_resolution(rs_r, hbound, dbound))
@@ -52,7 +52,7 @@ def test_criterion_1_reference_algebra_certificates():
     assert all({j: n for (ii, j), n in tab.entries.items() if ii == i}
                == {i: tab.total(i)} for i in range(5))
     assert len(res.stages[5].gens) == 0
-    gl = gldim_upto(res, tab)
+    gl = gldim_upto(res)
     assert gl.value == 4 and gl.certified
     t_left = ext_k_A(res)
     rs_r = complete(opposite(p), 8)
@@ -163,7 +163,8 @@ def test_criterion_7_property_suites_three_seeds():
     checks = 0
     for seed in (0, 1, 2):
         for name in names:
-            if not confluence_probe(builtin(name), 5, seed)["agrees"]:
+            p = builtin(name)
+            if not confluence_probe(p, complete(p, 7), 5, seed)["agrees"]:
                 failures.append(("confluence", name, seed))
             checks += 1
         rng = random.Random(seed)

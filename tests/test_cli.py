@@ -263,6 +263,30 @@ rel y*x*x - x*x*y
     assert "relation degree" in capsys.readouterr().err
 
 
+def test_homogenizing_generator_must_be_a_new_name(tmp_path, capsys):
+    src = tmp_path / "filtered.alg"
+    src.write_text("filtered algebra f over F32003\ndeg x = 1, t = 1\n"
+                   "rel t*x - x*t - x\n")
+    assert main(["--input", str(src), "-d", "4", "--check", "hilbert"]) == 2
+    assert capsys.readouterr().err == (
+        "ncgraded: error: name collision: 't' already a generator\n")
+
+
+def test_text_summary_of_a_truncated_system(tmp_path, capsys):
+    # no completion of the cyclic input is globally complete, so no stage
+    # of its resolution is certified complete beyond the window
+    src = tmp_path / "cyclic.alg"
+    src.write_text("algebra cyclic over F32003\ndeg x = 1, y = 1, z = 1\n"
+                   "rel x*y - y*x - z*z\nrel y*z - z*y - x*x\n"
+                   "rel z*x - x*z - y*y\n")
+    assert main(["--input", str(src), "-d", "6", "-h", "4",
+                 "--check", "hilbert,betti"]) == 0
+    out = capsys.readouterr().out
+    assert "rewriting: 13 rules, complete below 6" in out
+    assert ("gldim: 3 (stages [1, 2, 3, 4] not certified complete within "
+            "degree 6)") in out
+
+
 def test_argparse_conflicts_exit_two(capsys):
     assert main([]) == 2
     assert main(["--builtin", "a", "--input", "b"]) == 2

@@ -129,6 +129,36 @@ def test_each_side_is_read_against_its_own_certificates():
                        "left at levels [2], right at levels [2]",)
 
 
+def certified_table(entries, zero_levels=range(4)):
+    """A one-sided table over levels 0..3 whose entries are all certified
+    and whose levels in `zero_levels` are certified zero elsewhere."""
+    return ExtTable("overA", entries, dict.fromkeys(entries, True),
+                    {i: i in zero_levels for i in range(4)}, (-3, 5), (0, 3),
+                    dict.fromkeys(range(4), 0))
+
+
+def test_sides_concentrated_apart_fail():
+    v = as_check(certified_table({(2, -2): 1}), certified_table({(3, -3): 1}))
+    assert v.status == "fails"
+    assert v.witness == ("right", 3, -3, 1, "left side concentrated at "
+                         "(2, -2), right at (3, -3)")
+
+
+def test_a_certified_entry_of_dimension_two_fails():
+    t = certified_table({(2, -2): 2})
+    v = as_check(t, t)
+    assert v.status == "fails"
+    assert v.witness == ("left", 2, -2, 2, "level 2 entry has dimension 2")
+
+
+def test_a_lone_entry_at_a_level_not_certified_zero_is_inconclusive():
+    # the entry is exact, but other degrees of its level may hold more
+    t = certified_table({(2, -2): 1}, zero_levels=(0, 1, 3))
+    v = as_check(t, certified_table({(2, -2): 1}))
+    assert v.status == "inconclusive"
+    assert v.notes == ("no certified concentration pattern in the window",)
+
+
 # -- bimodule side ------------------------------------------------------------
 
 def test_line_algebra_bimodule_ext_is_shifted_line():

@@ -18,6 +18,7 @@ from ncgraded.freealg import FreeElement, deglex_key, word_degree
 from ncgraded.duality import diagonal_bimodule_resolution, hochschild_ext
 from ncgraded.groebner import (EnvelopingSystem, RewriteSystem, complete,
                                find_subword, normal_form)
+from ncgraded.hilbert import hilbert_function
 from ncgraded.presentation import (FilteredPresentation, builtin,
                                    builtin_names, enveloping, homogenize,
                                    opposite, parse)
@@ -63,6 +64,16 @@ def test_truncated_completion_is_honest():
     assert not rs.globally_complete
     assert rs.complete_below == 5
     assert len(rs.leads()) > 6 * 2
+
+
+def test_a_relation_above_the_bound_is_skipped():
+    # the cubic relation lies above bound 2 and is skipped: no rule, and
+    # the system is certified through degree 2 only
+    rs = complete(parse("algebra c over F32003\ndeg x = 1, y = 1\n"
+                        "rel y*x*x - x*x*y\n"), 2)
+    assert rs.rules == {}
+    assert rs.complete_below == 2
+    assert rs.globally_complete is False
 
 
 def test_normal_form_kills_relations(sz_rs, qp_rs, poly2_rs):
@@ -167,8 +178,34 @@ def test_a_new_rule_rebuilds_the_automaton():
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize("name", ["polynomial-2", "smith-zhang"])
 def test_confluence_under_randomized_input(name, seed):
-    probe = confluence_probe(builtin(name), 5, seed)
+    # the system is completed above the probe bound, so the probe reads its
+    # leads and dimensions through the bound only
+    p = builtin(name)
+    probe = confluence_probe(p, complete(p, 7), 5, seed)
     assert probe["agrees"]
+
+
+def test_confluence_probe_reads_a_truncated_system_through_its_bound():
+    # 11 of the 21 leads of this system lie above the probe bound
+    p = parse("algebra cyclic over F32003\ndeg x = 1, y = 1, z = 1\n"
+              "rel x*y - y*x - z*z\nrel y*z - z*y - x*x\n"
+              "rel z*x - x*z - y*y\n")
+    rs = complete(p, 9)
+    assert len(rs.leads()) == 21 and not rs.globally_complete
+    assert confluence_probe(p, rs, 5, 0)["agrees"]
+
+
+@settings(max_examples=40)
+@given(case=random_presentations())
+def test_completion_through_a_degree_does_not_depend_on_the_bound(case):
+    # the seed probe compares a completion at its bound with the leads and
+    # dimensions through that bound of a completion at a higher one
+    p, bound = case
+    low, high = complete(p, bound), complete(p, bound + 2)
+    assert sorted(low.leads()) == sorted(
+        w for w in high.leads() if word_degree(w, high.degrees) <= bound)
+    assert (hilbert_function(low, bound).dims
+            == hilbert_function(high, bound).dims)
 
 
 # ---------------------------------------------------------------------------

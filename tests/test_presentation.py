@@ -165,6 +165,13 @@ def test_enveloping_shape():
     assert len(e.relations) == 1 + 1 + 4
 
 
+def test_enveloping_refuses_a_generator_named_as_a_copy():
+    p = parse("algebra c over F32003\ndeg x = 1, x_op = 1\nrel x*x_op\n")
+    with pytest.raises(PresentationError,
+                       match="name collision: 'x_op' already a generator"):
+        enveloping(p)
+
+
 def test_skew_polynomial_params():
     p = skew_polynomial(3, {(0, 1): F32003.from_int(5)})
     assert len(p.relations) == 3

@@ -33,7 +33,7 @@ def test_polynomial_2_koszul_complex(poly2_rs):
     res = minimal_resolution(poly2_rs, 5, 8)
     tab = betti(res)
     assert tab.entries == {(0, 0): 1, (1, 1): 2, (2, 2): 1}
-    gl = gldim_upto(res, tab)
+    gl = gldim_upto(res)
     assert (gl.value, gl.certified) == (2, True)
 
 
@@ -49,7 +49,7 @@ def test_smith_zhang_betti_and_gldim(sz_res):
         assert {j: n for (ii, j), n in tab.entries.items() if ii == i} == {
             i: tab.total(i)}
     assert len(sz_res.stages[5].gens) == 0
-    gl = gldim_upto(sz_res, tab)
+    gl = gldim_upto(sz_res)
     assert gl.value == 4 and gl.certified
     assert all(tab.stage_complete.values())
     assert tab.certified_internal == 8
@@ -58,14 +58,14 @@ def test_smith_zhang_betti_and_gldim(sz_res):
 def test_free_algebra_has_global_dimension_one():
     _, res, tab = build("free-2")
     assert tab.entries == {(0, 0): 1, (1, 1): 2}
-    gl = gldim_upto(res, tab)
+    gl = gldim_upto(res)
     assert gl.value == 1 and gl.certified
 
 
 def test_homogenized_weyl_pdim_three():
     _, res, tab = build("weyl-homogenized")
     assert [tab.total(i) for i in range(4)] == [1, 3, 3, 1]
-    gl = gldim_upto(res, tab)
+    gl = gldim_upto(res)
     assert gl.value == 3 and gl.certified
 
 
