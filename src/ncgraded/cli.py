@@ -361,7 +361,7 @@ def run(cfg: RunConfig) -> tuple[dict, int]:
     if {"asregular", "hochschild", "rigidity"} & set(cfg.checks):
         rs_r = complete(opposite(p), degree_bound=cfg.degree_bound)
 
-    asv = t_left = None
+    asv = None
     if "asregular" in cfg.checks:
         t_left = ext_k_A(res)
         res_r = minimal_resolution(rs_r, cfg.homological_bound,
@@ -376,10 +376,7 @@ def run(cfg: RunConfig) -> tuple[dict, int]:
         dres, dtab = diagonal_bimodule_resolution(rs, rs_r,
                                                   cfg.homological_bound,
                                                   cfg.degree_bound, tab)
-        # the left table proves levels of the bimodule table zero
-        if t_left is None:
-            t_left = ext_k_A(res)
-        hoch = hochschild_ext(dres, one_sided=(t_left, tab))
+        hoch = hochschild_ext(dres)
         if "hochschild" in cfg.checks:
             report["hochschild"] = _json(hoch)
             report["hochschild"]["bimodule_betti"] = _json(dtab.entries)

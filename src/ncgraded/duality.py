@@ -18,33 +18,42 @@ stages below it always are).  Entries at levels whose stage list is not
 certified complete are reported but flagged, and no verdict treats them as
 facts.
 
-Levels the one-sided table proves zero.  Let F = Hom_(A^e)(P, A^e) for the
-minimal bimodule resolution P.  The dual differentials multiply the
-functional values on the left, so F is a complex of free right modules over
-1 (x) A^op, and modulo the positive part of A^op it is Hom_A(P (x) k, A),
-where P (x) k, which kills the opposite letters, is the minimal resolution
-of k as a left A-module.  Its cohomology is the left one-sided table E, and
-filtering F by the degree in A^op gives dim H^i(F)_mu <= sum_nu E^i_nu *
-dim A_(mu - nu).  So where E has no entry at level i and is certified zero
-there, H^i(F) vanishes in the window.  Given E and the left Betti table,
-`hochschild_ext` uses this at a level i when also the one-sided stages
-i-1, i and i+1 are complete: the bimodule Betti numbers are the one-sided
-ones (Tor is balanced), so the computed bimodule complex is the true one at
-those levels.  Then the rank of d* out of level i is dim C^i_mu minus the
-rank of d* into it, and that d* is never built.  Counting from level 0 up,
-this decides every level of a table concentrated in one level (the
-polynomial rings, the quantum plane, the Weyl algebras, the free
-algebras), where the one level left has no stage above it.  The flags are
-those of the computed route, which stays the reference without E.
+The bimodule table through the transferred complex.  Let F =
+Hom_(A^e)(P, A^e) for the minimal bimodule resolution P.  Its dual
+differentials multiply the functional values on the left, so F is a free
+right module over 1 (x) A^op: F = G (x) A^op, where G^i = (+)_g A holds the
+A-part of the values at the stage-i generators g.  Split each entry of a
+stage column into its terms with no opposite letter and the rest: the
+differential is d_F = d0 (x) 1 + delta, where d0 is the one-sided
+differential of G (it is Hom_A(P (x) k, A) for the minimal resolution
+P (x) k of k, so its cohomology E is the left one-sided table) and delta
+raises the A^op-degree.  Over each (level i, degree nu) of G one echelon
+form of d0 splits G^i_nu: its free columns coordinate the cocycles, the
+images of d0's pivot columns one level down span the coboundaries, and
+reducing by those images, each tagged with its preimage column, gives at
+once the cohomology representatives i, the projection p (the residue) and
+the homotopy h (the tags), with d0 h + h d0 = 1 - i p and p h = h i =
+h h = 0.  The homological perturbation lemma (Crainic 2004, arXiv
+math/0403266; algebraic discrete Morse theory is the same transfer,
+Skoldberg 2006, Trans. AMS 358) then puts on E (x) A^op the differential
+D = sum_k p delta (-h delta)^k i, a finite sum because delta raises the
+A^op-degree, with the cohomology of F.  Every map is A^op-linear, so D is
+computed once on each class e (x) 1 and read at every degree through
+A^op's tables.  The ranks of d0 give the dimensions of E, and D is built
+only where E (x) A^op is nonzero at both of its levels: a table
+concentrated in one level (the polynomial rings, the quantum plane, the
+Weyl and free algebras) costs the one-sided ranks alone.  The d* over
+A (x) A^op stay the reference (`_ext_table(res, "overAe", ...)`) and serve
+the twist, which needs cocycles of F itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactla import (SparseMatrix, RowSpan, combination, kernel_basis, rank,
-                      solve_columns)
-from .freealg import FreeElement
+from .exactla import (SparseMatrix, RowSpan, RrefResult, combination,
+                      kernel_basis, rank, reduce_vector, rref, solve_columns)
+from .freealg import FreeElement, word_degree
 from .groebner import EnvelopingSystem, RewriteSystem, substitute
 from .hilbert import GradedDims
 from .presentation import Presentation
@@ -105,30 +114,33 @@ def _complete(stages: dict, k: int) -> bool:
     return k <= 0 or stages.get(k, False)
 
 
-def _ext_table(res: Resolution, side: str, shifts: dict, notes: tuple = (),
-               vanishing: frozenset = frozenset()) -> ExtTable:
-    """The table over the window, the entry of level i at functional
-    degree mu reported at degree mu + shifts[i].  At a level in
-    `vanishing`, where the caller has proven the cohomology zero, the rank
-    of d* is the dimension left by the rank into it, and no d* is built;
-    nor is one without rows."""
+def _ext_table(res: Resolution, side: str, shifts: dict,
+               notes: tuple = ()) -> ExtTable:
+    """The table over the window from the d* of `res`, the entry of level
+    i at functional degree mu reported at degree mu + shifts[i]."""
+    return _table(res, side, shifts, notes,
+                  lambda i, mu: _blocks(res, i, mu)[1],
+                  lambda i, mu: rank(_dual_matrix(res, i, mu)))
+
+
+def _table(res: Resolution, side: str, shifts: dict, notes: tuple, size,
+           rank_out) -> ExtTable:
+    """The table of a complex with the cohomology of the dual of `res`:
+    `size(i, mu)` is the dimension of its term at level i and functional
+    degree mu, and `rank_out(i, mu)` the rank of its differential out of
+    it, asked for only where both ends are nonzero."""
     lo, hi = _window(res)
     cert = res.stage_complete
     top_level = res.hbound - 1
-    ranks: dict = {}      # (i, mu) -> rank of d* out of level i
+    ranks: dict = {}      # (i, mu) -> rank of the differential out of level i
     nullity: dict = {}
     for mu in range(lo, hi + 1):
-        size = _blocks(res, 0, mu)[1]
+        here = size(0, mu)
         for i in range(0, top_level + 1):
-            above = _blocks(res, i + 1, mu)[1]
-            if i in vanishing:
-                rk = size - ranks.get((i - 1, mu), 0)
-            elif above:
-                rk = rank(_dual_matrix(res, i, mu))
-            else:
-                rk = 0
-            ranks[(i, mu)], nullity[(i, mu)] = rk, size - rk
-            size = above
+            above = size(i + 1, mu)
+            rk = rank_out(i, mu) if here and above else 0
+            ranks[(i, mu)], nullity[(i, mu)] = rk, here - rk
+            here = above
     entries: dict = {}
     certified: dict = {}
     zero_cert: dict = {}
@@ -278,19 +290,209 @@ def diagonal_bimodule_resolution(rs: RewriteSystem, rs_op: RewriteSystem,
     return res, betti(res)
 
 
-def hochschild_ext(res: Resolution, one_sided: tuple | None = None) -> ExtTable:
+class _Transfer:
+    """The transferred complex E (x) A^op of a bimodule resolution `res`
+    (module docstring), each piece built when first asked for.  G^i_nu is
+    laid out as `word_blocks` over A, a block of A's normal words of
+    degree deg g + nu per stage-i generator g; the classes of E^i_nu are
+    the free columns of d0 out of it that no coboundary pivots on, in
+    order; and E (x) A^op at functional degree mu has a block of A^op's
+    normal words of degree mu - nu per class of E^i_nu."""
+
+    def __init__(self, res: Resolution):
+        env = res.rs
+        self.res, self.alg, self.opp = res, env.algebra, env.opposite
+        self.field = env.field
+        self.lo = _window(res)[0]
+        n = len(self.alg.degrees)
+        # stage i -> opposite part t_op -> g -> [(h, A-part, scalar)]: the
+        # terms of the columns of stage i, by the letters they act with on
+        # the A^op-factor of the values (d0 is the part t_op = ())
+        self.parts: list = [{}]
+        for st in res.stages[1:]:
+            parts: dict = {}
+            for h, gen in enumerate(st.gens):
+                for g, terms in gen.column.items():
+                    for t, c in terms.items():
+                        top = tuple(x - n for x in t if x >= n)
+                        parts.setdefault(top, {}).setdefault(g, []).append(
+                            (h, tuple(x for x in t if x < n), c))
+            self.parts.append(parts)
+        self._maps: dict = {}
+        self._ranks: dict = {}
+        self._rrefs: dict = {}
+        self._splits: dict = {}
+        self._images: dict = {}
+
+    def size(self, i: int, mu: int) -> int:
+        """dim (E (x) A^op)^i_mu."""
+        return sum(self.dim_e(i, nu) * self.opp.dim(mu - nu)
+                   for nu in range(self.lo, mu + 1))
+
+    def _blocks(self, i: int, nu: int) -> tuple:
+        return word_blocks(self.alg, [g.degree + nu
+                                      for g in self.res.stages[i].gens],
+                           self.res.dbound)
+
+    def _map(self, i: int, top: tuple, nu: int) -> list:
+        """The columns of the part of d* out of G^i_nu whose terms act with
+        `top` on A^op, into G^(i+1)_(nu - deg top)."""
+        key = (i, top, nu)
+        cols = self._maps.get(key)
+        if cols is None:
+            images = self.parts[i + 1].get(top, {})
+            cod = self._blocks(i + 1, nu - word_degree(top, self.opp.degrees))
+            at = {h: off for h, _, off in cod[0]}
+            cols = self._maps[key] = []
+            for g, m, _ in self._blocks(i, nu)[0]:
+                cols += self.alg.products([(at[h], t, c) for h, t, c
+                                           in images.get(g, ())], m)
+        return cols
+
+    def _d0(self, i: int, nu: int) -> SparseMatrix:
+        return SparseMatrix(self._blocks(i + 1, nu)[1], self._map(i, (), nu),
+                            self.field)
+
+    def _rank0(self, i: int, nu: int) -> int:
+        """The rank of d0 out of G^i_nu; none leaves the last stage."""
+        if i < 0 or i >= self.res.hbound:
+            return 0
+        rk = self._ranks.get((i, nu))
+        if rk is None:
+            rk = self._ranks[(i, nu)] = (
+                rank(self._d0(i, nu)) if self._blocks(i, nu)[1]
+                and self._blocks(i + 1, nu)[1] else 0)
+        return rk
+
+    def dim_e(self, i: int, nu: int) -> int:
+        return (self._blocks(i, nu)[1] - self._rank0(i, nu)
+                - self._rank0(i - 1, nu))
+
+    def _rref0(self, i: int, nu: int) -> RrefResult:
+        r = self._rrefs.get((i, nu))
+        if r is None:
+            r = self._rrefs[(i, nu)] = (rref(self._d0(i, nu))
+                                        if self._rank0(i, nu)
+                                        else RrefResult([], 0, []))
+        return r
+
+    def _split(self, j: int, nu: int) -> tuple:
+        """(pivot columns of d0 out of G^j_nu, the span of the coboundaries
+        on the other (free) columns, each row tagged at dim G^j_nu + c by
+        its preimage column c of G^(j-1)_nu, dim G^j_nu, the classes: free
+        column -> index in E^j_nu)."""
+        split = self._splits.get((j, nu))
+        if split is None:
+            size = self._blocks(j, nu)[1]
+            piv = set(self._rref0(j, nu).pivots)
+            span = RowSpan(self.field)
+            if self._rank0(j - 1, nu):
+                cols = self._map(j - 1, (), nu)
+                for c in self._rref0(j - 1, nu).pivots:
+                    row = {k: v for k, v in cols[c].items() if k not in piv}
+                    row[size + c] = self.field.one()
+                    span.add(row)
+            bound = set(span.pivot_columns())
+            classes = [k for k in range(size)
+                       if k not in piv and k not in bound]
+            split = self._splits[(j, nu)] = (
+                piv, span, size, {k: n for n, k in enumerate(classes)})
+        return split
+
+    def _project(self, j: int, nu: int, z: dict) -> tuple:
+        """(p(z) over the classes of E^j_nu, -h(z) over G^(j-1)_nu) for z
+        in G^j_nu."""
+        piv, span, size, classes = self._split(j, nu)
+        r = span.reduce({k: v for k, v in z.items() if k not in piv})
+        return ({classes[k]: v for k, v in r.items() if k < size},
+                {k - size: v for k, v in r.items() if k >= size})
+
+    def _representatives(self, i: int, nu: int) -> list:
+        """i(e) for the classes e of E^i_nu: the cocycle of G^i_nu with 1 at
+        e's free column and 0 at the others."""
+        f = self.field
+        reps = {k: {k: f.one()} for k in self._split(i, nu)[3]}
+        r = self._rref0(i, nu)
+        for c, row in zip(r.pivots, r.rows):
+            for k, v in row.items():
+                if k in reps:
+                    reps[k][c] = f.neg(v)
+        return list(reps.values())
+
+    def _image(self, i: int, nu: int) -> list:
+        """D(e (x) 1) for the classes e of E^i_nu, each a dict
+        (nu', class of E^(i+1)_nu', normal word of A^op) -> scalar.  The
+        chains p delta (-h delta)^k i(e) are summed by A^op-degree b
+        ascending, as delta raises it: pending[b] holds, per normal word of
+        A^op_b, the part of delta (-h delta)^k i(e) in G^(i+1)_(nu - b)."""
+        images = self._images.get((i, nu))
+        if images is not None:
+            return images
+        p, opp = self.field.p, self.opp
+        floor = min((d for d in range(self.lo, nu) if self.dim_e(i + 1, d)),
+                    default=nu)
+        moves = [(top, word_degree(top, opp.degrees))
+                 for top in self.parts[i + 1] if top]
+
+        def delta(x: dict, at: int, b: int, q: int, pending: dict) -> None:
+            # delta of x (x) w, x in G^i_at and w the q-th word of A^op_b
+            for top, s in moves:
+                if at - s < floor:
+                    continue
+                y = combination(self._map(i, top, at), x, p)
+                if not y:
+                    continue
+                for qq, c in opp.table(top, b)[q]:
+                    acc = pending.setdefault(b + s, {}).setdefault(qq, {})
+                    for k, v in y.items():
+                        acc[k] = acc.get(k, 0) + c * v
+
+        images = self._images[(i, nu)] = []
+        if floor == nu:     # no class of E^(i+1) for D to reach
+            images += [{} for _ in range(self.dim_e(i, nu))]
+            return images
+        for x in self._representatives(i, nu):
+            out: dict = {}
+            pending: dict = {}
+            delta(x, nu, 0, 0, pending)
+            for b in range(1, nu - floor + 1):
+                for q, acc in sorted(pending.pop(b, {}).items()):
+                    z = reduce_vector(acc, p)
+                    if not z:
+                        continue
+                    cls, back = self._project(i + 1, nu - b, z)
+                    w = opp.word_at(b, q)
+                    for k, c in cls.items():
+                        out[(nu - b, k, w)] = c
+                    if back:
+                        delta(back, nu - b, b, q, pending)
+            images.append(out)
+        return images
+
+    def rank_out(self, i: int, mu: int) -> int:
+        """The rank of D: (E (x) A^op)^i_mu -> (E (x) A^op)^(i+1)_mu."""
+        opp, at, height = self.opp, {}, 0
+        for nu in range(self.lo, mu + 1):
+            for k in range(self.dim_e(i + 1, nu)):
+                at[(nu, k)] = height
+                height += opp.dim(mu - nu)
+        cols: list = []
+        for nu in range(self.lo, mu + 1):
+            if not self.dim_e(i, nu) or not opp.dim(mu - nu):
+                continue
+            for image in self._image(i, nu):
+                cols += opp.products([(at[(d, k)], w, c) for (d, k, w), c
+                                      in image.items()], mu - nu)
+        return rank(SparseMatrix(height, cols, self.field))
+
+
+def hochschild_ext(res: Resolution) -> ExtTable:
     """Ext of the diagonal bimodule with values in the enveloping algebra,
     from its resolution over the enveloping system `res.rs`, the view of
-    the systems of A and A^op.  The dual differentials multiply in
-    A (x) A^op as pairs of rows, one of A's multiplication table and one
-    of A^op's (`_dual_matrix`).
-
-    `one_sided`, the pair (E, table) of the left one-sided Ext table
-    ext_k_A(res_A) and the Betti table of the same left resolution, lets
-    the levels it proves zero skip their d* (module docstring): a level i
-    where E has no entry, E is certified zero, the one-sided stages i-1, i
-    and i+1 are complete, and E's window reaches the top of this one.  The
-    result is the one computed without it.
+    the systems of A and A^op.  The ranks are taken on the transferred
+    complex E (x) A^op (module docstring), which needs echelon forms of the
+    one-sided d0 only; no d* over A (x) A^op is built.  The table, its
+    flags and its window are those of the d* (`_ext_table`).
 
     Raw functional degrees are relabeled per level: when stage i is
     concentrated in one internal degree s, entries are reported at
@@ -298,15 +500,12 @@ def hochschild_ext(res: Resolution, one_sided: tuple | None = None) -> ExtTable:
     it matches (a shift by s for the module grading and another s for the
     functional grading).  Non-concentrated levels stay in raw degrees, with
     a note."""
-    vanishing = frozenset()
-    if one_sided is not None:
-        e, table = one_sided
-        if e.window[1] >= _window(res)[1]:
-            zero = set(range(res.hbound)) - set(e.nonzero_levels())
-            vanishing = frozenset(
-                i for i in zero if e.zero_certified.get(i, False)
-                and all(_complete(table.stage_complete, k)
-                        for k in (i - 1, i, i + 1)))
+    t = _Transfer(res)
+    return _table(res, "overAe", *_level_shifts(res), t.size, t.rank_out)
+
+
+def _level_shifts(res: Resolution) -> tuple:
+    """(shifts, notes) of `hochschild_ext`'s relabeling."""
     shifts = {}
     notes = []
     for i in range(res.hbound):
@@ -315,7 +514,7 @@ def hochschild_ext(res: Resolution, one_sided: tuple | None = None) -> ExtTable:
         if len(degs) > 1:
             notes.append(f"level {i} spans degrees {sorted(degs)}; "
                          "reported in raw functional degree")
-    return _ext_table(res, "overAe", shifts, tuple(notes), vanishing)
+    return shifts, tuple(notes)
 
 
 # ---------------------------------------------------------------------------

@@ -247,19 +247,37 @@ def test_twist_builds_only_the_dual_differentials_it_reads(qp_rs):
 
 
 def test_ext_tables_take_ranks_without_rref(qp_res):
-    # an Ext entry is a nullity minus a rank, so no d* is brought to its
-    # reduced row echelon form
-    dres, _ = bimodule_resolution(builtin("quantum-plane-2"), 4, 6)
+    # an Ext entry is a nullity minus a rank, so ext_k_A brings no d* to
+    # its reduced row echelon form; hochschild_ext echelonizes the
+    # one-sided d0 only, never a matrix wider than a piece G^i_nu of the
+    # one-sided complex
     with mock.patch.object(exactla, "rref",
                            side_effect=AssertionError("rref called")), \
+            mock.patch.object(duality, "rref",
+                              side_effect=AssertionError("rref called")), \
             mock.patch.object(duality, "rank",
                               side_effect=exactla.rank) as ranked:
         left = ext_k_A(qp_res)
-        calls = ranked.call_count
-        both = hochschild_ext(dres)
-    assert calls and ranked.call_count > calls
+    assert ranked.call_count
     assert left.entries == {(2, -2): 1}
-    assert both.entries == {(2, j): j - 1 for j in range(2, 9)}
+    dres, _ = bimodule_resolution(builtin("smith-zhang"), 4, 6)
+    widths = []
+
+    def record(m):
+        widths.append(m.cols)
+        return exactla.rref(m)
+
+    with mock.patch.object(duality, "rref", side_effect=record):
+        both = hochschild_ext(dres)
+    assert both.nonzero_levels() == [3]
+    a = dres.rs.algebra
+    lo, hi = both.window
+    widest = max(sum(a.dim(g.degree + nu) for g in stage.gens)
+                 for stage in dres.stages for nu in range(lo, hi + 1))
+    assert widths and max(widths) <= widest
+    # the d* at the same cells are wider
+    assert widest < max(len(_dual_matrix(dres, i, mu).columns)
+                        for i in range(4) for mu in range(lo, hi + 1))
 
 
 def rational_scalars():
@@ -331,29 +349,25 @@ def test_dual_differential_squares_to_zero():
                     scanned, scanned.monomial(w)).terms)
 
 
-# -- levels the one-sided table proves zero -----------------------------------
+# -- the transferred complex against the computed d* ------------------------
 
 def derived_and_computed(p, hbound, dbound):
-    """The Hochschild table of p with the left one-sided table and without
-    it, and the (level, functional degree) of each d* that each route
-    builds over the enveloping system."""
+    """The Hochschild table of p through the transferred complex, which
+    must build no d* over the enveloping system, and the one computed from
+    those d*, with the same shifts and notes."""
     rs, rs_r = complete(p, dbound), complete(opposite(p), dbound)
-    res = minimal_resolution(rs, hbound, dbound)
-    tab = betti(res)
-    e = ext_k_A(res)
+    tab = betti(minimal_resolution(rs, hbound, dbound))
     dres, _ = diagonal_bimodule_resolution(rs, rs_r, hbound, dbound, tab)
-    tables, built = [], []
-    for one_sided in ((e, tab), None):
-        with mock.patch.object(duality, "_dual_matrix",
-                               side_effect=_dual_matrix) as spy:
-            tables.append(hochschild_ext(dres, one_sided=one_sided))
-        built.append([c.args[1:] for c in spy.call_args_list])
-    return tables, built
+    with mock.patch.object(duality, "_dual_matrix",
+                           side_effect=AssertionError("d* built")):
+        derived = hochschild_ext(dres)
+    shifts, notes = duality._level_shifts(dres)
+    return derived, duality._ext_table(dres, "overAe", shifts, notes)
 
 
 def assert_derived_is_computed(derived, computed):
-    for name in ("entries", "certified", "zero_certified", "level_shift",
-                 "notes"):
+    for name in ("side", "entries", "certified", "zero_certified", "window",
+                 "levels", "level_shift", "notes"):
         assert getattr(derived, name) == getattr(computed, name), name
     assert derived == computed
 
@@ -363,26 +377,32 @@ def assert_derived_is_computed(derived, computed):
                                   "quantum-plane-2", "smith-zhang",
                                   "weyl-filtered", "weyl-homogenized"])
 def test_derived_levels_give_the_computed_table(name):
-    p = builtin(name)
-    if name == "weyl-filtered":
-        p = homogenize(p)
-    (derived, computed), (fewer, every) = derived_and_computed(p, 4, 5)
-    assert_derived_is_computed(derived, computed)
-    assert len(fewer) < len(every) or not every
-    if name != "smith-zhang":
-        # concentrated: every level is decided without a d*
-        assert fewer == []
-    else:
-        # E vanishes at levels 0 and 1 only
-        assert {i for i, _ in fewer} == {2, 3}
+    for f in (F32003, QQ, field_from_name("F3")):
+        p = builtin(name, field=f)
+        if name == "weyl-filtered":
+            p = homogenize(p)
+        derived, computed = derived_and_computed(p, 4, 5)
+        assert_derived_is_computed(derived, computed)
+        if name == "smith-zhang":
+            # E sits at levels 2 to 4 and the table at level 3 alone, so
+            # the transferred D is built and is not zero
+            assert computed.nonzero_levels() == [3]
 
 
 @given(case=random_presentations())
 @settings(max_examples=25)
 def test_derived_levels_give_the_computed_table_on_random_presentations(case):
     p, bound = case
-    (derived, computed), _ = derived_and_computed(p, 3, bound)
-    assert_derived_is_computed(derived, computed)
+    assert_derived_is_computed(*derived_and_computed(p, 3, bound))
+
+
+def test_hochschild_ext_builds_no_dual_differential():
+    dres, _ = bimodule_resolution(builtin("smith-zhang"), 4, 6)
+    with mock.patch.object(duality, "_dual_matrix",
+                           side_effect=_dual_matrix) as spy:
+        t = hochschild_ext(dres)
+    assert spy.call_count == 0
+    assert t.nonzero_levels() == [3]
 
 
 CUBE = """
@@ -402,37 +422,6 @@ rel y*y + x*x
 """
 
 
-@pytest.mark.parametrize("text, dbound, hbound, derived", [
-    # truncated: no stage is certified complete, so no level is derived
-    # although E is zero at levels 0, 1 and 2
-    (None, 3, 3, set()),
-    # x^3 = 0 at -d 4: E is certified zero at levels 0, 1 and 2, and
-    # stage 3's one Anick chain lies in degree 4, so all three are derived
-    (CUBE, 4, 4, {0, 1, 2}),
-    # at -d 4: E is certified zero at levels 0 to 3, but stage 4 has Anick
-    # chains in degrees 5 and 6, above the window, as well as in degree 4,
-    # so level 3 is computed
-    (ZERO_PRODUCTS, 4, 4, {0, 1, 2}),
-], ids=["weyl-homogenized", "cube", "zero-products"])
-def test_levels_the_one_sided_table_does_not_certify_are_computed(
-        text, dbound, hbound, derived):
-    p = builtin("weyl-homogenized") if text is None else parse(text)
-    (table, computed), (fewer, every) = derived_and_computed(p, hbound,
-                                                             dbound)
-    assert_derived_is_computed(table, computed)
-    levels = {i for i, _ in every}
-    assert derived <= levels
-    assert {i for i, _ in fewer} == levels - derived
-
-
-def test_zero_products_have_anick_chains_above_the_window():
-    # the chains that block level 3 of the zero-products case above
-    rs = complete(parse(ZERO_PRODUCTS), 4)
-    assert rs.globally_complete
-    anick = anick_chain_counts(rs.leads(), rs.degrees, 4, 8)
-    assert sorted(j for i, j in anick if i == 4) == [4, 5, 6]
-
-
 LEFT_RIGHT = """
 algebra left_right over F32003
 deg x = 1, y = 1
@@ -441,10 +430,63 @@ rel x*y
 """
 
 
+# not globally complete at any bound: no stage is certified complete
+CYCLIC = """
+algebra cyclic over F32003
+deg x = 1, y = 1, z = 1
+rel x*y - y*x - z*z
+rel y*z - z*y - x*x
+rel z*x - x*z - y*y
+"""
+
+
+# its transferred differential needs the terms p delta (-h delta)^k i with
+# k >= 1, and their sign: without them, or with h negated, the table is
+# wrong, while every builtin above still reads right at -d 5
+CHAINS = """
+algebra chains over F32003
+deg x = 1, y = 1
+rel 2*x*y*y - 3*x*x*x - 2*x*y*x
+rel y*x + x*x
+"""
+
+
+@pytest.mark.parametrize("text, dbound, hbound", [
+    # truncated: no stage is certified complete, and E is zero at levels
+    # 0, 1 and 2
+    (None, 3, 3),
+    # x^3 = 0: stage 3's one Anick chain lies in degree 4
+    (CUBE, 4, 4),
+    # stage 4 has Anick chains in degrees 5 and 6, above the window
+    (ZERO_PRODUCTS, 4, 4),
+    (LEFT_RIGHT, 5, 4),
+    (CYCLIC, 5, 4),
+    (CHAINS, 5, 4),
+], ids=["weyl-homogenized", "cube", "zero-products", "left-right", "cyclic",
+        "chains"])
+def test_levels_the_one_sided_table_does_not_certify_are_computed(
+        text, dbound, hbound):
+    p = builtin("weyl-homogenized") if text is None else parse(text)
+    derived, computed = derived_and_computed(p, hbound, dbound)
+    assert_derived_is_computed(derived, computed)
+    if text is CYCLIC:
+        assert not any(computed.certified.values())
+
+
+def test_zero_products_have_anick_chains_above_the_window():
+    # the chains that leave stage 4 of the zero-products case above
+    # uncertified
+    rs = complete(parse(ZERO_PRODUCTS), 4)
+    assert rs.globally_complete
+    anick = anick_chain_counts(rs.leads(), rs.degrees, 4, 8)
+    assert sorted(j for i, j in anick if i == 4) == [4, 5, 6]
+
+
 def test_derived_levels_come_from_the_left_table():
     """Over x^2 = xy = 0 the left table is zero at level 0 and the right
-    one is not, so the bimodule d* out of level 0 is built only when the
-    right table would be read."""
+    one is not.  The one-sided complex G of the transfer, the opposite
+    letters killed, has the left table as its cohomology, and the
+    transferred table is the computed one."""
     p = parse(LEFT_RIGHT)
     rs = complete(p, 5)
     tab = betti(minimal_resolution(rs, 4, 5))
@@ -452,32 +494,38 @@ def test_derived_levels_come_from_the_left_table():
     right = ext_k_A(minimal_resolution(complete(opposite(p), 5), 4, 5, tab))
     assert left.nonzero_levels() == [1, 2, 3]
     assert right.nonzero_levels() == [0, 1, 2, 3]
-    (derived, computed), (fewer, every) = derived_and_computed(p, 4, 5)
+    derived, computed = derived_and_computed(p, 4, 5)
     assert_derived_is_computed(derived, computed)
     assert computed.nonzero_levels() == [1, 2, 3]
-    assert not [c for c in fewer if c[0] == 0]
-    assert [c for c in every if c[0] == 0]
+    dres, _ = diagonal_bimodule_resolution(rs, complete(opposite(p), 5), 4,
+                                           5, tab)
+    transfer = duality._Transfer(dres)
+    lo, hi = left.window
+    assert {(i, nu): transfer.dim_e(i, nu) for i in range(4)
+            for nu in range(lo, hi + 1) if transfer.dim_e(i, nu)} \
+        == left.entries
 
 
-def test_report_hands_the_left_table_to_the_bimodule_side(tmp_path):
+def test_bimodule_report_builds_no_one_sided_table(tmp_path):
+    # the transferred complex needs no left table: without asregular the
+    # report builds none, with it only the one it prints
     path = tmp_path / "left_right.alg"
     path.write_text(LEFT_RIGHT)
-    p = parse(LEFT_RIGHT)
-    left = ext_k_A(minimal_resolution(complete(p, 5), 4, 5))
-    for checks in (("hochschild",), ("asregular", "hochschild")):
-        with mock.patch.object(cli, "hochschild_ext",
-                               side_effect=hochschild_ext) as spy:
-            cli.run(cli.RunConfig(str(path), is_path=True, degree_bound=5,
-                                  homological_bound=4, checks=checks))
-        (call,) = spy.call_args_list
-        e, table = call.kwargs["one_sided"]
-        assert e == left
-        assert table.stage_complete
+    for checks, tables in ((("hochschild",), 0), (("rigidity",), 0),
+                           (("hochschild", "rigidity"), 0),
+                           (("asregular", "hochschild"), 2)):
+        with mock.patch.object(cli, "ext_k_A", side_effect=ext_k_A) as spy:
+            report, _ = cli.run(cli.RunConfig(
+                str(path), is_path=True, degree_bound=5, homological_bound=4,
+                checks=checks))
+        assert spy.call_count == tables, checks
+        assert "hochschild" in report or "rigidity" in report
 
 
 def test_concentrated_report_builds_only_the_twist_cells():
-    # polynomial-3 FULL: its Hochschild table comes from the left table, so
-    # the only d* over the enveloping system are rigidity's three cells
+    # polynomial-3 FULL: its Hochschild table comes from the transferred
+    # complex, so the only d* over the enveloping system are rigidity's
+    # three cells
     built = []
 
     def record(res, i, mu):
@@ -560,29 +608,67 @@ def column_scalars(res):
 def test_integral_rational_run_holds_no_fraction():
     # every coefficient of smith-zhang is +-1, and so is every pivot, so no
     # scalar of a FULL run over Q needs a denominator.  A Fraction here
-    # means an int was coerced somewhere, which slows Q down 2-4x
+    # means an int was coerced somewhere, which slows Q down 2-4x.  The
+    # bimodule side builds no d*: its scalars are those of the matrices it
+    # ranks and echelonizes (d0 and the transferred D) and the rows of its
+    # splittings (the coboundary rows, residues and tags)
     p = builtin("smith-zhang", field=QQ)
     rs, rs_r = complete(p, 6), complete(opposite(p), 6)
     res = minimal_resolution(rs, 5, 6)
     tab = betti(res)
     res_r = minimal_resolution(rs_r, 5, 6, tab)
-    built = []
+    built, ranked, split = [], [], []
 
     def record(*args):
         built.append(_dual_matrix(*args))
         return built[-1]
 
+    def record_rank(m):
+        ranked.append(m)
+        return exactla.rank(m)
+
+    def record_rref(m):
+        ranked.append(m)
+        r = exactla.rref(m)
+        split.extend(r.rows)
+        return r
+
+    image = duality._Transfer._image
+
+    def record_image(transfer, i, nu):
+        images = image(transfer, i, nu)
+        split.extend(images)
+        return images
+
+    class RecordingSpan(exactla.RowSpan):
+        def reduce(self, vec):
+            split.append(dict(vec))
+            split.append(super().reduce(vec))
+            return split[-1]
+
     with mock.patch.object(duality, "_dual_matrix", side_effect=record):
         ext_k_A(res)
         ext_k_A(res_r)
-        dres, _ = diagonal_bimodule_resolution(rs, rs_r, 5, 6, tab)
-        hochschild_ext(dres)
+    dres, _ = diagonal_bimodule_resolution(rs, rs_r, 5, 6, tab)
+    with mock.patch.object(duality, "rank", side_effect=record_rank), \
+            mock.patch.object(duality, "rref", side_effect=record_rref), \
+            mock.patch.object(duality, "RowSpan", RecordingSpan), \
+            mock.patch.object(duality._Transfer, "_image", autospec=True,
+                              side_effect=record_image) as imaged:
+        t = hochschild_ext(dres)
+    assert t == duality._ext_table(dres, "overAe",
+                                   *duality._level_shifts(dres))
+    assert imaged.call_count      # the transferred D is built
     scalars = {
         "tails": rule_scalars(rs) + rule_scalars(rs_r),
         "left": column_scalars(res),
         "right": column_scalars(res_r),
         "bimodule": column_scalars(dres),
         "d*": [v for m in built for col in m.columns for v in col.values()],
+        "d0 and D": [v for m in ranked for col in m.columns
+                     for v in col.values()],
+        "splitting and D(e (x) 1)": [v for row in split
+                                     for v in row.values()],
     }
     for where, values in scalars.items():
         assert values, where
